@@ -37,9 +37,6 @@ class Budget:
     def would_exceed(self, amount: int) -> bool:
         return self.spent + amount > self.limit
 
-    def remaining(self) -> int:
-        return max(self.limit - self.spent, 0)
-
 
 def _env_override() -> int | None:
     raw = os.environ.get(_ENV_VAR)

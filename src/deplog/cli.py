@@ -38,18 +38,18 @@ from .errors import BudgetExceededError, DeplogError, ShapeError
 from .fragments import classify_d, classify_eso
 from .harness import corpus, corpus_item, equiv_check, sentence_value
 from .structures import (
-    enumerate_structures, structure_from_json_dict, structure_to_json_dict,
-    team_from_json_dict,
+    _json_tables, enumerate_structures, structure_from_json_dict,
+    structure_to_json_dict, team_from_json_dict,
 )
 from .syntax import (
-    EsoSentence, Signature, and_chain, Exists, Forall, fresh_var,
-    parse_eso, parse_eso_infer, parse_formula, parse_formula_infer,
-    prenex_split, render_eso, render_formula, symbols_of,
+    EsoSentence, Signature, fresh_var, parse_eso, parse_eso_infer,
+    parse_formula, parse_formula_infer, prenex_split, render_eso,
+    render_formula, symbols_of,
 )
 from .team_eval import satisfies
 from .transforms import (
-    collapse_existential_to_fo, d_to_eso, eliminate_width1, eso_to_d,
-    extract_dep_atoms, simplify_atom_terms, single_forall_reuse,
+    NormalFormD, collapse_existential_to_fo, d_to_eso, eliminate_width1,
+    eso_to_d, extract_dep_atoms, simplify_atom_terms, single_forall_reuse,
     skolemize_normal_form, skolemize_prefix_existentials, snf_to_star,
     star_normalize, to_normal_form, to_prenex,
 )
@@ -100,14 +100,15 @@ def _sig_from_structure(raw, inferred: Signature) -> Signature:
     size = raw.get("domain")
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ShapeError("structure 'domain' must be a positive integer")
+    rels_in, fns_in, consts_in = _json_tables(raw)
     rels: dict[str, int] = {}
-    for name, tuples in (raw.get("relations") or {}).items():
+    for name, tuples in rels_in.items():
         if isinstance(tuples, list) and tuples and isinstance(tuples[0], list):
             rels[name] = len(tuples[0])
         else:
             rels[name] = inferred.relations.get(name, 1)
     fns: dict[str, int] = {}
-    for name, table in (raw.get("functions") or {}).items():
+    for name, table in fns_in.items():
         rows = len(table) if isinstance(table, list) else 0
         arity = inferred.functions.get(name, 1)
         if size > 1 and rows > 0:
@@ -115,7 +116,7 @@ def _sig_from_structure(raw, inferred: Signature) -> Signature:
             while size ** arity < rows:
                 arity += 1
         fns[name] = arity
-    consts = frozenset((raw.get("constants") or {}).keys())
+    consts = frozenset(consts_in)
     for name, ar in inferred.relations.items():
         rels.setdefault(name, ar)
     for name, ar in inferred.functions.items():
@@ -139,13 +140,8 @@ def _parse_against_structure(text: str, raw):
 
 def _extract_pass(f):
     prefix, body = prenex_split(f)
-    ys, bindings, theta = extract_dep_atoms(
-        body, reserved=tuple(symbols_of(f)))
-    matrix = and_chain(list(bindings) + [theta]) if bindings else theta
-    out = matrix
-    for kind, var in reversed(prefix + [("exists", y) for y in ys]):
-        out = Exists(var, out) if kind == "exists" else Forall(var, out)
-    return out
+    _, bindings, theta = extract_dep_atoms(body, reserved=tuple(symbols_of(f)))
+    return NormalFormD(tuple(prefix), bindings, theta).to_formula()
 
 
 def _single_forall_pass(f):
@@ -301,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sig", required=True)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--budget", type=int,
-                   help="cap on structures and on semantic work")
+                   help="cap on structures and on semantic work "
+                        "(a positive integer)")
     p.set_defaults(fn=_cmd_equiv)
 
     p = sub.add_parser("corpus", help="list corpus items or print one")

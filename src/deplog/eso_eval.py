@@ -6,6 +6,11 @@ first-order part true. Tables are enumerated exhaustively in lexicographic
 order with early exit on the first witness; the total number of candidate
 interpretations is checked against the budget up front, so an infeasible
 instance fails loudly before any work is done.
+
+The classical evaluator here is the only one in the package: the team
+evaluator also uses it for dependence-free subformulas, row by row.  Each
+caller charges its budget under its own context, "first-order evaluation"
+here and "row evaluation" there.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ __all__ = ["fo_satisfies", "eso_satisfies"]
 
 def _fo_eval(struct: Structure, f: Formula, env: dict[str, int],
              extra_fns: dict[str, tuple[int, tuple[int, ...]]] | None,
-             budget: Budget | None) -> bool:
+             budget: Budget | None, context: str) -> bool:
     if budget is not None:
-        budget.spend(1, "first-order evaluation")
+        budget.spend(1, context)
     if isinstance(f, RelAtom):
         args = tuple(eval_term(struct, env, a, extra_fns) for a in f.args)
         return struct.rel_holds(f.rel, args) != f.negated
@@ -38,16 +43,16 @@ def _fo_eval(struct: Structure, f: Formula, env: dict[str, int],
     if isinstance(f, Bool):
         return f.value
     if isinstance(f, And):
-        return (_fo_eval(struct, f.left, env, extra_fns, budget)
-                and _fo_eval(struct, f.right, env, extra_fns, budget))
+        return (_fo_eval(struct, f.left, env, extra_fns, budget, context)
+                and _fo_eval(struct, f.right, env, extra_fns, budget, context))
     if isinstance(f, Or):
-        return (_fo_eval(struct, f.left, env, extra_fns, budget)
-                or _fo_eval(struct, f.right, env, extra_fns, budget))
+        return (_fo_eval(struct, f.left, env, extra_fns, budget, context)
+                or _fo_eval(struct, f.right, env, extra_fns, budget, context))
     if isinstance(f, Exists):
-        return any(_fo_eval(struct, f.body, {**env, f.var: a}, extra_fns, budget)
+        return any(_fo_eval(struct, f.body, {**env, f.var: a}, extra_fns, budget, context)
                    for a in range(struct.size))
     if isinstance(f, Forall):
-        return all(_fo_eval(struct, f.body, {**env, f.var: a}, extra_fns, budget)
+        return all(_fo_eval(struct, f.body, {**env, f.var: a}, extra_fns, budget, context)
                    for a in range(struct.size))
     if isinstance(f, DepAtom):
         raise EvalError("dependence atoms have no classical first-order semantics")
@@ -67,7 +72,8 @@ def fo_satisfies(struct: Structure, formula: Formula,
     missing = free_vars(formula) - set(env)
     if missing:
         raise EvalError(f"assignment does not bind free variables {sorted(missing)}")
-    return _fo_eval(struct, formula, env, extra_fns, budget)
+    return _fo_eval(struct, formula, env, extra_fns, budget,
+                    "first-order evaluation")
 
 
 def _candidate_count(struct: Structure, sentence: EsoSentence) -> int:
@@ -93,7 +99,8 @@ def eso_satisfies(struct: Structure, sentence: EsoSentence,
     def prefix_eval(i: int, env: dict[str, int],
                     tables: dict[str, tuple[int, tuple[int, ...]]]) -> bool:
         if i == len(prefix):
-            return _fo_eval(struct, matrix, env, tables, budget)
+            return _fo_eval(struct, matrix, env, tables, budget,
+                            "first-order evaluation")
         kind, var = prefix[i]
         if kind == "forall":
             return all(prefix_eval(i + 1, {**env, var: a}, tables) for a in range(n))

@@ -23,7 +23,10 @@ Upper bounds name the cheapest model-checking guarantee this package's
 translations can justify: "FO" when the sentence rewrites to ordinary
 first-order logic, "NTIME_RAM(n^k)" for a nondeterministic random-access
 machine running in time O(n^k) on structures of size n, and "NP" as the
-general fallback.
+general fallback.  Under the one-quantifier-per-variable discipline the
+function translation of a dependence-logic sentence is checked by guessing
+its function tables, in time n^(universal count); without it no
+translation here applies.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .syntax import (
     satisfies_star, single_quantification,
 )
 
-__all__ = ["FragmentReport", "classify_d", "classify_eso", "complexity_bound"]
+__all__ = ["FragmentReport", "classify_d", "classify_eso"]
 
 
 @dataclass(frozen=True)
@@ -140,23 +143,3 @@ def classify_eso(s: EsoSentence) -> FragmentReport:
         upper_bound=_eso_bound(arity, m),
         max_arity=arity, snf=snf, star=star, exists_star=True)
 
-
-def complexity_bound(r: FragmentReport) -> str:
-    """Model-checking upper bound implied by a report's parameters.
-
-    A dependence-logic sentence without universals, or whose atoms have
-    width at most 1, rewrites to plain first-order logic.  Under the
-    one-quantifier-per-variable discipline the function translation
-    yields a sentence a nondeterministic RAM checks in time n^(universal
-    count); without that discipline no translation here applies and the
-    bound falls back to NP.  A function sentence with only 0-ary
-    functions is first-order; otherwise guessing the function tables and
-    evaluating takes n^(universal count), never cheaper than n^1.
-
-    classify_d and classify_eso store this same value, so for any report
-    r they produce, complexity_bound(r) == r.upper_bound.
-    """
-    if r.kind == "D":
-        return _d_bound(r.forall_count, bool(r.single_quantification),
-                        int(r.max_dep_width or 0))
-    return _eso_bound(int(r.max_arity or 0), r.forall_count)

@@ -36,8 +36,6 @@ __all__ = [
     "CorpusItem", "corpus", "corpus_item",
 ]
 
-Sentence = "Formula | EsoSentence"
-
 
 def sentence_value(struct: Structure, s, budget: Budget | None = None) -> bool:
     """Truth of a sentence in one structure, picking the semantics by kind."""
@@ -97,16 +95,18 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     an equivalence Verdict once every structure has agreed.  ``budget``
     caps both the number of structures enumerated and the semantic-check
     work; left unset, the module defaults apply (10^6 structures, 10^7
-    check steps, both overridable through DEPLOG_BUDGET).  Running out
-    raises BudgetExceededError naming the domain size reached, never a
-    silent pass.
+    check steps, both overridable through DEPLOG_BUDGET).  A ``budget``
+    below 1 is a ShapeError.  Running out raises BudgetExceededError
+    naming the domain size reached, never a silent pass.
     """
     if max_n < 1:
         raise ShapeError("max_n must be at least 1")
+    if budget is not None and budget < 1:
+        raise ShapeError("budget must be at least 1")
     _check_sentence(left, sig)
     _check_sentence(right, sig)
-    sbudget = Budget(budget) if budget else default_structure_budget()
-    cbudget = Budget(budget) if budget else default_check_budget()
+    sbudget = Budget(budget) if budget is not None else default_structure_budget()
+    cbudget = Budget(budget) if budget is not None else default_check_budget()
     start = time.perf_counter()
     checked = 0
     size = 1

@@ -78,10 +78,6 @@ class Structure:
             if not isinstance(val, int) or not 0 <= val < n:
                 raise ShapeError(f"constant {name} value {val!r} outside the domain")
 
-    @property
-    def domain(self) -> range:
-        return range(self.size)
-
     def rel_holds(self, name: str, args: tuple[int, ...]) -> bool:
         return args in self.relations[name]
 
@@ -177,35 +173,6 @@ class Team:
         cols = [self.index(v) for v in keep]
         return Team(keep, frozenset(tuple(r[c] for c in cols) for r in self.rows))
 
-    def rel_of(self) -> frozenset[tuple[int, ...]]:
-        """The team's rows viewed as a relation over its variable tuple."""
-        return self.rows
-
-    def extend_universal(self, var: str, size: int) -> "Team":
-        """Every row extended with every domain value for ``var``."""
-        if var in self.vars:
-            raise ShapeError(f"variable {var!r} already in team")
-        rows = frozenset(r + (a,) for r in self.rows for a in range(size))
-        return Team(self.vars + (var,), rows)
-
-    def extend_function(self, var: str, choice) -> "Team":
-        """Every row extended with one chosen value for ``var``.
-
-        ``choice`` maps each row tuple to a domain element and must cover
-        every row of the team.
-        """
-        if var in self.vars:
-            raise ShapeError(f"variable {var!r} already in team")
-        rows = []
-        for r in self.rows:
-            if r not in choice:
-                raise ShapeError(f"choice function not total: row {list(r)!r} unmapped")
-            rows.append(r + (choice[r],))
-        return Team(self.vars + (var,), frozenset(rows))
-
-    def assignments(self) -> Iterator[dict[str, int]]:
-        for r in sorted(self.rows):
-            yield dict(zip(self.vars, r))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +264,15 @@ def structure_to_json_dict(struct: Structure) -> dict:
     }
 
 
+def _json_tables(data: dict) -> list[dict]:
+    """The relation, function and constant tables of a structure JSON
+    object, each an object (absent means empty)."""
+    tables = [data.get(k) or {} for k in ("relations", "functions", "constants")]
+    if not all(isinstance(t, dict) for t in tables):
+        raise ShapeError("'relations', 'functions' and 'constants' must be objects")
+    return tables
+
+
 def structure_from_json_dict(data, sig: Signature) -> Structure:
     if not isinstance(data, dict):
         raise ShapeError("structure JSON must be an object")
@@ -306,12 +282,7 @@ def structure_from_json_dict(data, sig: Signature) -> Structure:
     if "domain" not in data:
         raise ShapeError("structure JSON needs a 'domain' size")
     size = data["domain"]
-    rels_in = data.get("relations") or {}
-    fns_in = data.get("functions") or {}
-    consts_in = data.get("constants") or {}
-    if not isinstance(rels_in, dict) or not isinstance(fns_in, dict) \
-            or not isinstance(consts_in, dict):
-        raise ShapeError("'relations', 'functions' and 'constants' must be objects")
+    rels_in, fns_in, consts_in = _json_tables(data)
     rels = {}
     for name, tuples in rels_in.items():
         if not isinstance(tuples, list) or not all(isinstance(t, list) for t in tuples):

@@ -46,7 +46,7 @@ __all__ = [
     "term_vars", "free_vars", "symbols_of", "eso_symbols",
     "function_patterns", "satisfies_star",
     "single_quantification", "prenex_split", "fresh_var", "replace_term",
-    "check_symbols", "iter_subformulas", "iter_terms", "collect_apps",
+    "check_symbols", "iter_subformulas", "iter_terms",
     "contains_dep_atom", "is_quantifier_free", "and_chain", "or_chain",
 ]
 
@@ -285,16 +285,6 @@ class EsoSentence:
             if isinstance(t, App) and t.fn in arities and len(t.args) != arities[t.fn]:
                 raise ShapeError(
                     f"{t.fn} declared with arity {arities[t.fn]} but applied to {len(t.args)} arguments")
-
-    @property
-    def function_arities(self) -> dict[str, int]:
-        return dict(self.functions)
-
-    def universals(self) -> list[str]:
-        return [v for k, v in self.prefix if k == "forall"]
-
-    def existentials(self) -> list[str]:
-        return [v for k, v in self.prefix if k == "exists"]
 
 
 # ---------------------------------------------------------------------------
@@ -756,16 +746,6 @@ def iter_terms(f: Formula) -> Iterator[Term]:
             yield from _iter_term_nodes(t)
 
 
-def collect_apps(f: Formula, fn: str | None = None) -> list[App]:
-    """Function applications in pre-order, optionally restricted to one symbol.
-
-    Duplicates are preserved; callers that need distinct occurrences can
-    dedupe while keeping order with dict.fromkeys.
-    """
-    return [t for t in iter_terms(f)
-            if isinstance(t, App) and (fn is None or t.fn == fn)]
-
-
 def contains_dep_atom(f: Formula) -> bool:
     return any(isinstance(sub, DepAtom) for sub in iter_subformulas(f))
 
@@ -828,18 +808,24 @@ def eso_symbols(s: EsoSentence) -> set[str]:
     return out
 
 
+def _call_shapes(f: Formula, fns) -> dict[str, list[tuple[Term, ...]]]:
+    """Distinct argument tuples of each function named in ``fns``, in first
+    occurrence order (pre-order); a function with no occurrence maps to an
+    empty list."""
+    out: dict[str, list[tuple[Term, ...]]] = {n: [] for n in fns}
+    for t in iter_terms(f):
+        if isinstance(t, App) and t.fn in out and t.args not in out[t.fn]:
+            out[t.fn].append(t.args)
+    return out
+
+
 def function_patterns(s: EsoSentence) -> dict[str, list[tuple[Term, ...]]]:
     """Distinct argument tuples of each quantified function, in first
     occurrence order (pre-order over the matrix).
 
     Functions with no occurrence map to an empty list.
     """
-    quantified = {n for n, _ in s.functions}
-    out: dict[str, list[tuple[Term, ...]]] = {n: [] for n, _ in s.functions}
-    for t in iter_terms(s.matrix):
-        if isinstance(t, App) and t.fn in quantified and t.args not in out[t.fn]:
-            out[t.fn].append(t.args)
-    return out
+    return _call_shapes(s.matrix, [n for n, _ in s.functions])
 
 
 def _distinct_var_tuple(args: tuple[Term, ...]) -> bool:
@@ -946,31 +932,43 @@ def check_symbols(f: Formula, sig: Signature,
                     f"function {t.fn!r} has arity {want}, got {len(t.args)} arguments")
 
 
-def _replace_in_term(t: Term, old: Term, new: Term) -> Term:
-    if t == old:
-        return new
-    if isinstance(t, App):
-        return App(t.fn, tuple(_replace_in_term(a, old, new) for a in t.args))
-    return t
+def _map_atoms(f: Formula, fix) -> Formula:
+    """Rebuild ``f`` with every atom g replaced by ``fix(g)``; left operands
+    are visited before right ones, so fresh names come out in reading
+    order."""
+    if isinstance(f, _ATOMS):
+        return fix(f)
+    if isinstance(f, And):
+        return And(_map_atoms(f.left, fix), _map_atoms(f.right, fix))
+    if isinstance(f, Or):
+        return Or(_map_atoms(f.left, fix), _map_atoms(f.right, fix))
+    if isinstance(f, (Exists, Forall)):
+        return type(f)(f.var, _map_atoms(f.body, fix))
+    raise ShapeError(f"not a formula: {f!r}")
+
+
+def _map_terms(f: Formula, fix) -> Formula:
+    """Rebuild ``f`` with ``fix`` applied to every argument term of every
+    atom."""
+    def atom(g: Formula) -> Formula:
+        if isinstance(g, RelAtom):
+            return RelAtom(g.rel, tuple(fix(a) for a in g.args), g.negated)
+        if isinstance(g, Equal):
+            return Equal(fix(g.left), fix(g.right), g.negated)
+        if isinstance(g, DepAtom):
+            return DepAtom(tuple(fix(t) for t in g.terms), g.negated)
+        return g
+
+    return _map_atoms(f, atom)
 
 
 def replace_term(f: Formula, old: Term, new: Term) -> Formula:
     """Replace every occurrence of the exact term ``old`` (nested ones too)."""
-    r = lambda t: _replace_in_term(t, old, new)
-    if isinstance(f, RelAtom):
-        return RelAtom(f.rel, tuple(r(a) for a in f.args), f.negated)
-    if isinstance(f, Equal):
-        return Equal(r(f.left), r(f.right), f.negated)
-    if isinstance(f, DepAtom):
-        return DepAtom(tuple(r(t) for t in f.terms), f.negated)
-    if isinstance(f, Bool):
-        return f
-    if isinstance(f, And):
-        return And(replace_term(f.left, old, new), replace_term(f.right, old, new))
-    if isinstance(f, Or):
-        return Or(replace_term(f.left, old, new), replace_term(f.right, old, new))
-    if isinstance(f, Exists):
-        return Exists(f.var, replace_term(f.body, old, new))
-    if isinstance(f, Forall):
-        return Forall(f.var, replace_term(f.body, old, new))
-    raise ShapeError(f"not a formula: {f!r}")
+    def swap(t: Term) -> Term:
+        if t == old:
+            return new
+        if isinstance(t, App):
+            return App(t.fn, tuple(swap(a) for a in t.args))
+        return t
+
+    return _map_terms(f, swap)

@@ -17,12 +17,15 @@ The empty team satisfies every formula.
 
 The search is exhaustive but takes verdict-preserving shortcuts: formulas
 without dependence atoms are evaluated row by row (satisfaction of such
-formulas only depends on the individual rows); disjunction splits are
-searched as two-colorings, which suffices because satisfaction is preserved
-under shrinking a team; and existential value choices are searched row by
-row depth-first, abandoning a partial choice as soon as the partially
-extended team already fails the body (a failing subteam cannot be part of
-a satisfying extension). Results are memoized per subformula and team.
+formulas only depends on the individual rows), by the classical evaluator
+of eso_eval; disjunction splits are searched as two-colorings, which
+suffices because satisfaction is preserved under shrinking a team; and
+existential value choices are searched row by row depth-first, abandoning
+a partial choice as soon as the partially extended team already fails the
+body (a failing subteam cannot be part of a satisfying extension). One
+search serves both kinds of existential: a block of fresh variables
+appends a value tuple to each row, a rebinding existential overwrites its
+column. Results are memoized per subformula and team.
 
 When the body under a block of fresh existentials is a conjunction of
 dependence-free formulas and positive dependence atoms (the shape of the
@@ -47,10 +50,11 @@ import itertools
 
 from .budget import Budget
 from .errors import EvalError, ShapeError
+from .eso_eval import _fo_eval
 from .structures import Structure, Team, eval_term
 from .syntax import (
-    And, Bool, DepAtom, Equal, Exists, Forall, Formula, Or, RelAtom,
-    check_symbols, contains_dep_atom, free_vars, iter_subformulas,
+    And, DepAtom, Exists, Forall, Formula, Or, check_symbols,
+    contains_dep_atom, free_vars, iter_subformulas,
 )
 
 __all__ = ["satisfies", "sentence_truth"]
@@ -73,29 +77,6 @@ class _TeamEvaluator:
         if self.budget is not None:
             self.budget.spend(amount, context)
 
-    # -- classical per-row evaluation (dependence-free subformulas) --------
-
-    def _row_sat(self, f: Formula, env: dict[str, int]) -> bool:
-        self._spend(1, "row evaluation")
-        if isinstance(f, RelAtom):
-            args = tuple(eval_term(self.struct, env, a) for a in f.args)
-            return self.struct.rel_holds(f.rel, args) != f.negated
-        if isinstance(f, Equal):
-            same = (eval_term(self.struct, env, f.left)
-                    == eval_term(self.struct, env, f.right))
-            return same != f.negated
-        if isinstance(f, Bool):
-            return f.value
-        if isinstance(f, And):
-            return self._row_sat(f.left, env) and self._row_sat(f.right, env)
-        if isinstance(f, Or):
-            return self._row_sat(f.left, env) or self._row_sat(f.right, env)
-        if isinstance(f, Exists):
-            return any(self._row_sat(f.body, {**env, f.var: a}) for a in range(self.n))
-        if isinstance(f, Forall):
-            return all(self._row_sat(f.body, {**env, f.var: a}) for a in range(self.n))
-        raise EvalError(f"dependence atom in row-wise evaluation: {f!r}")
-
     # -- team evaluation ----------------------------------------------------
 
     def eval(self, f: Formula, vars: tuple[str, ...],
@@ -112,7 +93,8 @@ class _TeamEvaluator:
     def _eval(self, f: Formula, vars: tuple[str, ...],
               rows: frozenset[tuple[int, ...]]) -> bool:
         if self.dep_free[id(f)]:
-            return all(self._row_sat(f, dict(zip(vars, row))) for row in rows)
+            return all(_fo_eval(self.struct, f, dict(zip(vars, row)), None,
+                                self.budget, "row evaluation") for row in rows)
         if isinstance(f, DepAtom):
             return self._eval_dep(f, vars, rows)
         if isinstance(f, And):
@@ -215,7 +197,8 @@ class _TeamEvaluator:
                     elif old != val:
                         break
                 else:
-                    if all(self._row_sat(g, env) for g in free) and dfs(i + 1):
+                    if all(_fo_eval(self.struct, g, env, None, self.budget,
+                                    "row evaluation") for g in free) and dfs(i + 1):
                         return True
                 for table, key in added:
                     del table[key]
@@ -233,50 +216,36 @@ class _TeamEvaluator:
                and body.var not in block):
             block.append(body.var)
             body = body.body
+        row_list = sorted(rows)
         if block:
             new_vars = vars + tuple(block)
-            row_list = sorted(rows)
             choices = list(itertools.product(range(self.n), repeat=len(block)))
             split = self._local_split(body)
             if split is not None:
                 return self._extend_locally(*split, new_vars, row_list, choices)
-            acc: list[tuple[int, ...]] = []
+            extensions = [[r + t for t in choices] for r in row_list]
+        else:
+            # rebinding an existing variable: overwrite its column
+            body, new_vars = f.body, vars
+            i = vars.index(f.var)
+            extensions = [[r[:i] + (a,) + r[i + 1:] for a in range(self.n)]
+                          for r in row_list]
+        # rows that a rebinding maps to the same values repeat in acc; the
+        # frozenset of acc merges them
+        acc: list[tuple[int, ...]] = []
 
-            def dfs(i: int) -> bool:
-                if i == len(row_list):
-                    return True
-                for t in choices:
-                    self._spend(1, "existential extension")
-                    acc.append(row_list[i] + t)
-                    if self.eval(body, new_vars, frozenset(acc)) and dfs(i + 1):
-                        return True
-                    acc.pop()
-                return False
-
-            return dfs(0)
-
-        # rebinding an existing variable: overwrite its column row by row
-        i = vars.index(f.var)
-        row_list = sorted(rows)
-        acc_set: set[tuple[int, ...]] = set()
-
-        def dfs_over(j: int) -> bool:
-            if j == len(row_list):
+        def dfs(j: int) -> bool:
+            if j == len(extensions):
                 return True
-            r = row_list[j]
-            for a in range(self.n):
+            for row in extensions[j]:
                 self._spend(1, "existential extension")
-                replaced = r[:i] + (a,) + r[i + 1:]
-                added = replaced not in acc_set
-                if added:
-                    acc_set.add(replaced)
-                if self.eval(f.body, vars, frozenset(acc_set)) and dfs_over(j + 1):
+                acc.append(row)
+                if self.eval(body, new_vars, frozenset(acc)) and dfs(j + 1):
                     return True
-                if added:
-                    acc_set.discard(replaced)
+                acc.pop()
             return False
 
-        return dfs_over(0)
+        return dfs(0)
 
 
 def satisfies(struct: Structure, team: Team, formula: Formula,

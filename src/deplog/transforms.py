@@ -45,11 +45,12 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .syntax import (
-    FALSE, TRUE, And, App, Bool, DepAtom, Equal, EsoSentence, Exists,
-    Forall, Formula, Or, RelAtom, Term, Var, and_chain, contains_dep_atom,
-    eso_symbols, free_vars, fresh_var, function_patterns, is_quantifier_free,
-    iter_subformulas, iter_terms, or_chain, prenex_split, replace_term,
-    satisfies_star, symbols_of,
+    FALSE, TRUE, And, App, DepAtom, Equal, EsoSentence, Exists, Forall,
+    Formula, Or, Term, Var, _call_shapes, _distinct_var_tuple, _map_atoms,
+    _map_terms, and_chain, contains_dep_atom, eso_symbols, free_vars,
+    fresh_var, function_patterns, is_quantifier_free, iter_subformulas,
+    iter_terms, or_chain, prenex_split, replace_term, satisfies_star,
+    symbols_of,
 )
 
 __all__ = [
@@ -85,24 +86,6 @@ def _wrap_prefix(prefix, matrix: Formula) -> Formula:
     return out
 
 
-def _map_terms(f: Formula, fix) -> Formula:
-    if isinstance(f, RelAtom):
-        return RelAtom(f.rel, tuple(fix(a) for a in f.args), f.negated)
-    if isinstance(f, Equal):
-        return Equal(fix(f.left), fix(f.right), f.negated)
-    if isinstance(f, DepAtom):
-        return DepAtom(tuple(fix(t) for t in f.terms), f.negated)
-    if isinstance(f, Bool):
-        return f
-    if isinstance(f, And):
-        return And(_map_terms(f.left, fix), _map_terms(f.right, fix))
-    if isinstance(f, Or):
-        return Or(_map_terms(f.left, fix), _map_terms(f.right, fix))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, _map_terms(f.body, fix))
-    raise ShapeError(f"not a formula: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # Dependence logic: prenex form and the constrained-existential normal form
 # ---------------------------------------------------------------------------
@@ -118,11 +101,6 @@ def to_prenex(f: Formula) -> Formula:
     return _wrap_prefix(prefix, matrix)
 
 
-def _distinct_vars(args: tuple[Term, ...]) -> bool:
-    return (all(isinstance(a, Var) for a in args)
-            and len({a.name for a in args}) == len(args))
-
-
 def _simplify_core(prefix, matrix, used):
     """Repair dependence atoms over mirror variables; returns the extended
     prefix and the matrix with the defining equalities conjoined."""
@@ -130,25 +108,19 @@ def _simplify_core(prefix, matrix, used):
     order: list[str] = []
     equalities: list[Formula] = []
 
-    def rewrite(g: Formula) -> Formula:
-        if isinstance(g, DepAtom):
-            if _distinct_vars(g.terms):
-                return g
-            # repair the whole atom: one fresh mirror per argument position
-            args = []
-            for t in g.terms:
-                z = names.new()
-                order.append(z)
-                equalities.append(Equal(Var(z), t))
-                args.append(Var(z))
-            return DepAtom(tuple(args), g.negated)
-        if isinstance(g, And):
-            return And(rewrite(g.left), rewrite(g.right))
-        if isinstance(g, Or):
-            return Or(rewrite(g.left), rewrite(g.right))
-        return g
+    def repair(g: Formula) -> Formula:
+        if not isinstance(g, DepAtom) or _distinct_var_tuple(g.terms):
+            return g
+        # repair the whole atom: one fresh mirror per argument position
+        args = []
+        for t in g.terms:
+            z = names.new()
+            order.append(z)
+            equalities.append(Equal(Var(z), t))
+            args.append(Var(z))
+        return DepAtom(tuple(args), g.negated)
 
-    new_matrix = rewrite(matrix)
+    new_matrix = _map_atoms(matrix, repair)
     if equalities:
         new_matrix = and_chain(equalities + [new_matrix])
     return list(prefix) + [("exists", z) for z in order], new_matrix
@@ -185,22 +157,18 @@ def _extract_core(matrix, used):
     names = _Names(used, "y")
     bindings: list[DepAtom] = []
 
-    def rewrite(g: Formula) -> Formula:
-        if isinstance(g, DepAtom):
-            if g.negated:
-                return FALSE  # only the empty team satisfies a negated atom
-            if not g.terms:
-                return TRUE  # the empty atom holds in every team
-            y = names.new()
-            bindings.append(DepAtom(tuple(g.terms[:-1]) + (Var(y),)))
-            return Equal(Var(y), g.terms[-1])
-        if isinstance(g, And):
-            return And(rewrite(g.left), rewrite(g.right))
-        if isinstance(g, Or):
-            return Or(rewrite(g.left), rewrite(g.right))
-        return g
+    def extract(g: Formula) -> Formula:
+        if not isinstance(g, DepAtom):
+            return g
+        if g.negated:
+            return FALSE  # only the empty team satisfies a negated atom
+        if not g.terms:
+            return TRUE  # the empty atom holds in every team
+        y = names.new()
+        bindings.append(DepAtom(tuple(g.terms[:-1]) + (Var(y),)))
+        return Equal(Var(y), g.terms[-1])
 
-    return bindings, rewrite(matrix)
+    return bindings, _map_atoms(matrix, extract)
 
 
 def extract_dep_atoms(
@@ -352,15 +320,6 @@ def skolemize_prefix_existentials(s: EsoSentence,
     return EsoSentence(tuple(functions), tuple(new_prefix), matrix)
 
 
-def _fn_tuples(matrix: Formula, fn: str) -> list[tuple[Term, ...]]:
-    """Distinct argument tuples of one function, first-occurrence order."""
-    out: list[tuple[Term, ...]] = []
-    for t in iter_terms(matrix):
-        if isinstance(t, App) and t.fn == fn and t.args not in out:
-            out.append(t.args)
-    return out
-
-
 def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentence:
     """Rewrite until every quantified function has a single call shape
     consisting of pairwise-distinct universal variables.
@@ -404,8 +363,8 @@ def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentenc
 
     for fn in fn_names:
         while True:
-            bad = next((t for t in _fn_tuples(matrix, fn)
-                        if not _distinct_vars(t)), None)
+            bad = next((t for t in _call_shapes(matrix, [fn])[fn]
+                        if not _distinct_var_tuple(t)), None)
             if bad is None:
                 break
             flatten(fn, bad)
@@ -413,7 +372,7 @@ def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentenc
     universals = {v for kind, v in prefix if kind == "forall"}
     for fn in fn_names:
         kept: set[str] | None = None
-        for args in _fn_tuples(matrix, fn):
+        for args in _call_shapes(matrix, [fn])[fn]:
             names = {a.name for a in args}
             if names <= universals and (kept is None or not names & kept):
                 if kept is None:
@@ -426,7 +385,7 @@ def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentenc
     guards: list[Formula] = []
     functions = list(s.functions)
     for fn in fn_names:
-        tuples = _fn_tuples(matrix, fn)
+        tuples = _call_shapes(matrix, [fn])[fn]
         copies = _Names(used, fn + "_")
         for args in tuples[1:]:
             copy = copies.new()
@@ -587,8 +546,9 @@ def snf_to_star(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentence:
 
     rewritten: list[str] = []
     shapes: dict[str, list[tuple[Term, ...]]] = {}
+    calls = _call_shapes(matrix, arities)
     for n, _ in functions:
-        comp = [t for t in _fn_tuples(matrix, n) if t != xs[:arities[n]]]
+        comp = [t for t in calls[n] if t != xs[:arities[n]]]
         if comp:
             rewritten.append(n)
             shapes[n] = comp
@@ -635,18 +595,12 @@ def collapse_existential_to_fo(f: Formula) -> Formula:
     if any(isinstance(sub, Forall) for sub in iter_subformulas(f)):
         raise ShapeError("sentence quantifies universally; cannot collapse")
 
-    def rewrite(g: Formula) -> Formula:
+    def polarity(g: Formula) -> Formula:
         if isinstance(g, DepAtom):
             return FALSE if g.negated else TRUE
-        if isinstance(g, And):
-            return And(rewrite(g.left), rewrite(g.right))
-        if isinstance(g, Or):
-            return Or(rewrite(g.left), rewrite(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, rewrite(g.body))
         return g
 
-    return rewrite(f)
+    return _map_atoms(f, polarity)
 
 
 def eliminate_width1(f: Formula, reserved: tuple[str, ...] = ()) -> Formula:

@@ -98,6 +98,20 @@ def test_check_function_table_from_structure(write, capsys):
     assert main(["check", "--formula", f, "--structure", m]) == 0
 
 
+@pytest.mark.parametrize("key", ["relations", "functions", "constants"])
+def test_check_and_eval_non_object_table_exit_2(write, capsys, key):
+    f = write("f.dl", "=(x,y)")
+    m = write("m.json", {"domain": 2, key: [1]})
+    t = write("t.json", {"vars": ["x", "y"], "rows": [[0, 1]]})
+    assert main(["check", "--formula", write("s.dl", SPINE),
+                 "--structure", m]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert main(["eval", "--formula", f, "--structure", m, "--team", t]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -247,6 +261,17 @@ def test_equiv_budget_exit_4(write, capsys):
     assert main(["equiv", "--left", left, "--right", right, "--sig", sig,
                  "--max-size", "3", "--budget", "5"]) == 4
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_equiv_non_positive_budget_exit_2(write, capsys, budget):
+    left = write("l.dl", SPINE)
+    sig = write("sig.json", {"relations": {"E": 2}, "functions": {},
+                             "constants": []})
+    assert main(["equiv", "--left", left, "--right", left, "--sig", sig,
+                 "--max-size", "1", "--budget", budget]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
 
 
 def test_equiv_bad_max_size_exit_2(write, capsys):

@@ -82,14 +82,6 @@ def test_extra_fns_shadow_table():
 # Teams
 # ---------------------------------------------------------------------------
 
-def test_team_rel_of():
-    assert Team.empty(("x",)).rel_of() == frozenset()
-    t = Team.of(("x", "y"), [(0, 1), (1, 0)])
-    assert t.rel_of() == frozenset({(0, 1), (1, 0)})
-    collapsed = Team.of(("x",), [(0,), (0,)])
-    assert collapsed.rel_of() == frozenset({(0,)})
-
-
 def test_team_restrict():
     t = Team.of(("x", "y"), [(0, 0), (0, 1)])
     assert t.restrict(("x",)) == Team.of(("x",), [(0,)])
@@ -100,45 +92,11 @@ def test_team_restrict():
         t.restrict(("z",))
 
 
-def test_team_extend_universal():
-    t0 = Team.initial()
-    assert t0.extend_universal("x", 2) == Team.of(("x",), [(0,), (1,)])
-    assert Team.empty(("y",)).extend_universal("x", 3) == Team.empty(("y", "x"))
-    t = Team.of(("y",), [(0,), (1,)])
-    out = t.extend_universal("x", 2)
-    assert out == Team.of(("y", "x"), [(0, 0), (0, 1), (1, 0), (1, 1)])
-    with pytest.raises(ShapeError):
-        out.extend_universal("x", 2)
-
-
-def test_team_extend_function():
-    assert (Team.empty(("y",)).extend_function("x", {})
-            == Team.empty(("y", "x")))
-    s0 = Team.of(("y",), [(0,)])
-    assert s0.extend_function("x", {(0,): 1}) == Team.of(("y", "x"), [(0, 1)])
-    t = Team.of(("y",), [(0,), (1,)])
-    out = t.extend_function("x", {(0,): 0, (1,): 0})
-    assert out == Team.of(("y", "x"), [(0, 0), (1, 0)])
-    with pytest.raises(ShapeError):
-        t.extend_function("x", {(0,): 0})  # not total
-
-
 def test_team_shape_errors():
     with pytest.raises(ShapeError):
         Team.of(("x", "x"), [(0, 0)])
     with pytest.raises(ShapeError):
         Team.of(("x",), [(0, 1)])
-
-
-def test_extend_then_restrict_identity():
-    t = Team.of(("y",), [(0,), (1,)])
-    assert t.extend_universal("x", 2).restrict(("y",)) == t
-
-
-def test_extension_size_bounds():
-    t = Team.of(("y",), [(0,), (1,)])
-    assert len(t.extend_function("x", {(0,): 1, (1,): 1})) <= len(t)
-    assert len(t.extend_universal("x", 2)) == len(t) * 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Rewriting passes: pinned outputs, syntactic postconditions, and
 semantic preservation cross-checked against the independent oracles."""
+import hashlib
+
 import pytest
 
 from helpers import oracle_satisfies, oracle_value
+from deplog.cli import _PASS_ORDER, main as cli_main
 from deplog.errors import ShapeError
 from deplog.harness import corpus, corpus_item, sentence_value
 from deplog.structures import enumerate_structures, enumerate_teams
@@ -657,3 +660,36 @@ def test_d_to_eso_star_shape_on_single_quantification():
         assert single_quantification(f), name
         out = d_to_eso(f)
         assert satisfies_star(out), name
+
+
+# sha256 per pass of the `deplog translate` records (exit code, stdout,
+# stderr) of that pass on every corpus item, in corpus order
+PASS_DIGESTS = {
+    "prenex": "e060debf78cead56794e1196950060cc1bec8cab4e3238fb94d57ec77add185e",
+    "simplify-atoms": "caf8d306aad2ff5712c39d97e829f37a5ef480013ced884032b47df2e1626ae5",
+    "extract": "8e1ea81677ca2b9bbe681d868cf8a7b366db34a7220037249a756e87e5cb614f",
+    "skolemize": "2551069fa5458360da9870a761f4e70aa4cc3a57972c2ce0d9041c5b16c55a16",
+    "d2eso": "2551069fa5458360da9870a761f4e70aa4cc3a57972c2ce0d9041c5b16c55a16",
+    "star": "8f0eeff1130ff46a16134c5e70eeddf8192cd945f95e13e8b45e20ecc7c049f2",
+    "eso2d": "e609becf678de77b87f627d0961178727c8d0b6d3cb4b1dcf5d613e2499e3f16",
+    "snf": "cd3feba6aa33514a666f29dd1ff2da2f96fcc04edc04f4b9b02dad8a8660870a",
+    "prop36": "53be6c78a163ba0c2972f8a50d96dccc367410ebed634fb63c73883dc88745d1",
+    "fo-collapse": "a5f6070b7ab328ca033799c4fa2d9cda23b654ecfaae71afcf95794254f0c04c",
+    "width1": "b1926abf017e24f6b3c7ec495ec2a8f9f49a659c5b512c2f23b9c621f57267fd",
+    "single-forall": "6dd99ba18ed2cdbdb5713e8f448c72303f653825f6905e29443865b2d76ac63b",
+}
+
+
+def test_translate_bytes_pinned_per_pass(tmp_path, capsys):
+    got = {}
+    for pass_name in _PASS_ORDER:
+        h = hashlib.sha256()
+        for item in corpus():
+            path = tmp_path / f"{item.name}.dl"
+            path.write_text(item.text, encoding="utf-8")
+            code = cli_main(["translate", "--pass", pass_name,
+                             "--input", str(path)])
+            captured = capsys.readouterr()
+            h.update(f"{code}\0{captured.out}\0{captured.err}\0".encode())
+        got[pass_name] = h.hexdigest()
+    assert got == PASS_DIGESTS

@@ -34,7 +34,7 @@ import re
 import sys
 
 from .budget import default_check_budget, default_structure_budget
-from .errors import BudgetExceededError, DeplogError, ShapeError
+from .errors import BudgetExceededError, DeplogError, ParseError, ShapeError
 from .fragments import classify_d, classify_eso
 from .harness import corpus, corpus_item, equiv_check, sentence_value
 from .structures import (
@@ -65,12 +65,15 @@ def _is_eso_text(text: str) -> bool:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not valid UTF-8 ({e.reason} at byte "
+                             f"{e.start})") from None
 
 
 def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    return json.loads(_read(path))
 
 
 def _render(out) -> str:

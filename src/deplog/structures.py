@@ -34,6 +34,12 @@ def tuple_index(args: tuple[int, ...], size: int) -> int:
     return idx
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool (JSON true and false load as bools, which
+    Python counts as ints)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass
 class Structure:
     """A finite structure interpreting every symbol of its signature."""
@@ -45,7 +51,7 @@ class Structure:
     constants: dict[str, int]
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
+        if not _is_int(self.size) or self.size < 1:
             raise ShapeError(f"domain size must be a positive integer, got {self.size!r}")
         n = self.size
         if set(self.relations) != set(self.sig.relations):
@@ -59,7 +65,7 @@ class Structure:
             ar = self.sig.relations[name]
             fs = frozenset(tuple(t) for t in tuples)
             for t in fs:
-                if len(t) != ar or not all(isinstance(v, int) and 0 <= v < n for v in t):
+                if len(t) != ar or not all(_is_int(v) and 0 <= v < n for v in t):
                     raise ShapeError(f"bad tuple {t!r} for relation {name}/{ar}")
             normalized_rels[name] = fs
         self.relations = normalized_rels
@@ -70,12 +76,12 @@ class Structure:
             if len(tb) != n ** ar:
                 raise ShapeError(
                     f"function {name}/{ar} needs a table of length {n ** ar}, got {len(tb)}")
-            if not all(isinstance(v, int) and 0 <= v < n for v in tb):
+            if not all(_is_int(v) and 0 <= v < n for v in tb):
                 raise ShapeError(f"function {name} table has values outside the domain")
             normalized_fns[name] = tb
         self.functions = normalized_fns
         for name, val in self.constants.items():
-            if not isinstance(val, int) or not 0 <= val < n:
+            if not _is_int(val) or not 0 <= val < n:
                 raise ShapeError(f"constant {name} value {val!r} outside the domain")
 
     def rel_holds(self, name: str, args: tuple[int, ...]) -> bool:
@@ -315,6 +321,6 @@ def team_from_json_dict(data, size: int | None = None) -> Team:
     team = Team.of(vars_in, rows_in)
     if size is not None:
         for r in team.rows:
-            if not all(isinstance(v, int) and 0 <= v < size for v in r):
+            if not all(_is_int(v) and 0 <= v < size for v in r):
                 raise ShapeError(f"row {list(r)!r} outside domain of size {size}")
     return team

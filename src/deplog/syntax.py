@@ -585,18 +585,26 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     With ``sig`` all symbols must be declared; without it the symbol roles
     are inferred (bare identifiers become variables).
     """
-    p = _Parser(text, sig)
-    f = p.formula()
-    p.finish()
-    return f
+    return _whole_formula(_Parser(text, sig))
 
 
 def parse_formula_infer(text: str) -> tuple[Formula, Signature]:
     """Parse without a signature; also return the inferred signature."""
     p = _Parser(text, None)
-    f = p.formula()
+    return _whole_formula(p), p.inferred_signature()
+
+
+def _whole_formula(p: _Parser) -> Formula:
+    """The formula spanning the rest of the input. Nesting deeper than the
+    parser's recursion allows (about 240 parentheses) is a ParseError."""
+    try:
+        f = p.formula()
+    except RecursionError:
+        t = p.peek()
+        raise ParseError("formula nested too deeply",
+                         t.pos if t else len(p.text)) from None
     p.finish()
-    return f, p.inferred_signature()
+    return f
 
 
 def _parse_eso_with(p: _Parser) -> EsoSentence:
@@ -623,8 +631,7 @@ def _parse_eso_with(p: _Parser) -> EsoSentence:
         p.expect(".")
         fns.append((name, int(ar_tok.text)))
         p.bound_fns[name] = int(ar_tok.text)
-    f = p.formula()
-    p.finish()
+    f = _whole_formula(p)
     if contains_dep_atom(f):
         raise ParseError("dependence atoms are not allowed in an ESO sentence")
     prefix, matrix = prenex_split(f)

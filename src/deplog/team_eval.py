@@ -18,30 +18,40 @@ The empty team satisfies every formula.
 The search is exhaustive but takes verdict-preserving shortcuts: formulas
 without dependence atoms are evaluated row by row (satisfaction of such
 formulas only depends on the individual rows), by the classical evaluator
-of eso_eval; disjunction splits are searched as two-colorings, which
-suffices because satisfaction is preserved under shrinking a team; and
-existential value choices are searched row by row depth-first, abandoning
-a partial choice as soon as the partially extended team already fails the
-body (a failing subteam cannot be part of a satisfying extension). One
-search serves both kinds of existential: a block of fresh variables
-appends a value tuple to each row, a rebinding existential overwrites its
-column. Results are memoized per subformula and team.
+of eso_eval; and existential value choices are searched row by row
+depth-first, abandoning a partial choice as soon as the partially extended
+team already fails the body (a failing subteam cannot be part of a
+satisfying extension). One search serves both kinds of existential: a block
+of fresh variables appends a value tuple to each row, a rebinding
+existential overwrites its column. Results are memoized per subformula and
+team.
 
-When the body under a block of fresh existentials is a conjunction of
-dependence-free formulas and positive dependence atoms (the shape of the
-normal form "prefix ∃ȳ (=(z̄1,y1) ∧ ... ∧ matrix)" that translations
-produce), each candidate row is checked on its own instead of re-evaluating
-the body on the whole partial team. This is sound because dependence-free
-formulas are flat (a team satisfies one iff each row does), and a dependence
-atom is a condition on pairs of rows (a team satisfies it iff no two rows
-agree on the determinant and differ on the value), so the new row is checked
-against the dependence-free conjuncts alone and against one
-determinant->value table per atom, filled as rows are added and undone on
-backtracking. The search prunes exactly where the whole-team check would,
+A disjunction split is searched the same way: the sorted rows are placed one
+at a time, each on the left side first and then on the right, and a
+placement is abandoned as soon as the side's partial subteam fails its
+disjunct. Every formula here is downward closed (a team that satisfies it
+passes that to all its subteams), so a failing partial side cannot grow
+into a satisfying one, and a split into two disjoint subteams (a
+two-colouring of the rows) exists whenever any covering pair of subteams
+does. A false team is thus refuted without trying all 2^m colourings:
+phi1 = =(x,y) | =(u,v) on all 81 rows over a domain of 3 takes 444
+placements.
+
+A conjunction of dependence-free formulas and positive dependence atoms (the
+shape of the normal form "prefix ∃ȳ (=(z̄1,y1) ∧ ... ∧ matrix)" that
+translations produce, and of each side of phi1) is checked one new row at a
+time, both under a block of fresh existentials and on a side of a split,
+instead of re-evaluating it on the whole partial team. This is sound because
+dependence-free formulas are flat (a team satisfies one iff each row does),
+and a dependence atom is a condition on pairs of rows (a team satisfies it
+iff no two rows agree on the determinant and differ on the value), so the
+new row is checked against one determinant->value table per atom, filled as
+rows are added and undone on backtracking, and against the dependence-free
+conjuncts alone. The search prunes exactly where the whole-team check would,
 in the same order, so verdicts are unchanged; partial teams on this path are
-not memoized. Any other body (a negated atom, an atom under a disjunction or
-a quantifier) and any existential rebinding a variable take the whole-team
-path.
+not memoized. Any other formula (a negated atom, an atom under a
+disjunction or a quantifier) evaluates the whole partial team through the
+memo, and any existential rebinding a variable takes that path too.
 """
 
 from __future__ import annotations
@@ -53,11 +63,14 @@ from .errors import EvalError, ShapeError
 from .eso_eval import _fo_eval
 from .structures import Structure, Team, eval_term
 from .syntax import (
-    And, DepAtom, Exists, Forall, Formula, Or, check_symbols,
+    And, DepAtom, Exists, Forall, Formula, Or, Term, check_symbols,
     contains_dep_atom, free_vars, iter_subformulas,
 )
 
 __all__ = ["satisfies", "sentence_truth"]
+
+# a positive dependence atom as its determinant terms and its value term
+_Atom = tuple[tuple[Term, ...], Term]
 
 
 class _TeamEvaluator:
@@ -70,8 +83,8 @@ class _TeamEvaluator:
         for sub in iter_subformulas(root):
             self.dep_free[id(sub)] = not contains_dep_atom(sub)
         self.memo: dict[tuple, bool] = {}
-        # id of an existential body -> _local_split of it
-        self.local: dict[int, tuple[list[Formula], list[DepAtom]] | None] = {}
+        # id of an existential body or a disjunct -> _local_split of it
+        self.local: dict[int, tuple[list[Formula], list[_Atom]] | None] = {}
 
     def _spend(self, amount: int, context: str) -> None:
         if self.budget is not None:
@@ -127,14 +140,34 @@ class _TeamEvaluator:
     def _eval_or(self, f: Or, vars: tuple[str, ...],
                  rows: frozenset[tuple[int, ...]]) -> bool:
         row_list = sorted(rows)
-        m = len(row_list)
-        for mask in range(2 ** m):
-            self._spend(1, "disjunction split")
-            left = frozenset(row_list[j] for j in range(m) if mask >> j & 1)
-            right = frozenset(row_list[j] for j in range(m) if not mask >> j & 1)
-            if self.eval(f.left, vars, left) and self.eval(f.right, vars, right):
+        # per side: disjunct, its _local_split, one table per atom, rows placed
+        sides = []
+        for g in (f.left, f.right):
+            split = self._local_split(g)
+            tables = None if split is None else [{} for _ in split[1]]
+            sides.append((g, split, tables, []))
+
+        def dfs(i: int) -> bool:
+            if i == len(row_list):
                 return True
-        return False
+            row = row_list[i]
+            for g, split, tables, acc in sides:
+                self._spend(1, "disjunction split")
+                acc.append(row)
+                if split is None:
+                    # no table entries to undo on this side
+                    added = [] if self.eval(g, vars, frozenset(acc)) else None
+                else:
+                    added = self._add_row(*split, tables, dict(zip(vars, row)))
+                if added is not None:
+                    if dfs(i + 1):
+                        return True
+                    for table, key in added:
+                        del table[key]
+                acc.pop()
+            return False
+
+        return dfs(0)
 
     def _eval_forall(self, f: Forall, vars: tuple[str, ...],
                      rows: frozenset[tuple[int, ...]]) -> bool:
@@ -148,14 +181,14 @@ class _TeamEvaluator:
         return self.eval(f.body, vars + (f.var,), new_rows)
 
     def _local_split(self, body: Formula
-                     ) -> tuple[list[Formula], list[DepAtom]] | None:
-        """Split an existential body into dependence-free conjuncts and
-        non-empty positive dependence atoms; None if some conjunct is
-        neither (a negated atom, or an atom under | or a quantifier)."""
+                     ) -> tuple[list[Formula], list[_Atom]] | None:
+        """Split a formula into dependence-free conjuncts and non-empty
+        positive dependence atoms; None if some conjunct is neither (a
+        negated atom, or an atom under | or a quantifier)."""
         key = id(body)
         if key not in self.local:
             free: list[Formula] = []
-            atoms: list[DepAtom] = []
+            atoms: list[_Atom] = []
             todo = [body]
             while todo:
                 g = todo.pop()
@@ -165,7 +198,7 @@ class _TeamEvaluator:
                     todo += (g.right, g.left)
                 elif isinstance(g, DepAtom) and not g.negated:
                     if g.terms:
-                        atoms.append(g)
+                        atoms.append((g.terms[:-1], g.terms[-1]))
                 else:
                     self.local[key] = None
                     break
@@ -173,7 +206,33 @@ class _TeamEvaluator:
                 self.local[key] = (free, atoms)
         return self.local[key]
 
-    def _extend_locally(self, free: list[Formula], atoms: list[DepAtom],
+    def _add_row(self, free: list[Formula], atoms: list[_Atom],
+                 tables: list[dict[tuple[int, ...], int]],
+                 env: dict[str, int]) -> list | None:
+        """Check a new row against one determinant->value table per atom,
+        then against the dependence-free conjuncts. On success the tables
+        hold the row and the entries it added are returned, to be undone on
+        backtracking; on failure the tables are left as they were."""
+        self._spend(len(atoms), "dependence atom")
+        added: list[tuple[dict, tuple[int, ...]]] = []
+        for (det, dep), table in zip(atoms, tables):
+            key = tuple([eval_term(self.struct, env, s) for s in det])
+            val = eval_term(self.struct, env, dep)
+            old = table.get(key)
+            if old is None:
+                table[key] = val
+                added.append((table, key))
+            elif old != val:
+                break
+        else:
+            if all(_fo_eval(self.struct, g, env, None, self.budget,
+                            "row evaluation") for g in free):
+                return added
+        for table, key in added:
+            del table[key]
+        return None
+
+    def _extend_locally(self, free: list[Formula], atoms: list[_Atom],
                         vars: tuple[str, ...], row_list: list[tuple[int, ...]],
                         choices: list[tuple[int, ...]]) -> bool:
         # one determinant->value table per atom, for the rows chosen so far
@@ -184,24 +243,13 @@ class _TeamEvaluator:
                 return True
             for t in choices:
                 self._spend(1, "existential extension")
-                env = dict(zip(vars, row_list[i] + t))
-                self._spend(len(atoms), "dependence atom")
-                added: list[tuple[dict, tuple[int, ...]]] = []
-                for atom, table in zip(atoms, tables):
-                    key = tuple(eval_term(self.struct, env, s) for s in atom.terms[:-1])
-                    val = eval_term(self.struct, env, atom.terms[-1])
-                    old = table.get(key)
-                    if old is None:
-                        table[key] = val
-                        added.append((table, key))
-                    elif old != val:
-                        break
-                else:
-                    if all(_fo_eval(self.struct, g, env, None, self.budget,
-                                    "row evaluation") for g in free) and dfs(i + 1):
+                added = self._add_row(free, atoms, tables,
+                                      dict(zip(vars, row_list[i] + t)))
+                if added is not None:
+                    if dfs(i + 1):
                         return True
-                for table, key in added:
-                    del table[key]
+                    for table, key in added:
+                        del table[key]
             return False
 
         return dfs(0)

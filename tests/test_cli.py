@@ -57,6 +57,28 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_input_exits_2(tmp_path, write, capsys):
+    bad = tmp_path / "bad.dl"
+    bad.write_bytes(b"\xff\xfeP(x)")
+    assert main(["parse", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "UTF-8" in err
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_bytes(b"\xff\xfe{}")
+    assert main(["check", "--formula", write("f.dl", SPINE),
+                 "--structure", str(bad_json)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_parse_deep_nesting_exits_2(write, capsys):
+    f = write("deep.dl", "(" * 1500 + "P(x)" + ")" * 1500)
+    assert main(["parse", f]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -108,6 +130,19 @@ def test_check_and_eval_non_object_table_exit_2(write, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert main(["eval", "--formula", f, "--structure", m, "--team", t]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("table", [{"relations": {"E": [[0, True]]}},
+                                   {"functions": {"g": [1, False]}},
+                                   {"constants": {"c": True}}])
+def test_check_bool_element_exits_2(write, capsys, table):
+    f = write("f.dl", "forall x. (E(x, g(x)) | E(c, c))")
+    m = write("m.json", {"domain": 2, "relations": {"E": [[0, 1]]},
+                         "functions": {"g": [1, 0]}, "constants": {"c": 1},
+                         **table})
+    assert main(["check", "--formula", f, "--structure", m]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
 

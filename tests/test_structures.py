@@ -36,6 +36,22 @@ def test_structure_validates_against_signature():
         Structure(SIG_P, 0, {"P": frozenset()}, {}, {})  # empty domain
 
 
+def test_structure_rejects_bool_elements():
+    # JSON true/false load as bools, which Python counts as the ints 1 and 0
+    sig = Signature({"R": 2}, {"f": 1}, frozenset({"c"}))
+    ok = {"domain": 2, "relations": {"R": [[0, 1]]}, "functions": {"f": [1, 0]},
+          "constants": {"c": 1}}
+    structure_from_json_dict(ok, sig)
+    for key, bad in [("relations", {"R": [[0, True]]}),
+                     ("functions", {"f": [1, False]}),
+                     ("constants", {"c": True}),
+                     ("domain", True)]:
+        with pytest.raises(ShapeError):
+            structure_from_json_dict({**ok, key: bad}, sig)
+    with pytest.raises(ShapeError):
+        team_from_json_dict({"vars": ["x"], "rows": [[True]]}, size=2)
+
+
 def test_eval_term_variable():
     m = struct_pe()
     assert eval_term(m, {"x": 1}, Var("x")) == 1

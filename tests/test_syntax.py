@@ -90,6 +90,18 @@ def test_parse_reports_position():
     assert "position" in str(e.value)
 
 
+def test_parse_nesting_overflow_is_parse_error():
+    deep = "(" * 1500 + "Q(x)" + ")" * 1500
+    for parse in (lambda: parse_formula(deep, SIG),
+                  lambda: parse_formula_infer(deep),
+                  lambda: parse_eso("exists fn f/1. forall x. " + deep, SIG),
+                  lambda: parse_eso_infer("exists fn f/1. forall x. " + deep)):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse()
+    # nesting within the limit still parses
+    assert parse_formula("(" * 100 + "Q(x)" + ")" * 100, SIG) == RelAtom("Q", (x(),))
+
+
 def test_parse_constants_only_with_signature():
     f = parse_formula("P(c, x)", SIG)
     assert f == RelAtom("P", (Const("c"), Var("x")))

@@ -214,6 +214,29 @@ def test_existential_oracle_agreement():
                         == oracle_satisfies(m, fv, team.rows, f)), (text, team)
 
 
+# disjunctions whose sides are checked one placed row at a time (a
+# conjunction of positive atoms and dependence-free formulas), and sides that
+# evaluate their whole partial subteam
+DISJUNCTION_FORMULAS = [
+    "(=(x,y) & E(x,y)) | (=(y,x) & =() & ~P(x))",  # two local sides
+    "=(x,y) | E(x,y) & P(y)",  # a dependence-free side
+    "=(x,y) | =(y,x) | =(y)",  # phi2's shape: a nested | on the left
+    "~=(x,y) | =(y,x)",  # a negated atom
+    "(exists z. (E(x,z) & =(y,z))) | =(x,y)",  # an atom under a quantifier
+    "exists z. (=(x,z) | E(z,y) & =(y,z))",  # | under exists
+]
+
+
+def test_disjunction_oracle_agreement():
+    for m in grid_structures():
+        for text in DISJUNCTION_FORMULAS:
+            f = d(text, SIG_PE)
+            fv = tuple(sorted(free_vars(f)))
+            for team in enumerate_teams(fv, m.size, max_rows=3):
+                assert (satisfies(m, team, f)
+                        == oracle_satisfies(m, fv, team.rows, f)), (text, team)
+
+
 # ---------------------------------------------------------------------------
 # errors and budget
 # ---------------------------------------------------------------------------
@@ -255,3 +278,14 @@ def test_budget_bounds_existential_search():
     universal_cost = sum(2 * 2 ** k for k in range(6))
     with pytest.raises(BudgetExceededError, match="existential extension"):
         sentence_truth(m, image, Budget(universal_cost))
+
+
+def test_budget_bounds_split_search():
+    # the full team of all 81 rows over size 3 fails phi1; the split search
+    # prunes every partial split that already fails a side, where trying
+    # every two-colouring would take 2^81 units
+    import itertools
+    phi1 = corpus_item("phi1").formula()
+    team = Team(("x", "y", "u", "v"),
+                frozenset(itertools.product(range(3), repeat=4)))
+    assert satisfies(bare(3), team, phi1, Budget(10_000)) is False

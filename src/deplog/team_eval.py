@@ -24,7 +24,8 @@ team already fails the body (a failing subteam cannot be part of a
 satisfying extension). One search serves both kinds of existential: a block
 of fresh variables appends a value tuple to each row, a rebinding
 existential overwrites its column. Results are memoized per subformula and
-team.
+team. This search and the split search below keep their state on an explicit
+stack, one entry per row, so a long team needs no deep Python recursion.
 
 A disjunction split is searched the same way: the sorted rows are placed one
 at a time, each on the left side first and then on the right, and a
@@ -47,11 +48,18 @@ and a dependence atom is a condition on pairs of rows (a team satisfies it
 iff no two rows agree on the determinant and differ on the value), so the
 new row is checked against one determinant->value table per atom, filled as
 rows are added and undone on backtracking, and against the dependence-free
-conjuncts alone. The search prunes exactly where the whole-team check would,
-in the same order, so verdicts are unchanged; partial teams on this path are
-not memoized. Any other formula (a negated atom, an atom under a
-disjunction or a quantifier) evaluates the whole partial team through the
-memo, and any existential rebinding a variable takes that path too.
+conjuncts alone. Under a block of fresh existentials the row's values are
+chosen one variable at a time, in lexicographic order: an atom =(t̄,y) whose
+t̄ uses only team columns and variables chosen before y fixes y once the
+row's value of t̄ is in its table, so y is tried with that value only (any
+other fails the atom), and with none when two such atoms disagree; on the
+translation of even_R over its 18 structures of size <= 2 this cuts the value
+tuples tried from 818,210 to 59,781. The search prunes exactly where the
+whole-team check would, in the same order, so verdicts are unchanged; partial
+teams on this path are not memoized. Any other formula (a negated atom, an
+atom under a disjunction or a quantifier) evaluates the whole partial team
+through the memo, and any existential rebinding a variable takes that path
+too.
 """
 
 from __future__ import annotations
@@ -63,14 +71,17 @@ from .errors import EvalError, ShapeError
 from .eso_eval import _fo_eval
 from .structures import Structure, Team, eval_term
 from .syntax import (
-    And, DepAtom, Exists, Forall, Formula, Or, Term, check_symbols,
-    contains_dep_atom, free_vars, iter_subformulas,
+    And, DepAtom, Exists, Forall, Formula, Or, Term, Var, check_symbols,
+    contains_dep_atom, free_vars, iter_subformulas, term_vars,
 )
 
 __all__ = ["satisfies", "sentence_truth"]
 
 # a positive dependence atom as its determinant terms and its value term
 _Atom = tuple[tuple[Term, ...], Term]
+# a _local_split: dependence-free conjuncts, atoms, and per existential of
+# the block the indices of the atoms that fix it
+_Local = tuple[list[Formula], list[_Atom], list[list[int]]]
 
 
 class _TeamEvaluator:
@@ -83,8 +94,8 @@ class _TeamEvaluator:
         for sub in iter_subformulas(root):
             self.dep_free[id(sub)] = not contains_dep_atom(sub)
         self.memo: dict[tuple, bool] = {}
-        # id of an existential body or a disjunct -> _local_split of it
-        self.local: dict[int, tuple[list[Formula], list[_Atom]] | None] = {}
+        # (id, block) of an existential body or a disjunct -> _local_split
+        self.local: dict[tuple[int, tuple[str, ...]], _Local | None] = {}
 
     def _spend(self, amount: int, context: str) -> None:
         if self.budget is not None:
@@ -140,34 +151,44 @@ class _TeamEvaluator:
     def _eval_or(self, f: Or, vars: tuple[str, ...],
                  rows: frozenset[tuple[int, ...]]) -> bool:
         row_list = sorted(rows)
-        # per side: disjunct, its _local_split, one table per atom, rows placed
+        # per side: disjunct, its conjuncts and atoms if it is local (else
+        # None), one table per atom, rows placed
         sides = []
         for g in (f.left, f.right):
-            split = self._local_split(g)
+            split = self._local_split(g, ())
             tables = None if split is None else [{} for _ in split[1]]
-            sides.append((g, split, tables, []))
-
-        def dfs(i: int) -> bool:
-            if i == len(row_list):
-                return True
+            sides.append((g, split and split[:2], tables, []))
+        # (side, table entries added) per row placed so far
+        placed: list[tuple[int, list]] = []
+        i = side = 0  # the next row, and the side to try it on
+        while True:
+            g, split, tables, acc = sides[side]
             row = row_list[i]
-            for g, split, tables, acc in sides:
-                self._spend(1, "disjunction split")
-                acc.append(row)
-                if split is None:
-                    # no table entries to undo on this side
-                    added = [] if self.eval(g, vars, frozenset(acc)) else None
-                else:
-                    added = self._add_row(*split, tables, dict(zip(vars, row)))
-                if added is not None:
-                    if dfs(i + 1):
-                        return True
-                    for table, key in added:
-                        del table[key]
-                acc.pop()
-            return False
-
-        return dfs(0)
+            self._spend(1, "disjunction split")
+            acc.append(row)
+            if split is None:
+                # no table entries to undo on this side
+                added = [] if self.eval(g, vars, frozenset(acc)) else None
+            else:
+                added = self._add_row(*split, tables, dict(zip(vars, row)))
+            if added is not None:
+                i += 1
+                if i == len(row_list):
+                    return True
+                placed.append((side, added))
+                side = 0
+                continue
+            acc.pop()
+            while side == 1:
+                # neither side takes row i: move the last placed row on
+                if not placed:
+                    return False
+                side, added = placed.pop()
+                for table, key in added:
+                    del table[key]
+                sides[side][3].pop()
+                i -= 1
+            side += 1
 
     def _eval_forall(self, f: Forall, vars: tuple[str, ...],
                      rows: frozenset[tuple[int, ...]]) -> bool:
@@ -180,12 +201,16 @@ class _TeamEvaluator:
         new_rows = frozenset(r + (a,) for r in rows for a in range(self.n))
         return self.eval(f.body, vars + (f.var,), new_rows)
 
-    def _local_split(self, body: Formula
-                     ) -> tuple[list[Formula], list[_Atom]] | None:
+    def _local_split(self, body: Formula, block: tuple[str, ...]
+                     ) -> _Local | None:
         """Split a formula into dependence-free conjuncts and non-empty
-        positive dependence atoms; None if some conjunct is neither (a
-        negated atom, or an atom under | or a quantifier)."""
-        key = id(body)
+        positive dependence atoms, and list for each variable of block (the
+        existentials chosen, in order, after the team's columns) the atoms
+        that fix it: those whose value term is the variable and whose
+        determinant has no variable of block from it on. None if some
+        conjunct is neither (a negated atom, or an atom under | or a
+        quantifier)."""
+        key = (id(body), block)
         if key not in self.local:
             free: list[Formula] = []
             atoms: list[_Atom] = []
@@ -203,7 +228,14 @@ class _TeamEvaluator:
                     self.local[key] = None
                     break
             else:
-                self.local[key] = (free, atoms)
+                fixers: list[list[int]] = [[] for _ in block]
+                for a, (det, dep) in enumerate(atoms):
+                    if isinstance(dep, Var) and dep.name in block:
+                        j = block.index(dep.name)
+                        later = set(block[j:])
+                        if not any(term_vars(t) & later for t in det):
+                            fixers[j].append(a)
+                self.local[key] = (free, atoms, fixers)
         return self.local[key]
 
     def _add_row(self, free: list[Formula], atoms: list[_Atom],
@@ -233,26 +265,61 @@ class _TeamEvaluator:
         return None
 
     def _extend_locally(self, free: list[Formula], atoms: list[_Atom],
-                        vars: tuple[str, ...], row_list: list[tuple[int, ...]],
-                        choices: list[tuple[int, ...]]) -> bool:
+                        fixers: list[list[int]], vars: tuple[str, ...],
+                        row_list: list[tuple[int, ...]]) -> bool:
+        """Choose values for the last len(fixers) columns of vars, row after
+        row, depth-first in lexicographic order. A column that an atom's
+        table already fixes for the row's earlier columns takes only that
+        value (any other would fail the atom), and none if two atoms
+        disagree."""
+        struct, n, k = self.struct, self.n, len(fixers)
+        base, block = vars[:-k], vars[-k:]
         # one determinant->value table per atom, for the rows chosen so far
         tables: list[dict[tuple[int, ...], int]] = [{} for _ in atoms]
 
-        def dfs(i: int) -> bool:
-            if i == len(row_list):
-                return True
-            for t in choices:
-                self._spend(1, "existential extension")
-                added = self._add_row(free, atoms, tables,
-                                      dict(zip(vars, row_list[i] + t)))
-                if added is not None:
-                    if dfs(i + 1):
-                        return True
-                    for table, key in added:
-                        del table[key]
-            return False
+        def values(env: dict[str, int], j: int):
+            forced = None
+            for a in fixers[j]:
+                table = tables[a]
+                if not table:
+                    continue
+                v = table.get(tuple([eval_term(struct, env, s)
+                                     for s in atoms[a][0]]))
+                if v is None or v == forced:
+                    continue
+                if forced is not None:
+                    return iter(())  # two atoms disagree
+                forced = v
+            return iter(range(n) if forced is None else (forced,))
 
-        return dfs(0)
+        # table entries added by each row chosen so far; one frame per block
+        # column of the row being chosen and of each row before it
+        undo: list[list] = []
+        env = dict(zip(base, row_list[0]))
+        frames = [(env, 0, values(env, 0))]
+        while frames:
+            env, j, it = frames[-1]
+            v = next(it, None)
+            if v is None:
+                frames.pop()
+                if j == 0 and undo:
+                    # the previous row goes on to its next value tuple
+                    for table, key in undo.pop():
+                        del table[key]
+                continue
+            env[block[j]] = v
+            if j + 1 < k:
+                frames.append((env, j + 1, values(env, j + 1)))
+                continue
+            self._spend(1, "existential extension")
+            added = self._add_row(free, atoms, tables, env)
+            if added is not None:
+                if len(undo) + 1 == len(row_list):
+                    return True
+                undo.append(added)
+                env = dict(zip(base, row_list[len(undo)]))
+                frames.append((env, 0, values(env, 0)))
+        return False
 
     def _eval_exists(self, f: Exists, vars: tuple[str, ...],
                      rows: frozenset[tuple[int, ...]]) -> bool:
@@ -267,10 +334,10 @@ class _TeamEvaluator:
         row_list = sorted(rows)
         if block:
             new_vars = vars + tuple(block)
-            choices = list(itertools.product(range(self.n), repeat=len(block)))
-            split = self._local_split(body)
+            split = self._local_split(body, tuple(block))
             if split is not None:
-                return self._extend_locally(*split, new_vars, row_list, choices)
+                return self._extend_locally(*split, new_vars, row_list)
+            choices = list(itertools.product(range(self.n), repeat=len(block)))
             extensions = [[r + t for t in choices] for r in row_list]
         else:
             # rebinding an existing variable: overwrite its column
@@ -279,21 +346,26 @@ class _TeamEvaluator:
             extensions = [[r[:i] + (a,) + r[i + 1:] for a in range(self.n)]
                           for r in row_list]
         # rows that a rebinding maps to the same values repeat in acc; the
-        # frozenset of acc merges them
+        # frozenset of acc merges them. One iterator per row of acc and one
+        # for the row being chosen.
         acc: list[tuple[int, ...]] = []
-
-        def dfs(j: int) -> bool:
-            if j == len(extensions):
-                return True
-            for row in extensions[j]:
-                self._spend(1, "existential extension")
-                acc.append(row)
-                if self.eval(body, new_vars, frozenset(acc)) and dfs(j + 1):
-                    return True
+        its = [iter(extensions[0])]
+        while its:
+            row = next(its[-1], None)
+            if row is None:
+                its.pop()
+                if acc:
+                    acc.pop()
+                continue
+            self._spend(1, "existential extension")
+            acc.append(row)
+            if not self.eval(body, new_vars, frozenset(acc)):
                 acc.pop()
-            return False
-
-        return dfs(0)
+            elif len(acc) == len(extensions):
+                return True
+            else:
+                its.append(iter(extensions[len(acc)]))
+        return False
 
 
 def satisfies(struct: Structure, team: Team, formula: Formula,

@@ -9,7 +9,7 @@ from deplog.harness import corpus_item
 from deplog.structures import (
     Structure, Team, enumerate_structures, enumerate_teams,
 )
-from deplog.syntax import Signature, free_vars, parse_formula
+from deplog.syntax import Signature, free_vars, parse_eso, parse_formula
 from deplog.team_eval import satisfies, sentence_truth
 from deplog.transforms import eso_to_d
 
@@ -195,6 +195,14 @@ LOCAL_EXISTS_FORMULAS = [
     "exists z. (~z = y & =(x,z) & =(y,z) & E(x,z))",
     "exists z. (=() & =(z) & E(x,z))",
     "exists z. exists w. (=(x,y,z) & =(z,w) & (E(z,w) | P(y)))",
+    # x fixes w, but w is chosen after z, so =(w,z) must not fix z
+    "exists z. exists w. (=(w,z) & =(x,w) & w = x & E(z,w))",
+    # the value term x is a team column, not a chosen one
+    "exists z. (=(z,x) & =(y,z) & E(z,x))",
+    # x and the earlier z both fix w, and can disagree
+    "exists z. exists w. (=(x,w) & =(z,w) & =(y,z) & E(w,z))",
+    # z = 0 suits row (0,0) but not (0,1): the search must undo row (0,0)
+    "exists z. (=(z) & (x = y | z = y))",
 ]
 FALLBACK_EXISTS_FORMULAS = [
     "E(x,y) | (exists z. (~=(x,z) & P(z)))",
@@ -224,6 +232,8 @@ DISJUNCTION_FORMULAS = [
     "~=(x,y) | =(y,x)",  # a negated atom
     "(exists z. (E(x,z) & =(y,z))) | =(x,y)",  # an atom under a quantifier
     "exists z. (=(x,z) | E(z,y) & =(y,z))",  # | under exists
+    # rows placed on the nested left side must leave it on backtracking
+    "(=(x) | P(y)) | (=(y) & E(x,y))",
 ]
 
 
@@ -278,6 +288,37 @@ def test_budget_bounds_existential_search():
     universal_cost = sum(2 * 2 ** k for k in range(6))
     with pytest.raises(BudgetExceededError, match="existential extension"):
         sentence_truth(m, image, Budget(universal_cost))
+
+
+def test_budget_bounds_forced_choice():
+    # the parity image chooses y1 = f(x) and y2 = f(z1) per row; once a
+    # row's x or z1 is in its atom's table, that value is the only one
+    # tried. That takes 447 existential extensions and 3,973 units in all;
+    # trying every pair of values takes 3,792 extensions and 14,008 units
+    sig = Signature({"P": 1}, {}, frozenset())
+    s = parse_eso("exists fn f/1. forall x. "
+                  "(~P(x) | P(f(x)) & ~f(x) = x & f(f(x)) = x)", sig)
+    m = Structure(sig, 4, {"P": frozenset({(1,), (3,)})}, {}, {})
+    assert sentence_truth(m, eso_to_d(s), Budget(4_000)) is True
+
+
+def test_forcing_conflict_tries_no_value():
+    # z = x ties z to x; on the last row x = 1 fixes z to 1 and y = 1 (from
+    # the first row) fixes it to 0, so that row tries no value. The
+    # refutation takes 4 value choices of 1 + 2 atom + 1 row evaluation
+    # units each; trying a value on the conflicting row would cost 3 more
+    f = d("exists z. (=(x,z) & =(y,z) & z = x)")
+    team = Team.of(("x", "y"), [(0, 1), (1, 0), (1, 1)])
+    assert satisfies(bare(2), team, f, Budget(16)) is False
+
+
+def test_long_team_needs_no_recursion():
+    # both searches keep one stack entry per row, not one Python frame
+    import itertools
+    team = Team(("x", "y", "u"),
+                frozenset(itertools.product(range(10), repeat=3)))
+    assert satisfies(bare(10), team, d("exists w. =(x,w)")) is True
+    assert satisfies(bare(10), team, d("=(x,y,u,x) | =(u)")) is True
 
 
 def test_budget_bounds_split_search():

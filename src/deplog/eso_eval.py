@@ -8,55 +8,211 @@ interpretations is checked against the budget up front, so an infeasible
 instance fails loudly before any work is done.
 
 The classical evaluator here is the only one in the package: the team
-evaluator also uses it for dependence-free subformulas, row by row.  Each
-caller charges its budget under its own context, "first-order evaluation"
-here and "row evaluation" there.
+evaluator also uses it for dependence-free subformulas, row by row.  It
+compiles a formula once into closures over a slot-indexed environment (a
+list, or a team row tuple): each variable is resolved to its slot, each
+quantifier gets a slot of its own, and each relation, function and constant
+to a slot of a _Symbols table that is refilled per structure, so a compiled
+formula runs on another structure without being walked again.  Each caller
+charges its budget under its own context, one unit per node visited:
+"first-order evaluation" here and "row evaluation" there.
+
+An ESO sentence is compiled the same way, once: the prefix into nested
+loops over its variables' slots and the matrix into one closure, with each
+quantified function's table in a symbol slot that the table search fills.
+equiv_check builds that plan once and runs it on every structure.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .budget import Budget
 from .errors import BudgetExceededError, EvalError
-from .structures import Structure, eval_term
+from .structures import Structure
 from .syntax import (
-    And, Bool, DepAtom, Equal, EsoSentence, Exists, Forall, Formula, Or,
-    RelAtom, check_symbols, free_vars,
+    And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, Forall,
+    Formula, Or, RelAtom, Term, Var, check_symbols, free_vars,
 )
 
 __all__ = ["fo_satisfies", "eso_satisfies"]
 
+# a compiled formula or term, called on a slot-indexed environment
+_Check = Callable[[Sequence[int]], bool]
+_Value = Callable[[Sequence[int]], int]
 
-def _fo_eval(struct: Structure, f: Formula, env: dict[str, int],
-             extra_fns: dict[str, tuple[int, tuple[int, ...]]] | None,
-             budget: Budget | None, context: str) -> bool:
-    if budget is not None:
-        budget.spend(1, context)
-    if isinstance(f, RelAtom):
-        args = tuple(eval_term(struct, env, a, extra_fns) for a in f.args)
-        return struct.rel_holds(f.rel, args) != f.negated
-    if isinstance(f, Equal):
-        same = (eval_term(struct, env, f.left, extra_fns)
-                == eval_term(struct, env, f.right, extra_fns))
-        return same != f.negated
-    if isinstance(f, Bool):
-        return f.value
-    if isinstance(f, And):
-        return (_fo_eval(struct, f.left, env, extra_fns, budget, context)
-                and _fo_eval(struct, f.right, env, extra_fns, budget, context))
-    if isinstance(f, Or):
-        return (_fo_eval(struct, f.left, env, extra_fns, budget, context)
-                or _fo_eval(struct, f.right, env, extra_fns, budget, context))
-    if isinstance(f, Exists):
-        return any(_fo_eval(struct, f.body, {**env, f.var: a}, extra_fns, budget, context)
-                   for a in range(struct.size))
-    if isinstance(f, Forall):
-        return all(_fo_eval(struct, f.body, {**env, f.var: a}, extra_fns, budget, context)
-                   for a in range(struct.size))
-    if isinstance(f, DepAtom):
-        raise EvalError("dependence atoms have no classical first-order semantics")
-    raise EvalError(f"cannot evaluate {f!r}")
+
+def _no_spend(amount: int, context: str) -> None:
+    pass
+
+
+def _spender(budget: Budget | None):
+    return _no_spend if budget is None else budget.spend
+
+
+class _Symbols:
+    """The symbols compiled closures read, one slot each in ``values``;
+    slot 0 holds the domain size.  ``bind`` refills the slots from a
+    structure; the slots of ``extra`` functions (quantified ones, absent
+    from the structure) are filled by the caller."""
+
+    def __init__(self, extra=()):
+        self.extra = frozenset(extra)
+        self.values: list = [0]
+        self.slots: dict[tuple[str, str], int] = {}
+
+    def slot(self, table: str, name: str) -> int:
+        """Slot of a relation, function, constant or extra function
+        (``table`` names the Structure field, or is "extra")."""
+        key = (table, name)
+        if key not in self.slots:
+            self.slots[key] = len(self.values)
+            self.values.append(None)
+        return self.slots[key]
+
+    def bind(self, struct: Structure) -> None:
+        values = self.values
+        values[0] = struct.size
+        for (table, name), i in self.slots.items():
+            if table != "extra":
+                values[i] = getattr(struct, table)[name]
+
+
+def _var_slot(t: Var, scope: dict[str, int]) -> int:
+    try:
+        return scope[t.name]
+    except KeyError:
+        raise EvalError(f"unbound variable {t.name!r}") from None
+
+
+def _compile_term(t: Term, scope: dict[str, int], syms: _Symbols) -> _Value:
+    """A term as a closure; function arguments index the flat table in
+    lexicographic order (structures.tuple_index)."""
+    if isinstance(t, Var):
+        return itemgetter(_var_slot(t, scope))
+    values = syms.values
+    if isinstance(t, Const):
+        k = syms.slot("constants", t.name)
+        return lambda env: values[k]
+    if not isinstance(t, App):
+        raise EvalError(f"not a term: {t!r}")
+    k = syms.slot("extra" if t.fn in syms.extra else "functions", t.fn)
+    args = []
+    for a in t.args:
+        args.append(_compile_term(a, scope, syms))
+    if not args:
+        return lambda env: values[k][0]
+    if len(args) == 1:
+        a0, = args
+        return lambda env: values[k][a0(env)]
+    if len(args) == 2:
+        a0, a1 = args
+        return lambda env: values[k][a0(env) * values[0] + a1(env)]
+
+    def app(env):
+        n, idx = values[0], 0
+        for a in args:
+            idx = idx * n + a(env)
+        return values[k][idx]
+    return app
+
+
+def _compile_terms(ts: Sequence[Term], scope: dict[str, int],
+                   syms: _Symbols) -> Callable[[Sequence[int]], tuple]:
+    """A tuple of terms as one closure returning the tuple of values."""
+    if all(isinstance(t, Var) for t in ts):
+        idx = [_var_slot(t, scope) for t in ts]
+        if len(idx) > 1:
+            return itemgetter(*idx)
+        if idx:
+            i, = idx
+            return lambda env: (env[i],)
+        return lambda env: ()
+    fns = [_compile_term(t, scope, syms) for t in ts]
+    if len(fns) == 1:
+        f0, = fns
+        return lambda env: (f0(env),)
+    return lambda env: tuple([f(env) for f in fns])
+
+
+def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
+                budget: Budget | None, context: str) -> _Check:
+    """A dependence-free formula as a closure over an environment holding
+    the values of ``vars`` in order (a list or a tuple).  Every node visited
+    spends one unit of ``budget`` under ``context``."""
+    spend = _spender(budget)
+    values = syms.values
+    width = len(vars)
+
+    def comp(f: Formula, scope: dict[str, int]) -> _Check:
+        nonlocal width
+        if isinstance(f, RelAtom):
+            k = syms.slot("relations", f.rel)
+            args = _compile_terms(f.args, scope, syms)
+            if f.negated:
+                def check(env):
+                    spend(1, context)
+                    return args(env) not in values[k]
+            else:
+                def check(env):
+                    spend(1, context)
+                    return args(env) in values[k]
+        elif isinstance(f, Equal):
+            left = _compile_term(f.left, scope, syms)
+            right = _compile_term(f.right, scope, syms)
+            if f.negated:
+                def check(env):
+                    spend(1, context)
+                    return left(env) != right(env)
+            else:
+                def check(env):
+                    spend(1, context)
+                    return left(env) == right(env)
+        elif isinstance(f, Bool):
+            value = f.value
+
+            def check(env):
+                spend(1, context)
+                return value
+        elif isinstance(f, And):
+            left, right = comp(f.left, scope), comp(f.right, scope)
+
+            def check(env):
+                spend(1, context)
+                return left(env) and right(env)
+        elif isinstance(f, Or):
+            left, right = comp(f.left, scope), comp(f.right, scope)
+
+            def check(env):
+                spend(1, context)
+                return left(env) or right(env)
+        elif isinstance(f, (Exists, Forall)):
+            # a slot of its own, so a rebinding leaves the outer value alone
+            i = width
+            width += 1
+            body = comp(f.body, {**scope, f.var: i})
+            want = isinstance(f, Exists)
+
+            def check(env):
+                spend(1, context)
+                for a in range(values[0]):
+                    env[i] = a
+                    if body(env) == want:
+                        return want
+                return not want
+        elif isinstance(f, DepAtom):
+            raise EvalError("dependence atoms have no classical first-order semantics")
+        else:
+            raise EvalError(f"cannot evaluate {f!r}")
+        return check
+
+    check = comp(f, {v: i for i, v in enumerate(vars)})
+    if width == len(vars):
+        return check
+    pad = (0,) * (width - len(vars))
+    return lambda env: check([*env, *pad])
 
 
 def fo_satisfies(struct: Structure, formula: Formula,
@@ -67,20 +223,77 @@ def fo_satisfies(struct: Structure, formula: Formula,
     assignment. ``extra_fns`` supplies tables for symbols outside the
     signature, as (arity, flat table) pairs."""
     env = dict(env or {})
+    extra_fns = extra_fns or {}
     check_symbols(formula, struct.sig,
-                  extra_fns={n: a for n, (a, _) in (extra_fns or {}).items()})
+                  extra_fns={n: a for n, (a, _) in extra_fns.items()})
     missing = free_vars(formula) - set(env)
     if missing:
         raise EvalError(f"assignment does not bind free variables {sorted(missing)}")
-    return _fo_eval(struct, formula, env, extra_fns, budget,
-                    "first-order evaluation")
+    syms = _Symbols(extra_fns)
+    check = _compile_fo(formula, tuple(env), syms, budget,
+                        "first-order evaluation")
+    syms.bind(struct)
+    for name, (_, table) in extra_fns.items():
+        if ("extra", name) in syms.slots:
+            syms.values[syms.slots["extra", name]] = table
+    return check(list(env.values()))
 
 
-def _candidate_count(struct: Structure, sentence: EsoSentence) -> int:
+def _candidate_count(n: int, sentence: EsoSentence) -> int:
     total = 1
     for _, ar in sentence.functions:
-        total *= struct.size ** (struct.size ** ar)
+        total *= n ** (n ** ar)
     return total
+
+
+def _eso_plan(sentence: EsoSentence, budget: Budget | None
+              ) -> Callable[[Structure], bool]:
+    """Compile an ESO sentence once; the result decides it, by table
+    search, on any structure whose signature the sentence was checked
+    against."""
+    fns = sentence.functions
+    syms = _Symbols(name for name, _ in fns)
+    slots = [syms.slot("extra", name) for name, _ in fns]
+    prefix = sentence.prefix
+    check = _compile_fo(sentence.matrix, tuple(v for _, v in prefix), syms,
+                        budget, "first-order evaluation")
+    values = syms.values
+    for i in reversed(range(len(prefix))):
+        check = _prefix_loop(i, prefix[i][0] == "exists", check, values)
+    spend = _spender(budget)
+    env = [0] * len(prefix)
+
+    def search(i: int, n: int) -> bool:
+        if i == len(fns):
+            spend(1, "function table candidate")
+            return check(env)
+        for table in itertools.product(range(n), repeat=n ** fns[i][1]):
+            values[slots[i]] = table
+            if search(i + 1, n):
+                return True
+        return False
+
+    def run(struct: Structure) -> bool:
+        n = struct.size
+        count = _candidate_count(n, sentence)
+        if budget is not None and budget.would_exceed(count):
+            raise BudgetExceededError("function table enumeration",
+                                      budget.spent + count, budget.limit)
+        syms.bind(struct)
+        return search(0, n)
+
+    return run
+
+
+def _prefix_loop(i: int, want: bool, body: _Check, values: list) -> _Check:
+    """One prefix quantifier over slot i; spends nothing of its own."""
+    def check(env):
+        for a in range(values[0]):
+            env[i] = a
+            if body(env) == want:
+                return want
+        return not want
+    return check
 
 
 def eso_satisfies(struct: Structure, sentence: EsoSentence,
@@ -88,38 +301,4 @@ def eso_satisfies(struct: Structure, sentence: EsoSentence,
     """Truth of an ESO sentence by exhaustive function-table search."""
     check_symbols(sentence.matrix, struct.sig,
                   extra_fns=dict(sentence.functions))
-    count = _candidate_count(struct, sentence)
-    if budget is not None and budget.would_exceed(count):
-        raise BudgetExceededError("function table enumeration",
-                                  budget.spent + count, budget.limit)
-    n = struct.size
-    prefix = sentence.prefix
-    matrix = sentence.matrix
-
-    def prefix_eval(i: int, env: dict[str, int],
-                    tables: dict[str, tuple[int, tuple[int, ...]]]) -> bool:
-        if i == len(prefix):
-            return _fo_eval(struct, matrix, env, tables, budget,
-                            "first-order evaluation")
-        kind, var = prefix[i]
-        if kind == "forall":
-            return all(prefix_eval(i + 1, {**env, var: a}, tables) for a in range(n))
-        return any(prefix_eval(i + 1, {**env, var: a}, tables) for a in range(n))
-
-    fns = sentence.functions
-    tables: dict[str, tuple[int, tuple[int, ...]]] = {}
-
-    def search(i: int) -> bool:
-        if i == len(fns):
-            if budget is not None:
-                budget.spend(1, "function table candidate")
-            return prefix_eval(0, {}, tables)
-        name, ar = fns[i]
-        for table in itertools.product(range(n), repeat=n ** ar):
-            tables[name] = (ar, table)
-            if search(i + 1):
-                return True
-        tables.pop(name, None)
-        return False
-
-    return search(0)
+    return _eso_plan(sentence, budget)(struct)

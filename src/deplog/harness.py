@@ -5,7 +5,9 @@ domain sizes 1..max_n (team semantics for dependence-logic sentences,
 function-table search for function sentences) and reports either
 equivalence up to that size or the first structure where the verdicts
 differ.  Enumeration is size-ascending and lexicographic within a size,
-so the reported counterexample is minimal and stable across runs.  The
+so the reported counterexample is minimal and stable across runs.  Each
+side is checked against the signature and compiled once (a team plan or a
+table-search plan), and the two plans run on every structure.  The
 per-structure checks are independent of each other; this implementation
 runs them sequentially, which already realizes the minimal-counterexample
 guarantee.
@@ -23,13 +25,13 @@ from dataclasses import dataclass
 
 from .budget import Budget, default_check_budget, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
-from .eso_eval import eso_satisfies
+from .eso_eval import _eso_plan, eso_satisfies
 from .structures import Structure, enumerate_structures, structure_to_json_dict
 from .syntax import (
     EsoSentence, Formula, Signature, check_symbols, free_vars, parse_eso,
     parse_formula,
 )
-from .team_eval import sentence_truth
+from .team_eval import _sentence_plan, sentence_truth
 
 __all__ = [
     "Verdict", "equiv_check", "sentence_value",
@@ -77,6 +79,13 @@ class Verdict:
         return out
 
 
+def _plan(s, budget: Budget):
+    """A sentence compiled once, as a function from structures to truth."""
+    if isinstance(s, EsoSentence):
+        return _eso_plan(s, budget)
+    return _sentence_plan(s, budget)
+
+
 def _check_sentence(s, sig: Signature) -> None:
     if isinstance(s, EsoSentence):
         check_symbols(s.matrix, sig, extra_fns=dict(s.functions))
@@ -107,14 +116,16 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     _check_sentence(right, sig)
     sbudget = Budget(budget) if budget is not None else default_structure_budget()
     cbudget = Budget(budget) if budget is not None else default_check_budget()
+    left_value = _plan(left, cbudget)
+    right_value = _plan(right, cbudget)
     start = time.perf_counter()
     checked = 0
     size = 1
     try:
         for size in range(1, max_n + 1):
             for struct in enumerate_structures(sig, size, sbudget):
-                lv = sentence_value(struct, left, cbudget)
-                rv = sentence_value(struct, right, cbudget)
+                lv = left_value(struct)
+                rv = right_value(struct)
                 checked += 1
                 if lv != rv:
                     return Verdict(

@@ -60,269 +60,286 @@ teams on this path are not memoized. Any other formula (a negated atom, an
 atom under a disjunction or a quantifier) evaluates the whole partial team
 through the memo, and any existential rebinding a variable takes that path
 too.
+
+All of this is planned once per formula and root variables (_TeamPlan):
+every subformula's variables, and so each variable's column, follow from
+the root's and the quantifiers above it. The plan holds per subformula its
+dependence-free flag, the compiled row predicate of a dependence-free one,
+the compiled determinant and value terms of each atom, and each local
+split with the atoms that fix each existential. Deciding a team in another
+structure then rebinds the structure's symbols and walks no syntax.
+equiv_check builds one plan per sentence and runs it on every structure.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 from .budget import Budget
 from .errors import EvalError, ShapeError
-from .eso_eval import _fo_eval
-from .structures import Structure, Team, eval_term
+from .eso_eval import (
+    _Symbols, _compile_fo, _compile_term, _compile_terms, _spender,
+)
+from .structures import Structure, Team
 from .syntax import (
-    And, DepAtom, Exists, Forall, Formula, Or, Term, Var, check_symbols,
-    contains_dep_atom, free_vars, iter_subformulas, term_vars,
+    And, DepAtom, Exists, Forall, Formula, Or, Var, check_symbols, free_vars,
+    term_vars,
 )
 
 __all__ = ["satisfies", "sentence_truth"]
 
-# a positive dependence atom as its determinant terms and its value term
-_Atom = tuple[tuple[Term, ...], Term]
-# a _local_split: dependence-free conjuncts, atoms, and per existential of
-# the block the indices of the atoms that fix it
-_Local = tuple[list[Formula], list[_Atom], list[list[int]]]
+_Rows = frozenset[tuple[int, ...]]
+# a compiled formula: does a nonempty team (of rows over the formula's
+# variables, in order) satisfy it?
+_Node = Callable[[_Rows], bool]
+# a compiled _local_split: the row adder, the determinant key of each atom,
+# and per existential of the block the indices of the atoms that fix it
+_Local = tuple[Callable, list[Callable], list[list[int]]]
 
 
-class _TeamEvaluator:
-    def __init__(self, struct: Structure, root: Formula, budget: Budget | None):
-        self.struct = struct
-        self.n = struct.size
+def _mark_dep_free(f: Formula, flags: dict[int, bool]) -> bool:
+    """Record for f and each subformula whether it is dependence-free."""
+    if isinstance(f, DepAtom):
+        free = False
+    elif isinstance(f, (And, Or)):
+        free = _mark_dep_free(f.left, flags) & _mark_dep_free(f.right, flags)
+    elif isinstance(f, (Exists, Forall)):
+        free = _mark_dep_free(f.body, flags)
+    else:
+        free = True
+    flags[id(f)] = free
+    return free
+
+
+class _TeamPlan:
+    """A formula compiled once for teams over the given variables; calling
+    the plan with a structure and a team's rows decides satisfaction.
+
+    Every subformula becomes a closure over rows whose variables' columns
+    are fixed at compile time: the variables of a subformula follow from
+    the root's and the quantifiers above it."""
+
+    def __init__(self, root: Formula, vars: tuple[str, ...],
+                 budget: Budget | None):
+        self.syms = _Symbols()
         self.budget = budget
+        self.spend = _spender(budget)
         self.root = root  # keeps subformula ids stable
         self.dep_free: dict[int, bool] = {}
-        for sub in iter_subformulas(root):
-            self.dep_free[id(sub)] = not contains_dep_atom(sub)
+        _mark_dep_free(root, self.dep_free)
         self.memo: dict[tuple, bool] = {}
-        # (id, block) of an existential body or a disjunct -> _local_split
-        self.local: dict[tuple[int, tuple[str, ...]], _Local | None] = {}
+        self.check = self._node(root, vars)
 
-    def _spend(self, amount: int, context: str) -> None:
-        if self.budget is not None:
-            self.budget.spend(amount, context)
+    def __call__(self, struct: Structure, rows: _Rows) -> bool:
+        self.syms.bind(struct)
+        self.memo.clear()
+        return self.check(rows)
 
-    # -- team evaluation ----------------------------------------------------
+    # -- compilation ----------------------------------------------------------
 
-    def eval(self, f: Formula, vars: tuple[str, ...],
-             rows: frozenset[tuple[int, ...]]) -> bool:
-        if not rows:
-            return True
-        key = (id(f), vars, rows)
-        hit = self.memo.get(key)
-        if hit is None:
-            hit = self._eval(f, vars, rows)
-            self.memo[key] = hit
-        return hit
-
-    def _eval(self, f: Formula, vars: tuple[str, ...],
-              rows: frozenset[tuple[int, ...]]) -> bool:
+    def _node(self, f: Formula, vars: tuple[str, ...]) -> _Node:
         if self.dep_free[id(f)]:
-            return all(_fo_eval(self.struct, f, dict(zip(vars, row)), None,
-                                self.budget, "row evaluation") for row in rows)
-        if isinstance(f, DepAtom):
-            return self._eval_dep(f, vars, rows)
-        if isinstance(f, And):
-            return self.eval(f.left, vars, rows) and self.eval(f.right, vars, rows)
-        if isinstance(f, Or):
-            return self._eval_or(f, vars, rows)
-        if isinstance(f, Exists):
-            return self._eval_exists(f, vars, rows)
-        if isinstance(f, Forall):
-            return self._eval_forall(f, vars, rows)
-        raise EvalError(f"cannot evaluate {f!r}")
+            row_ok = _compile_fo(f, vars, self.syms, self.budget, "row evaluation")
 
-    def _eval_dep(self, f: DepAtom, vars: tuple[str, ...],
-                  rows: frozenset[tuple[int, ...]]) -> bool:
+            def check(rows):
+                return all(map(row_ok, rows))
+        elif isinstance(f, DepAtom):
+            check = self._dep(f, vars)
+        elif isinstance(f, And):
+            left, right = self._node(f.left, vars), self._node(f.right, vars)
+
+            def check(rows):
+                return left(rows) and right(rows)
+        elif isinstance(f, Or):
+            check = self._or(f, vars)
+        elif isinstance(f, Exists):
+            check = self._exists(f, vars)
+        elif isinstance(f, Forall):
+            check = self._forall(f, vars)
+        else:
+            raise EvalError(f"cannot evaluate {f!r}")
+        return self._memoized(check, (id(f), vars))
+
+    def _memoized(self, check: _Node, key) -> _Node:
+        memo = self.memo
+
+        def node(rows):
+            if not rows:
+                return True
+            hit = memo.get((key, rows))
+            if hit is None:
+                hit = check(rows)
+                memo[key, rows] = hit
+            return hit
+        return node
+
+    def _scope(self, vars: tuple[str, ...]) -> dict[str, int]:
+        return {v: i for i, v in enumerate(vars)}
+
+    def _dep(self, f: DepAtom, vars: tuple[str, ...]) -> _Node:
         if f.negated:
-            return False  # only the empty team satisfies a negated dependence atom
+            # only the empty team satisfies a negated dependence atom
+            return lambda rows: False
         if not f.terms:
-            return True
-        self._spend(len(rows), "dependence atom")
-        determined: dict[tuple[int, ...], int] = {}
-        for row in rows:
-            env = dict(zip(vars, row))
-            key = tuple(eval_term(self.struct, env, t) for t in f.terms[:-1])
-            val = eval_term(self.struct, env, f.terms[-1])
-            old = determined.setdefault(key, val)
-            if old != val:
-                return False
-        return True
+            return lambda rows: True
+        scope = self._scope(vars)
+        key = _compile_terms(f.terms[:-1], scope, self.syms)
+        value = _compile_term(f.terms[-1], scope, self.syms)
+        spend = self.spend
 
-    def _eval_or(self, f: Or, vars: tuple[str, ...],
-                 rows: frozenset[tuple[int, ...]]) -> bool:
-        row_list = sorted(rows)
-        # per side: disjunct, its conjuncts and atoms if it is local (else
-        # None), one table per atom, rows placed
-        sides = []
-        for g in (f.left, f.right):
-            split = self._local_split(g, ())
-            tables = None if split is None else [{} for _ in split[1]]
-            sides.append((g, split and split[:2], tables, []))
-        # (side, table entries added) per row placed so far
-        placed: list[tuple[int, list]] = []
-        i = side = 0  # the next row, and the side to try it on
-        while True:
-            g, split, tables, acc = sides[side]
-            row = row_list[i]
-            self._spend(1, "disjunction split")
-            acc.append(row)
-            if split is None:
-                # no table entries to undo on this side
-                added = [] if self.eval(g, vars, frozenset(acc)) else None
-            else:
-                added = self._add_row(*split, tables, dict(zip(vars, row)))
-            if added is not None:
-                i += 1
-                if i == len(row_list):
-                    return True
-                placed.append((side, added))
-                side = 0
-                continue
-            acc.pop()
-            while side == 1:
-                # neither side takes row i: move the last placed row on
-                if not placed:
+        def check(rows):
+            spend(len(rows), "dependence atom")
+            determined: dict[tuple[int, ...], int] = {}
+            for row in rows:
+                v = value(row)
+                if determined.setdefault(key(row), v) != v:
                     return False
-                side, added = placed.pop()
-                for table, key in added:
-                    del table[key]
-                sides[side][3].pop()
-                i -= 1
-            side += 1
+            return True
+        return check
 
-    def _eval_forall(self, f: Forall, vars: tuple[str, ...],
-                     rows: frozenset[tuple[int, ...]]) -> bool:
-        self._spend(len(rows) * self.n, "universal extension")
-        if f.var in vars:
-            i = vars.index(f.var)
-            new_rows = frozenset(r[:i] + (a,) + r[i + 1:]
-                                 for r in rows for a in range(self.n))
-            return self.eval(f.body, vars, new_rows)
-        new_rows = frozenset(r + (a,) for r in rows for a in range(self.n))
-        return self.eval(f.body, vars + (f.var,), new_rows)
-
-    def _local_split(self, body: Formula, block: tuple[str, ...]
-                     ) -> _Local | None:
+    def _local_split(self, body: Formula, vars: tuple[str, ...],
+                     block: tuple[str, ...]) -> _Local | None:
         """Split a formula into dependence-free conjuncts and non-empty
-        positive dependence atoms, and list for each variable of block (the
-        existentials chosen, in order, after the team's columns) the atoms
-        that fix it: those whose value term is the variable and whose
-        determinant has no variable of block from it on. None if some
-        conjunct is neither (a negated atom, or an atom under | or a
-        quantifier)."""
-        key = (id(body), block)
-        if key not in self.local:
-            free: list[Formula] = []
-            atoms: list[_Atom] = []
-            todo = [body]
-            while todo:
-                g = todo.pop()
-                if self.dep_free[id(g)]:
-                    free.append(g)
-                elif isinstance(g, And):
-                    todo += (g.right, g.left)
-                elif isinstance(g, DepAtom) and not g.negated:
-                    if g.terms:
-                        atoms.append((g.terms[:-1], g.terms[-1]))
-                else:
-                    self.local[key] = None
+        positive dependence atoms, over rows of ``vars`` whose last
+        len(block) columns are the existentials being chosen, in order.
+        Compile them into a row adder (see _add_row) and list for each
+        variable of block the atoms that fix it: those whose value term is
+        the variable and whose determinant has no variable of block from
+        it on. None if some conjunct is neither (a negated atom, or an atom
+        under | or a quantifier)."""
+        free: list[Formula] = []
+        atoms: list[DepAtom] = []
+        todo = [body]
+        while todo:
+            g = todo.pop()
+            if self.dep_free[id(g)]:
+                free.append(g)
+            elif isinstance(g, And):
+                todo += (g.right, g.left)
+            elif isinstance(g, DepAtom) and not g.negated:
+                if g.terms:
+                    atoms.append(g)
+            else:
+                return None
+        fixers: list[list[int]] = [[] for _ in block]
+        for a, g in enumerate(atoms):
+            dep = g.terms[-1]
+            if isinstance(dep, Var) and dep.name in block:
+                j = block.index(dep.name)
+                later = set(block[j:])
+                if not any(term_vars(t) & later for t in g.terms[:-1]):
+                    fixers[j].append(a)
+        scope = self._scope(vars)
+        keys = [_compile_terms(g.terms[:-1], scope, self.syms) for g in atoms]
+        values = [_compile_term(g.terms[-1], scope, self.syms) for g in atoms]
+        row_oks = [_compile_fo(g, vars, self.syms, self.budget, "row evaluation")
+                   for g in free]
+        return self._add_row(list(zip(keys, values)), row_oks), keys, fixers
+
+    def _add_row(self, atoms: list[tuple[Callable, Callable]],
+                 row_oks: list[Callable]) -> Callable:
+        """A closure checking a new row (a tuple or list of values) against
+        one determinant->value table per atom, then against the
+        dependence-free conjuncts. On success the tables hold the row and
+        the entries it added are returned, to be undone on backtracking; on
+        failure the tables are left as they were and None is returned."""
+        spend = self.spend
+        m = len(atoms)
+
+        def add_row(tables: list[dict], env) -> list | None:
+            if m:
+                spend(m, "dependence atom")
+            added: list[tuple[dict, tuple[int, ...]]] = []
+            for (key, value), table in zip(atoms, tables):
+                k = key(env)
+                v = value(env)
+                old = table.get(k)
+                if old is None:
+                    table[k] = v
+                    added.append((table, k))
+                elif old != v:
                     break
             else:
-                fixers: list[list[int]] = [[] for _ in block]
-                for a, (det, dep) in enumerate(atoms):
-                    if isinstance(dep, Var) and dep.name in block:
-                        j = block.index(dep.name)
-                        later = set(block[j:])
-                        if not any(term_vars(t) & later for t in det):
-                            fixers[j].append(a)
-                self.local[key] = (free, atoms, fixers)
-        return self.local[key]
+                if all(ok(env) for ok in row_oks):
+                    return added
+            for table, k in added:
+                del table[k]
+            return None
+        return add_row
 
-    def _add_row(self, free: list[Formula], atoms: list[_Atom],
-                 tables: list[dict[tuple[int, ...], int]],
-                 env: dict[str, int]) -> list | None:
-        """Check a new row against one determinant->value table per atom,
-        then against the dependence-free conjuncts. On success the tables
-        hold the row and the entries it added are returned, to be undone on
-        backtracking; on failure the tables are left as they were."""
-        self._spend(len(atoms), "dependence atom")
-        added: list[tuple[dict, tuple[int, ...]]] = []
-        for (det, dep), table in zip(atoms, tables):
-            key = tuple([eval_term(self.struct, env, s) for s in det])
-            val = eval_term(self.struct, env, dep)
-            old = table.get(key)
-            if old is None:
-                table[key] = val
-                added.append((table, key))
-            elif old != val:
-                break
-        else:
-            if all(_fo_eval(self.struct, g, env, None, self.budget,
-                            "row evaluation") for g in free):
-                return added
-        for table, key in added:
-            del table[key]
-        return None
+    # -- team evaluation ------------------------------------------------------
 
-    def _extend_locally(self, free: list[Formula], atoms: list[_Atom],
-                        fixers: list[list[int]], vars: tuple[str, ...],
-                        row_list: list[tuple[int, ...]]) -> bool:
-        """Choose values for the last len(fixers) columns of vars, row after
-        row, depth-first in lexicographic order. A column that an atom's
-        table already fixes for the row's earlier columns takes only that
-        value (any other would fail the atom), and none if two atoms
-        disagree."""
-        struct, n, k = self.struct, self.n, len(fixers)
-        base, block = vars[:-k], vars[-k:]
-        # one determinant->value table per atom, for the rows chosen so far
-        tables: list[dict[tuple[int, ...], int]] = [{} for _ in atoms]
+    def _or(self, f: Or, vars: tuple[str, ...]) -> _Node:
+        # per side: its row adder and atom count if it is local, else its node
+        sides = []
+        for g in (f.left, f.right):
+            split = self._local_split(g, vars, ())
+            if split is None:
+                sides.append((self._node(g, vars), None, 0))
+            else:
+                sides.append((None, split[0], len(split[1])))
+        spend = self.spend
 
-        def values(env: dict[str, int], j: int):
-            forced = None
-            for a in fixers[j]:
-                table = tables[a]
-                if not table:
+        def check(rows):
+            row_list = sorted(rows)
+            # per side: node, row adder, one table per atom, rows placed
+            state = [(node, add_row, [{} for _ in range(m)], [])
+                     for node, add_row, m in sides]
+            # (side, table entries added) per row placed so far
+            placed: list[tuple[int, list]] = []
+            i = side = 0  # the next row, and the side to try it on
+            while True:
+                node, add_row, tables, acc = state[side]
+                row = row_list[i]
+                spend(1, "disjunction split")
+                acc.append(row)
+                if add_row is None:
+                    # no table entries to undo on this side
+                    added = [] if node(frozenset(acc)) else None
+                else:
+                    added = add_row(tables, row)
+                if added is not None:
+                    i += 1
+                    if i == len(row_list):
+                        return True
+                    placed.append((side, added))
+                    side = 0
                     continue
-                v = table.get(tuple([eval_term(struct, env, s)
-                                     for s in atoms[a][0]]))
-                if v is None or v == forced:
-                    continue
-                if forced is not None:
-                    return iter(())  # two atoms disagree
-                forced = v
-            return iter(range(n) if forced is None else (forced,))
-
-        # table entries added by each row chosen so far; one frame per block
-        # column of the row being chosen and of each row before it
-        undo: list[list] = []
-        env = dict(zip(base, row_list[0]))
-        frames = [(env, 0, values(env, 0))]
-        while frames:
-            env, j, it = frames[-1]
-            v = next(it, None)
-            if v is None:
-                frames.pop()
-                if j == 0 and undo:
-                    # the previous row goes on to its next value tuple
-                    for table, key in undo.pop():
+                acc.pop()
+                while side == 1:
+                    # neither side takes row i: move the last placed row on
+                    if not placed:
+                        return False
+                    side, added = placed.pop()
+                    for table, key in added:
                         del table[key]
-                continue
-            env[block[j]] = v
-            if j + 1 < k:
-                frames.append((env, j + 1, values(env, j + 1)))
-                continue
-            self._spend(1, "existential extension")
-            added = self._add_row(free, atoms, tables, env)
-            if added is not None:
-                if len(undo) + 1 == len(row_list):
-                    return True
-                undo.append(added)
-                env = dict(zip(base, row_list[len(undo)]))
-                frames.append((env, 0, values(env, 0)))
-        return False
+                    state[side][3].pop()
+                    i -= 1
+                side += 1
+        return check
 
-    def _eval_exists(self, f: Exists, vars: tuple[str, ...],
-                     rows: frozenset[tuple[int, ...]]) -> bool:
+    def _forall(self, f: Forall, vars: tuple[str, ...]) -> _Node:
+        spend, values = self.spend, self.syms.values
+        if f.var in vars:
+            i = vars.index(f.var)
+            body = self._node(f.body, vars)
+
+            def check(rows):
+                n = values[0]
+                spend(len(rows) * n, "universal extension")
+                return body(frozenset(r[:i] + (a,) + r[i + 1:]
+                                      for r in rows for a in range(n)))
+        else:
+            body = self._node(f.body, vars + (f.var,))
+
+            def check(rows):
+                n = values[0]
+                spend(len(rows) * n, "universal extension")
+                return body(frozenset(r + (a,) for r in rows for a in range(n)))
+        return check
+
+    def _exists(self, f: Exists, vars: tuple[str, ...]) -> _Node:
         # maximal run of existentials over fresh distinct variables is
         # extended jointly (each row independently picks a value tuple)
         block: list[str] = []
@@ -331,41 +348,114 @@ class _TeamEvaluator:
                and body.var not in block):
             block.append(body.var)
             body = body.body
-        row_list = sorted(rows)
+        values = self.syms.values
         if block:
             new_vars = vars + tuple(block)
-            split = self._local_split(body, tuple(block))
+            split = self._local_split(body, new_vars, tuple(block))
             if split is not None:
-                return self._extend_locally(*split, new_vars, row_list)
-            choices = list(itertools.product(range(self.n), repeat=len(block)))
-            extensions = [[r + t for t in choices] for r in row_list]
+                return self._extend_locally(*split, len(vars))
+            k = len(block)
+
+            def extensions(row_list, n):
+                choices = list(itertools.product(range(n), repeat=k))
+                return [[r + t for t in choices] for r in row_list]
         else:
             # rebinding an existing variable: overwrite its column
             body, new_vars = f.body, vars
             i = vars.index(f.var)
-            extensions = [[r[:i] + (a,) + r[i + 1:] for a in range(self.n)]
-                          for r in row_list]
-        # rows that a rebinding maps to the same values repeat in acc; the
-        # frozenset of acc merges them. One iterator per row of acc and one
-        # for the row being chosen.
-        acc: list[tuple[int, ...]] = []
-        its = [iter(extensions[0])]
-        while its:
-            row = next(its[-1], None)
-            if row is None:
-                its.pop()
-                if acc:
+
+            def extensions(row_list, n):
+                return [[r[:i] + (a,) + r[i + 1:] for a in range(n)]
+                        for r in row_list]
+        body_ok = self._node(body, new_vars)
+        spend = self.spend
+
+        def check(rows):
+            exts = extensions(sorted(rows), values[0])
+            # rows that a rebinding maps to the same values repeat in acc;
+            # the frozenset of acc merges them. One iterator per row of acc
+            # and one for the row being chosen.
+            acc: list[tuple[int, ...]] = []
+            its = [iter(exts[0])]
+            while its:
+                row = next(its[-1], None)
+                if row is None:
+                    its.pop()
+                    if acc:
+                        acc.pop()
+                    continue
+                spend(1, "existential extension")
+                acc.append(row)
+                if not body_ok(frozenset(acc)):
                     acc.pop()
-                continue
-            self._spend(1, "existential extension")
-            acc.append(row)
-            if not self.eval(body, new_vars, frozenset(acc)):
-                acc.pop()
-            elif len(acc) == len(extensions):
-                return True
-            else:
-                its.append(iter(extensions[len(acc)]))
-        return False
+                elif len(acc) == len(exts):
+                    return True
+                else:
+                    its.append(iter(exts[len(acc)]))
+            return False
+        return check
+
+    def _extend_locally(self, add_row: Callable, keys: list[Callable],
+                        fixers: list[list[int]], nbase: int) -> _Node:
+        """Choose values for the last len(fixers) columns, row after row,
+        depth-first in lexicographic order. A column that an atom's table
+        already fixes for the row's earlier columns takes only that value
+        (any other would fail the atom), and none if two atoms disagree."""
+        k = len(fixers)
+        # per block column: (atom index, determinant key) of its fixers
+        fixing = [[(a, keys[a]) for a in fix] for fix in fixers]
+        pad = (0,) * k
+        spend, values_ = self.spend, self.syms.values
+
+        def check(rows):
+            row_list = sorted(rows)
+            n = values_[0]
+            # one determinant->value table per atom, for the rows chosen so far
+            tables: list[dict] = [{} for _ in keys]
+
+            def values(env: list[int], j: int):
+                forced = None
+                for a, key in fixing[j]:
+                    table = tables[a]
+                    if not table:
+                        continue
+                    v = table.get(key(env))
+                    if v is None or v == forced:
+                        continue
+                    if forced is not None:
+                        return iter(())  # two atoms disagree
+                    forced = v
+                return iter(range(n) if forced is None else (forced,))
+
+            # table entries added by each row chosen so far; one frame per
+            # block column of the row being chosen and of each row before it
+            undo: list[list] = []
+            env = [*row_list[0], *pad]
+            frames = [(env, 0, values(env, 0))]
+            while frames:
+                env, j, it = frames[-1]
+                v = next(it, None)
+                if v is None:
+                    frames.pop()
+                    if j == 0 and undo:
+                        # the previous row goes on to its next value tuple
+                        for table, key in undo.pop():
+                            del table[key]
+                    continue
+                env[nbase + j] = v
+                if j + 1 < k:
+                    frames.append((env, j + 1, values(env, j + 1)))
+                    continue
+                spend(1, "existential extension")
+                added = add_row(tables, env)
+                if added is not None:
+                    if len(undo) + 1 == len(row_list):
+                        return True
+                    undo.append(added)
+                    env = [*row_list[len(undo)], *pad]
+                    frames.append((env, 0, values(env, 0)))
+            return False
+        return check
 
 
 def satisfies(struct: Structure, team: Team, formula: Formula,
@@ -378,8 +468,16 @@ def satisfies(struct: Structure, team: Team, formula: Formula,
     for r in team.rows:
         if not all(0 <= v < struct.size for v in r):
             raise ShapeError(f"team row {list(r)!r} outside domain of size {struct.size}")
-    ev = _TeamEvaluator(struct, formula, budget)
-    return ev.eval(formula, team.vars, team.rows)
+    return _TeamPlan(formula, team.vars, budget)(struct, team.rows)
+
+
+def _sentence_plan(formula: Formula, budget: Budget | None
+                   ) -> Callable[[Structure], bool]:
+    """Compile a sentence once; the result decides it on any structure of
+    the signature it was checked against."""
+    plan = _TeamPlan(formula, (), budget)
+    rows = Team.initial().rows
+    return lambda struct: plan(struct, rows)
 
 
 def sentence_truth(struct: Structure, formula: Formula,

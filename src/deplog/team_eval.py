@@ -23,9 +23,9 @@ depth-first, abandoning a partial choice as soon as the partially extended
 team already fails the body (a failing subteam cannot be part of a
 satisfying extension). One search serves both kinds of existential: a block
 of fresh variables appends a value tuple to each row, a rebinding
-existential overwrites its column. Results are memoized per subformula and
-team. This search and the split search below keep their state on an explicit
-stack, one entry per row, so a long team needs no deep Python recursion.
+existential overwrites its column. This search and the split search below
+keep their state on an explicit stack, one entry per row, so a long team
+needs no deep Python recursion.
 
 A disjunction split is searched the same way: the sorted rows are placed one
 at a time, each on the left side first and then on the right, and a
@@ -55,11 +55,10 @@ row's value of t̄ is in its table, so y is tried with that value only (any
 other fails the atom), and with none when two such atoms disagree; on the
 translation of even_R over its 18 structures of size <= 2 this cuts the value
 tuples tried from 818,210 to 59,781. The search prunes exactly where the
-whole-team check would, in the same order, so verdicts are unchanged; partial
-teams on this path are not memoized. Any other formula (a negated atom, an
-atom under a disjunction or a quantifier) evaluates the whole partial team
-through the memo, and any existential rebinding a variable takes that path
-too.
+whole-team check would, in the same order, so verdicts are unchanged. Any
+other formula (a negated atom, an atom under a disjunction or a quantifier)
+evaluates the whole partial team, and any existential rebinding a variable
+takes that path too.
 
 All of this is planned once per formula and root variables (_TeamPlan):
 every subformula's variables, and so each variable's column, follow from
@@ -125,15 +124,14 @@ class _TeamPlan:
         self.syms = _Symbols()
         self.budget = budget
         self.spend = _spender(budget)
-        self.root = root  # keeps subformula ids stable
         self.dep_free: dict[int, bool] = {}
         _mark_dep_free(root, self.dep_free)
-        self.memo: dict[tuple, bool] = {}
         self.check = self._node(root, vars)
 
     def __call__(self, struct: Structure, rows: _Rows) -> bool:
+        if not rows:
+            return True  # the only empty team a node can be handed
         self.syms.bind(struct)
-        self.memo.clear()
         return self.check(rows)
 
     # -- compilation ----------------------------------------------------------
@@ -159,20 +157,7 @@ class _TeamPlan:
             check = self._forall(f, vars)
         else:
             raise EvalError(f"cannot evaluate {f!r}")
-        return self._memoized(check, (id(f), vars))
-
-    def _memoized(self, check: _Node, key) -> _Node:
-        memo = self.memo
-
-        def node(rows):
-            if not rows:
-                return True
-            hit = memo.get((key, rows))
-            if hit is None:
-                hit = check(rows)
-                memo[key, rows] = hit
-            return hit
-        return node
+        return check
 
     def _scope(self, vars: tuple[str, ...]) -> dict[str, int]:
         return {v: i for i, v in enumerate(vars)}

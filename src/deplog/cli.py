@@ -331,6 +331,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the syntax walks recurse once per nesting level
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -79,6 +79,32 @@ def test_parse_deep_nesting_exits_2(write, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+DEEP_CHAIN = " & ".join(["P(x)"] * 3000)
+
+
+@pytest.mark.parametrize("command", ["parse", "check", "eval", "classify",
+                                     "translate", "equiv"])
+def test_deep_chain_exits_2(write, capsys, command):
+    # a traceback would exit 1, which check and eval use for "false"
+    open_f = write("open.dl", DEEP_CHAIN)
+    closed = write("closed.dl", f"forall x. ({DEEP_CHAIN})")
+    m = write("m.json", {"domain": 1, "relations": {"P": [[0]]}})
+    sig = write("sig.json", {"relations": {"P": 1}})
+    argv = {
+        "parse": ["parse", open_f],
+        "check": ["check", "--formula", closed, "--structure", m],
+        "eval": ["eval", "--formula", open_f, "--structure", m,
+                 "--team", write("t.json", {"vars": ["x"], "rows": [[0]]})],
+        "classify": ["classify", "--input", closed],
+        "translate": ["translate", "--pass", "prenex", "--input", closed],
+        "equiv": ["equiv", "--left", closed, "--right", closed, "--sig", sig,
+                  "--max-size", "1"],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: formula nested too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from deplog.errors import BudgetExceededError, EvalError
 from deplog.eso_eval import eso_satisfies, fo_satisfies
 from deplog.harness import corpus_item
 from deplog.structures import Structure, enumerate_structures
-from deplog.syntax import Signature, parse_eso, parse_formula
+from deplog.syntax import And, Signature, parse_eso, parse_formula
 
 SIG0 = Signature({}, {}, frozenset())
 SIG_P = Signature({"P": 1}, {}, frozenset())
@@ -59,6 +59,14 @@ def test_fo_extra_fns():
     m = bare(2)
     assert fo_satisfies(m, f, {"x": 0}, extra_fns={"h": (1, (0, 0))})
     assert not fo_satisfies(m, f, {"x": 1}, extra_fns={"h": (1, (0, 0))})
+
+
+def test_fo_deep_right_nested_chain():
+    atom = parse_formula("P(x)", SIG_P)
+    chain = atom
+    for _ in range(899):
+        chain = And(atom, chain)
+    assert fo_satisfies(pstruct(2, P=[(1,)]), chain, {"x": 1}) is True
 
 
 # ---------------------------------------------------------------------------

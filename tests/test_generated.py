@@ -1,0 +1,165 @@
+"""Generated formulas against the independent oracles in helpers.py.
+
+Each test draws formulas and structures with hypothesis, derandomized so a
+run is repeatable, and compares the package's evaluator with its oracle.
+An example whose evaluation runs out of budget is discarded and counted;
+it never counts as a pass, and each test asserts how many were compared.
+"""
+import itertools
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import oracle_eso, oracle_fo, oracle_satisfies
+from deplog.budget import Budget
+from deplog.errors import BudgetExceededError
+from deplog.eso_eval import eso_satisfies, fo_satisfies
+from deplog.structures import Structure, Team
+from deplog.syntax import (
+    And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, Forall, Or,
+    RelAtom, Signature, Var, free_vars,
+)
+from deplog.team_eval import satisfies
+
+VARS = ("x", "y", "z")
+SIG_FO = Signature({"P": 1, "E": 2}, {"g": 1, "h": 2}, frozenset({"c"}))
+SIG_PE = Signature({"P": 1, "E": 2})
+EXAMPLES = 300
+
+
+def _atoms(term):
+    return st.one_of(
+        st.builds(RelAtom, st.just("P"), st.tuples(term), st.booleans()),
+        st.builds(RelAtom, st.just("E"), st.tuples(term, term), st.booleans()),
+        st.builds(Equal, term, term, st.booleans()),
+    )
+
+
+def _formulas(leaf, max_leaves):
+    """And, Or and quantifiers over VARS, so quantifiers rebind."""
+    var = st.sampled_from(VARS)
+
+    def extend(sub):
+        return st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub),
+                         st.builds(Exists, var, sub), st.builds(Forall, var, sub))
+    return st.recursive(leaf, extend, max_leaves=max_leaves)
+
+
+@st.composite
+def _structures(draw, sig, max_size):
+    n = draw(st.integers(1, max_size))
+    rels = {}
+    for name, ar in sig.relations.items():
+        points = list(itertools.product(range(n), repeat=ar))
+        rels[name] = frozenset(draw(st.sets(st.sampled_from(points))))
+    fns = {name: tuple(draw(st.lists(st.integers(0, n - 1), min_size=n ** ar,
+                                     max_size=n ** ar)))
+           for name, ar in sig.functions.items()}
+    consts = {name: draw(st.integers(0, n - 1)) for name in sig.constants}
+    return Structure(sig, n, rels, fns, consts)
+
+
+def _run(test, examples=EXAMPLES):
+    """Run a hypothesis test body that returns "checked" or "discarded";
+    return the tally."""
+    tally = {"checked": 0, "discarded": 0}
+
+    @settings(max_examples=examples, derandomize=True, deadline=None,
+              database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def body(data):
+        outcome = test(data)
+        tally[outcome] += 1
+        assume(outcome == "checked")
+
+    body()
+    return tally
+
+
+_FO_TERMS = st.recursive(
+    st.sampled_from([Var(v) for v in VARS] + [Const("c")]),
+    lambda sub: st.one_of(st.builds(App, st.just("g"), st.tuples(sub)),
+                          st.builds(App, st.just("h"), st.tuples(sub, sub))),
+    max_leaves=3)
+_FO_FORMULAS = _formulas(st.one_of(_atoms(_FO_TERMS), st.builds(Bool, st.booleans())),
+                         max_leaves=6)
+
+
+def test_generated_fo_agrees_with_oracle():
+    def check(data):
+        m = data.draw(_structures(SIG_FO, 3))
+        f = data.draw(_FO_FORMULAS)
+        env = {v: data.draw(st.integers(0, m.size - 1)) for v in VARS}
+        try:
+            got = fo_satisfies(m, f, env, budget=Budget(10_000))
+        except BudgetExceededError:
+            return "discarded"
+        assert got == oracle_fo(m, env, f)
+        return "checked"
+
+    tally = _run(check)
+    assert tally["checked"] >= 250, tally
+
+
+_TEAM_TERMS = st.sampled_from([Var(v) for v in VARS])
+_DEP_ATOMS = st.builds(DepAtom, st.lists(_TEAM_TERMS, max_size=3).map(tuple),
+                       st.booleans())
+# dependence atoms drawn as often as the three classical atoms together
+_TEAM_FORMULAS = _formulas(st.one_of(_atoms(_TEAM_TERMS), _DEP_ATOMS, _DEP_ATOMS),
+                           max_leaves=5)
+
+
+def test_generated_team_semantics_agrees_with_oracle():
+    def check(data):
+        m = data.draw(_structures(SIG_PE, 2))
+        f = data.draw(_TEAM_FORMULAS)
+        vars = tuple(sorted(free_vars(f)))
+        points = list(itertools.product(range(m.size), repeat=len(vars)))
+        k = data.draw(st.integers(1, min(3, len(points))))
+        rows = data.draw(st.sets(st.sampled_from(points), min_size=k, max_size=k))
+        try:
+            got = satisfies(m, Team(vars, frozenset(rows)), f, Budget(10_000))
+        except BudgetExceededError:
+            return "discarded"
+        assert got == oracle_satisfies(m, vars, rows, f)
+        return "checked"
+
+    tally = _run(check)
+    assert tally["checked"] >= 250, tally
+
+
+@st.composite
+def _eso_sentences(draw):
+    fns = tuple((f"f{i}", draw(st.integers(0, 1)))
+                for i in range(draw(st.integers(0, 2))))
+    pvars = VARS[:draw(st.integers(1, 2))]
+    prefix = tuple((draw(st.sampled_from(["forall", "exists"])), v) for v in pvars)
+    leaves = [Var(v) for v in pvars]
+    term = st.recursive(
+        st.sampled_from(leaves + [App(name, ()) for name, ar in fns if ar == 0]),
+        lambda sub: st.one_of([st.builds(App, st.just(name), st.tuples(sub))
+                               for name, ar in fns if ar == 1] or [sub]),
+        max_leaves=3)
+    # the binary atom twice as often as P or =, to tell its arguments apart
+    binary = st.builds(RelAtom, st.just("E"), st.tuples(term, term), st.booleans())
+    matrix = draw(st.recursive(
+        st.one_of(_atoms(term), binary),
+        lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+        max_leaves=4))
+    return EsoSentence(fns, prefix, matrix)
+
+
+def test_generated_eso_agrees_with_oracle():
+    def check(data):
+        m = data.draw(_structures(SIG_PE, 2))
+        s = data.draw(_eso_sentences())
+        try:
+            got = eso_satisfies(m, s, Budget(10_000))
+        except BudgetExceededError:
+            return "discarded"
+        assert got == oracle_eso(m, s)
+        return "checked"
+
+    # fewer examples: the oracle builds every table as a dict
+    tally = _run(check, 200)
+    assert tally["checked"] >= 150, tally

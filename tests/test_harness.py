@@ -2,6 +2,7 @@
 minimality and determinism, budget behavior, corpus integrity."""
 import pytest
 
+from deplog import harness
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.harness import (
@@ -14,7 +15,7 @@ from deplog.syntax import (
     Signature, parse_eso, parse_formula, parse_formula_infer, render_eso,
     render_formula,
 )
-from deplog.transforms import d_to_eso
+from deplog.transforms import d_to_eso, eso_to_d
 
 SIG_E = Signature({"E": 2})
 SIG_PC = Signature({"P": 1}, {}, frozenset({"c"}))
@@ -32,6 +33,42 @@ def test_equiv_spine_against_translation():
     assert v.structures_checked == sum(
         count_structures(item.sig, n) for n in (1, 2, 3))
     assert v.structure is None
+
+
+@pytest.mark.parametrize("name,fits", [("spine", True), ("phi2_closed", False),
+                                       ("term_atom", True), ("eso_choice", True)])
+def test_compiled_sides_spend_what_sentence_value_spends(name, fits, monkeypatch):
+    # equiv_check compiles each side once; the plans must do exactly the
+    # work of one sentence_value call per side and structure
+    item = corpus_item(name)
+    left = item.parsed()
+    right = d_to_eso(left) if item.kind == "D" else eso_to_d(left)
+    shared = Budget(10**9)
+    for n in (1, 2):
+        for m in enumerate_structures(item.sig, n):
+            assert sentence_value(m, left, shared) == sentence_value(m, right, shared)
+    spent = shared.spent
+    made = []
+
+    class Recording(Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "Budget", Recording)
+        v = equiv_check(left, right, item.sig, 2, budget=10**9)
+    assert v.outcome == "equivalent"
+    # the structure budget, then the check budget
+    assert [b.spent for b in made] == [v.structures_checked, spent]
+    with pytest.raises(BudgetExceededError):
+        equiv_check(left, right, item.sig, 2, budget=spent - 1)
+    # phi2_closed's image has three unary functions: at size 2 the up-front
+    # check wants room for all 64 candidate tables, more than the 13 units
+    # its search spends there, so a budget of exactly the work is refused
+    if fits:
+        v = equiv_check(left, right, item.sig, 2, budget=spent)
+        assert v.outcome == "equivalent"
 
 
 def test_counterexample_is_first_structure():

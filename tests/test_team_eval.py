@@ -9,7 +9,10 @@ from deplog.harness import corpus_item
 from deplog.structures import (
     Structure, Team, enumerate_structures, enumerate_teams,
 )
-from deplog.syntax import Signature, free_vars, parse_eso, parse_formula
+from deplog.syntax import (
+    And, DepAtom, Exists, Forall, RelAtom, Signature, Var, free_vars,
+    parse_eso, parse_formula,
+)
 from deplog.team_eval import satisfies, sentence_truth
 from deplog.transforms import eso_to_d
 
@@ -319,6 +322,19 @@ def test_long_team_needs_no_recursion():
                 frozenset(itertools.product(range(10), repeat=3)))
     assert satisfies(bare(10), team, d("exists w. =(x,w)")) is True
     assert satisfies(bare(10), team, d("=(x,y,u,x) | =(u)")) is True
+
+
+def test_deep_right_nested_chain_evaluates():
+    # compiling a formula recurses once per nesting level, as evaluating it
+    # did before, so a chain this deep still fits Python's default limit
+    sig = Signature({"P": 1})
+    m = Structure(sig, 2, {"P": frozenset({(0,), (1,)})}, {}, {})
+    for atom, quant in ((RelAtom("P", (Var("x"),)), Forall),
+                        (DepAtom((Var("x"),)), Exists)):
+        chain = atom
+        for _ in range(899):
+            chain = And(atom, chain)
+        assert sentence_truth(m, quant("x", chain)) is True
 
 
 def test_budget_bounds_split_search():

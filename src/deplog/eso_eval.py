@@ -134,6 +134,9 @@ def _compile_terms(ts: Sequence[Term], scope: dict[str, int],
     if len(fns) == 1:
         f0, = fns
         return lambda env: (f0(env),)
+    if len(fns) == 2:
+        f0, f1 = fns
+        return lambda env: (f0(env), f1(env))
     return lambda env: tuple([f(env) for f in fns])
 
 

@@ -246,7 +246,10 @@ class _TeamPlan:
                 elif old != v:
                     break
             else:
-                if all(ok(env) for ok in row_oks):
+                for ok in row_oks:
+                    if not ok(env):
+                        break
+                else:
                     return added
             for table, k in added:
                 del table[k]

@@ -139,25 +139,19 @@ class _TeamPlan:
     def _node(self, f: Formula, vars: tuple[str, ...]) -> _Node:
         if self.dep_free[id(f)]:
             row_ok = _compile_fo(f, vars, self.syms, self.budget, "row evaluation")
-
-            def check(rows):
-                return all(map(row_ok, rows))
-        elif isinstance(f, DepAtom):
-            check = self._dep(f, vars)
-        elif isinstance(f, And):
+            return lambda rows: all(map(row_ok, rows))
+        if isinstance(f, DepAtom):
+            return self._dep(f, vars)
+        if isinstance(f, And):
             left, right = self._node(f.left, vars), self._node(f.right, vars)
-
-            def check(rows):
-                return left(rows) and right(rows)
-        elif isinstance(f, Or):
-            check = self._or(f, vars)
-        elif isinstance(f, Exists):
-            check = self._exists(f, vars)
-        elif isinstance(f, Forall):
-            check = self._forall(f, vars)
-        else:
-            raise EvalError(f"cannot evaluate {f!r}")
-        return check
+            return lambda rows: left(rows) and right(rows)
+        if isinstance(f, Or):
+            return self._or(f, vars)
+        if isinstance(f, Exists):
+            return self._exists(f, vars)
+        if isinstance(f, Forall):
+            return self._forall(f, vars)
+        raise EvalError(f"cannot evaluate {f!r}")
 
     def _scope(self, vars: tuple[str, ...]) -> dict[str, int]:
         return {v: i for i, v in enumerate(vars)}

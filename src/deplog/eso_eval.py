@@ -26,6 +26,7 @@ equiv_check builds that plan once and runs it on every structure.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -195,16 +196,12 @@ def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
             # a slot of its own, so a rebinding leaves the outer value alone
             i = width
             width += 1
-            body = comp(f.body, {**scope, f.var: i})
-            want = isinstance(f, Exists)
+            loop = _quantifier_loop(i, isinstance(f, Exists),
+                                    comp(f.body, {**scope, f.var: i}), values)
 
             def check(env):
                 spend(1, context)
-                for a in range(values[0]):
-                    env[i] = a
-                    if body(env) == want:
-                        return want
-                return not want
+                return loop(env)
         elif isinstance(f, DepAtom):
             raise EvalError("dependence atoms have no classical first-order semantics")
         else:
@@ -242,13 +239,6 @@ def fo_satisfies(struct: Structure, formula: Formula,
     return check(list(env.values()))
 
 
-def _candidate_count(n: int, sentence: EsoSentence) -> int:
-    total = 1
-    for _, ar in sentence.functions:
-        total *= n ** (n ** ar)
-    return total
-
-
 def _eso_plan(sentence: EsoSentence, budget: Budget | None
               ) -> Callable[[Structure], bool]:
     """Compile an ESO sentence once; the result decides it, by table
@@ -262,7 +252,7 @@ def _eso_plan(sentence: EsoSentence, budget: Budget | None
                         budget, "first-order evaluation")
     values = syms.values
     for i in reversed(range(len(prefix))):
-        check = _prefix_loop(i, prefix[i][0] == "exists", check, values)
+        check = _quantifier_loop(i, prefix[i][0] == "exists", check, values)
     spend = _spender(budget)
     env = [0] * len(prefix)
 
@@ -278,7 +268,7 @@ def _eso_plan(sentence: EsoSentence, budget: Budget | None
 
     def run(struct: Structure) -> bool:
         n = struct.size
-        count = _candidate_count(n, sentence)
+        count = math.prod(n ** (n ** ar) for _, ar in fns)
         if budget is not None and budget.would_exceed(count):
             raise BudgetExceededError("function table enumeration",
                                       budget.spent + count, budget.limit)
@@ -288,8 +278,9 @@ def _eso_plan(sentence: EsoSentence, budget: Budget | None
     return run
 
 
-def _prefix_loop(i: int, want: bool, body: _Check, values: list) -> _Check:
-    """One prefix quantifier over slot i; spends nothing of its own."""
+def _quantifier_loop(i: int, want: bool, body: _Check, values: list) -> _Check:
+    """An existential (want True) or universal quantifier over slot i;
+    spends nothing of its own."""
     def check(env):
         for a in range(values[0]):
             env[i] = a

@@ -116,9 +116,9 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     _check_sentence(right, sig)
     sbudget = Budget(budget) if budget is not None else default_structure_budget()
     cbudget = Budget(budget) if budget is not None else default_check_budget()
+    start = time.perf_counter()
     left_value = _plan(left, cbudget)
     right_value = _plan(right, cbudget)
-    start = time.perf_counter()
     checked = 0
     size = 1
     try:

@@ -84,9 +84,6 @@ class Structure:
             if not _is_int(val) or not 0 <= val < n:
                 raise ShapeError(f"constant {name} value {val!r} outside the domain")
 
-    def rel_holds(self, name: str, args: tuple[int, ...]) -> bool:
-        return args in self.relations[name]
-
     def fn_value(self, name: str, args: tuple[int, ...]) -> int:
         return self.functions[name][tuple_index(args, self.size)]
 

@@ -346,3 +346,68 @@ def test_budget_bounds_split_search():
     team = Team(("x", "y", "u", "v"),
                 frozenset(itertools.product(range(3), repeat=4)))
     assert satisfies(bare(3), team, phi1, Budget(10_000)) is False
+
+
+# ---------------------------------------------------------------------------
+# work ledger: exact spend per context
+# ---------------------------------------------------------------------------
+
+class Ledger(Budget):
+    """A budget that also tallies its spend by context."""
+
+    __slots__ = ("tally",)
+
+    def __init__(self):
+        super().__init__(10 ** 9)
+        self.tally = {}
+
+    def spend(self, amount=1, context="work"):
+        self.tally[context] = self.tally.get(context, 0) + amount
+        super().spend(amount, context)
+
+
+SPLIT, ATOM, EXT, ROW, UNIV = ("disjunction split", "dependence atom",
+                               "existential extension", "row evaluation",
+                               "universal extension")
+
+
+def _ledger_cases():
+    import itertools
+    phi1, phi2 = corpus_item("phi1").formula(), corpus_item("phi2").formula()
+    xyuv = ("x", "y", "u", "v")
+    full = Team(xyuv, frozenset(itertools.product(range(3), repeat=4)))
+    crowded = Team(xyuv, frozenset((x, y, 0, v) for x in range(2)
+                                   for y in range(3) for v in range(2)))
+    sig_p = Signature({"P": 1}, {}, frozenset())
+    parity = eso_to_d(parse_eso(
+        "exists fn f/1. forall x. (~P(x) | P(f(x)) & ~f(x) = x & f(f(x)) = x)",
+        sig_p))
+    even_r = corpus_item("even_R")
+    return {
+        "phi1 full": (lambda b: satisfies(bare(3), full, phi1, b),
+                      False, {SPLIT: 444, ATOM: 444}),
+        "phi2 crowded": (lambda b: satisfies(bare(3), crowded, phi2, b),
+                         True, {SPLIT: 198, ATOM: 186}),
+        "phi2_closed": (lambda b: sentence_truth(
+                            bare(2), corpus_item("phi2_closed").formula(), b),
+                        True, {SPLIT: 30, ATOM: 20, EXT: 4, UNIV: 6}),
+        "parity": (lambda b: sentence_truth(
+                       Structure(sig_p, 4, {"P": frozenset({(1,), (3,)})},
+                                 {}, {}), parity, b),
+                   True, {EXT: 447, ATOM: 894, ROW: 2_612, UNIV: 20}),
+        "even_R": (lambda b: sentence_truth(
+                       list(enumerate_structures(even_r.sig, 2))[5],
+                       eso_to_d(even_r.sentence()), b),
+                   True, {EXT: 1_013, ATOM: 4_052, ROW: 14_233, UNIV: 126}),
+    }
+
+
+@pytest.mark.parametrize("name", list(_ledger_cases()))
+def test_work_ledger(name):
+    # the exact work of the split and existential searches, by context:
+    # a change to either search that keeps verdicts but tries more (or
+    # other) rows or values shows here
+    run, verdict, tally = _ledger_cases()[name]
+    ledger = Ledger()
+    assert run(ledger) is verdict
+    assert ledger.tally == tally

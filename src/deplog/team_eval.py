@@ -15,65 +15,63 @@ A team satisfies:
 
 The empty team satisfies every formula.
 
-The search is exhaustive but takes verdict-preserving shortcuts: formulas
+The search is exhaustive but takes verdict-preserving shortcuts. Formulas
 without dependence atoms are evaluated row by row (satisfaction of such
 formulas only depends on the individual rows), by the classical evaluator
-of eso_eval; and existential value choices are searched row by row
-depth-first, abandoning a partial choice as soon as the partially extended
-team already fails the body (a failing subteam cannot be part of a
-satisfying extension). One search serves both kinds of existential: a block
-of fresh variables appends a value tuple to each row, a rebinding
-existential overwrites its column. This search and the split search below
-keep their state on an explicit stack, one entry per row, so a long team
-needs no deep Python recursion.
+of eso_eval. The two searches, choosing values at an existential and
+splitting the team at a disjunction, both grow a team one row at a time
+and abandon a partial team as soon as it fails its formula. Every formula
+here is downward closed (a team that satisfies it passes that to all its
+subteams), so a failing partial team cannot grow into a satisfying one.
 
-A disjunction split is searched the same way: the sorted rows are placed one
-at a time, each on the left side first and then on the right, and a
-placement is abandoned as soon as the side's partial subteam fails its
-disjunct. Every formula here is downward closed (a team that satisfies it
-passes that to all its subteams), so a failing partial side cannot grow
-into a satisfying one, and a split into two disjoint subteams (a
-two-colouring of the rows) exists whenever any covering pair of subteams
-does. A false team is thus refuted without trying all 2^m colourings:
-phi1 = =(x,y) | =(u,v) on all 81 rows over a domain of 3 takes 444
-placements.
+Both searches hand their rows to a sink, compiled once per formula: `add`
+keeps a row if the team grown so far still satisfies the formula and
+refuses it otherwise, `undo` drops the last row kept, and `choices` lists
+the values worth trying in one column of a row. A conjunction of
+dependence-free formulas and positive dependence atoms (the shape of the
+normal form "prefix ∃ȳ (=(z̄1,y1) ∧ ... ∧ matrix)" that translations
+produce, and of each side of phi1) gets a local sink. It checks only the
+new row: dependence-free formulas are flat (a team satisfies one iff each
+row does), and a dependence atom is a condition on pairs of rows (a team
+satisfies it iff no two rows agree on the determinant and differ on the
+value), so the new row is checked against one determinant->value table
+per atom and against the dependence-free conjuncts alone. The entries a
+row adds are recorded, and undo deletes them. Its choices force a value:
+an atom =(t̄,y) whose t̄ uses only team columns and variables chosen
+before y fixes y once the row's value of t̄ is in its table, so y is tried
+with that value only (any other fails the atom), and with none when two
+such atoms disagree. On the translation of even_R over its 18 structures
+of size <= 2 this cuts the value tuples tried from 818,210 to 59,781. Any
+other formula (a negated atom, an atom under a disjunction or a
+quantifier) gets a sink that re-evaluates the whole partial team on each
+row and tries every value. Both sinks prune exactly where the whole-team
+check would, in the same order, so verdicts are unchanged.
 
-A conjunction of dependence-free formulas and positive dependence atoms (the
-shape of the normal form "prefix ∃ȳ (=(z̄1,y1) ∧ ... ∧ matrix)" that
-translations produce, and of each side of phi1) is checked one new row at a
-time, both under a block of fresh existentials and on a side of a split,
-instead of re-evaluating it on the whole partial team. This is sound because
-dependence-free formulas are flat (a team satisfies one iff each row does),
-and a dependence atom is a condition on pairs of rows (a team satisfies it
-iff no two rows agree on the determinant and differ on the value), so the
-new row is checked against one determinant->value table per atom, filled as
-rows are added and undone on backtracking, and against the dependence-free
-conjuncts alone. Under a block of fresh existentials the row's values are
-chosen one variable at a time, in lexicographic order: an atom =(t̄,y) whose
-t̄ uses only team columns and variables chosen before y fixes y once the
-row's value of t̄ is in its table, so y is tried with that value only (any
-other fails the atom), and with none when two such atoms disagree; on the
-translation of even_R over its 18 structures of size <= 2 this cuts the value
-tuples tried from 818,210 to 59,781. The search prunes exactly where the
-whole-team check would, in the same order, so verdicts are unchanged. Any
-other formula (a negated atom, an atom under a disjunction or a quantifier)
-evaluates the whole partial team, and any existential rebinding a variable
-takes that path too.
+An existential chooses each row's values column by column, depth-first in
+lexicographic order. A block of fresh variables fills appended columns; a
+rebinding existential overwrites its variable's column, and rows it maps
+to the same values are kept twice, which changes no verdict. A split
+places the sorted rows one at a time, each on the left side first and then
+on the right. A split into two disjoint subteams (a two-colouring of the
+rows) exists whenever any covering pair of subteams does, so a false team
+is refuted without trying all 2^m colourings: phi1 = =(x,y) | =(u,v) on
+all 81 rows over a domain of 3 takes 444 placements. Both searches keep
+their state on an explicit stack, one entry per row, so a long team needs
+no deep Python recursion.
 
 All of this is planned once per formula and root variables (_TeamPlan):
 every subformula's variables, and so each variable's column, follow from
 the root's and the quantifiers above it. The plan holds per subformula its
 dependence-free flag, the compiled row predicate of a dependence-free one,
-the compiled determinant and value terms of each atom, and each local
-split with the atoms that fix each existential. Deciding a team in another
-structure then rebinds the structure's symbols and walks no syntax.
-equiv_check builds one plan per sentence and runs it on every structure.
+the compiled determinant and value terms of each atom, and each sink with
+the atoms that fix each existential. Deciding a team in another structure
+then rebinds the structure's symbols and walks no syntax. equiv_check
+builds one plan per sentence and runs it on every structure.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .budget import Budget
 from .errors import EvalError, ShapeError
@@ -92,9 +90,9 @@ _Rows = frozenset[tuple[int, ...]]
 # a compiled formula: does a nonempty team (of rows over the formula's
 # variables, in order) satisfy it?
 _Node = Callable[[_Rows], bool]
-# a compiled _local_split: the row adder, the determinant key of each atom,
-# and per existential of the block the indices of the atoms that fix it
-_Local = tuple[Callable, list[Callable], list[list[int]]]
+# a sink for one team: add(row), undo() and choices(row, j), see _sink
+_Sink = tuple[Callable[[Sequence[int]], bool], Callable[[], object],
+              Callable[[list[int], int], Iterator[int]]]
 
 
 def _mark_dep_free(f: Formula, flags: dict[int, bool]) -> bool:
@@ -177,16 +175,22 @@ class _TeamPlan:
             return True
         return check
 
-    def _local_split(self, body: Formula, vars: tuple[str, ...],
-                     block: tuple[str, ...]) -> _Local | None:
-        """Split a formula into dependence-free conjuncts and non-empty
-        positive dependence atoms, over rows of ``vars`` whose last
-        len(block) columns are the existentials being chosen, in order.
-        Compile them into a row adder (see _add_row) and list for each
-        variable of block the atoms that fix it: those whose value term is
-        the variable and whose determinant has no variable of block from
-        it on. None if some conjunct is neither (a negated atom, or an atom
-        under | or a quantifier)."""
+    def _sink(self, body: Formula, vars: tuple[str, ...],
+              block: tuple[str, ...]) -> Callable[[], _Sink]:
+        """Compile body, over rows of ``vars`` in which the variables of
+        block are being chosen, in order, into a maker of sinks, one per
+        team. ``add(row)`` keeps the row (a tuple or list of values) and
+        returns True if the rows kept so far satisfy body, else leaves
+        them as they were and returns False; ``undo()`` drops the last row
+        kept; ``choices(row, j)`` iterates the values worth trying for the
+        j-th variable of block, given the row's columns other than block's
+        and block's first j.
+
+        A conjunction of dependence-free formulas and positive dependence
+        atoms is checked on the new row alone, against one
+        determinant->value table per atom. A column that an atom's table
+        already fixes for the row is offered only that value, and none if
+        two atoms disagree. Any other body is evaluated on all rows kept."""
         free: list[Formula] = []
         atoms: list[DepAtom] = []
         todo = [body]
@@ -200,202 +204,61 @@ class _TeamPlan:
                 if g.terms:
                     atoms.append(g)
             else:
-                return None
-        fixers: list[list[int]] = [[] for _ in block]
+                return self._whole_team_sink(body, vars)
+        scope = self._scope(vars)
+        keys = [_compile_terms(g.terms[:-1], scope, self.syms) for g in atoms]
+        terms = list(zip(keys, (_compile_term(g.terms[-1], scope, self.syms)
+                                for g in atoms)))
+        row_oks = [_compile_fo(g, vars, self.syms, self.budget, "row evaluation")
+                   for g in free]
+        # per variable of block: (atom index, determinant key) of the atoms
+        # whose value term is the variable and whose determinant has no
+        # variable of block from it on
+        fixing: list[list[tuple[int, Callable]]] = [[] for _ in block]
         for a, g in enumerate(atoms):
             dep = g.terms[-1]
             if isinstance(dep, Var) and dep.name in block:
                 j = block.index(dep.name)
                 later = set(block[j:])
                 if not any(term_vars(t) & later for t in g.terms[:-1]):
-                    fixers[j].append(a)
-        scope = self._scope(vars)
-        keys = [_compile_terms(g.terms[:-1], scope, self.syms) for g in atoms]
-        values = [_compile_term(g.terms[-1], scope, self.syms) for g in atoms]
-        row_oks = [_compile_fo(g, vars, self.syms, self.budget, "row evaluation")
-                   for g in free]
-        return self._add_row(list(zip(keys, values)), row_oks), keys, fixers
-
-    def _add_row(self, atoms: list[tuple[Callable, Callable]],
-                 row_oks: list[Callable]) -> Callable:
-        """A closure checking a new row (a tuple or list of values) against
-        one determinant->value table per atom, then against the
-        dependence-free conjuncts. On success the tables hold the row and
-        the entries it added are returned, to be undone on backtracking; on
-        failure the tables are left as they were and None is returned."""
-        spend = self.spend
+                    fixing[j].append((a, keys[a]))
+        spend, values = self.spend, self.syms.values
         m = len(atoms)
 
-        def add_row(tables: list[dict], env) -> list | None:
-            if m:
-                spend(m, "dependence atom")
-            added: list[tuple[dict, tuple[int, ...]]] = []
-            for (key, value), table in zip(atoms, tables):
-                k = key(env)
-                v = value(env)
-                old = table.get(k)
-                if old is None:
-                    table[k] = v
-                    added.append((table, k))
-                elif old != v:
-                    break
-            else:
-                for ok in row_oks:
-                    if not ok(env):
+        def make() -> _Sink:
+            n = values[0]
+            tables: list[dict] = [{} for _ in atoms]
+            log: list[list] = []  # the table entries each kept row added
+
+            def add(env) -> bool:
+                if m:
+                    spend(m, "dependence atom")
+                added: list[tuple[dict, tuple[int, ...]]] = []
+                for (key, value), table in zip(terms, tables):
+                    k = key(env)
+                    v = value(env)
+                    old = table.get(k)
+                    if old is None:
+                        table[k] = v
+                        added.append((table, k))
+                    elif old != v:
                         break
                 else:
-                    return added
-            for table, k in added:
-                del table[k]
-            return None
-        return add_row
-
-    # -- team evaluation ------------------------------------------------------
-
-    def _or(self, f: Or, vars: tuple[str, ...]) -> _Node:
-        # per side: its row adder and atom count if it is local, else its node
-        sides = []
-        for g in (f.left, f.right):
-            split = self._local_split(g, vars, ())
-            if split is None:
-                sides.append((self._node(g, vars), None, 0))
-            else:
-                sides.append((None, split[0], len(split[1])))
-        spend = self.spend
-
-        def check(rows):
-            row_list = sorted(rows)
-            # per side: node, row adder, one table per atom, rows placed
-            state = [(node, add_row, [{} for _ in range(m)], [])
-                     for node, add_row, m in sides]
-            # (side, table entries added) per row placed so far
-            placed: list[tuple[int, list]] = []
-            i = side = 0  # the next row, and the side to try it on
-            while True:
-                node, add_row, tables, acc = state[side]
-                row = row_list[i]
-                spend(1, "disjunction split")
-                acc.append(row)
-                if add_row is None:
-                    # no table entries to undo on this side
-                    added = [] if node(frozenset(acc)) else None
-                else:
-                    added = add_row(tables, row)
-                if added is not None:
-                    i += 1
-                    if i == len(row_list):
+                    for ok in row_oks:
+                        if not ok(env):
+                            break
+                    else:
+                        log.append(added)
                         return True
-                    placed.append((side, added))
-                    side = 0
-                    continue
-                acc.pop()
-                while side == 1:
-                    # neither side takes row i: move the last placed row on
-                    if not placed:
-                        return False
-                    side, added = placed.pop()
-                    for table, key in added:
-                        del table[key]
-                    state[side][3].pop()
-                    i -= 1
-                side += 1
-        return check
+                for table, k in added:
+                    del table[k]
+                return False
 
-    def _forall(self, f: Forall, vars: tuple[str, ...]) -> _Node:
-        spend, values = self.spend, self.syms.values
-        if f.var in vars:
-            i = vars.index(f.var)
-            body = self._node(f.body, vars)
+            def undo() -> None:
+                for table, k in log.pop():
+                    del table[k]
 
-            def check(rows):
-                n = values[0]
-                spend(len(rows) * n, "universal extension")
-                return body(frozenset(r[:i] + (a,) + r[i + 1:]
-                                      for r in rows for a in range(n)))
-        else:
-            body = self._node(f.body, vars + (f.var,))
-
-            def check(rows):
-                n = values[0]
-                spend(len(rows) * n, "universal extension")
-                return body(frozenset(r + (a,) for r in rows for a in range(n)))
-        return check
-
-    def _exists(self, f: Exists, vars: tuple[str, ...]) -> _Node:
-        # maximal run of existentials over fresh distinct variables is
-        # extended jointly (each row independently picks a value tuple)
-        block: list[str] = []
-        body: Formula = f
-        while (isinstance(body, Exists) and body.var not in vars
-               and body.var not in block):
-            block.append(body.var)
-            body = body.body
-        values = self.syms.values
-        if block:
-            new_vars = vars + tuple(block)
-            split = self._local_split(body, new_vars, tuple(block))
-            if split is not None:
-                return self._extend_locally(*split, len(vars))
-            k = len(block)
-
-            def extensions(row_list, n):
-                choices = list(itertools.product(range(n), repeat=k))
-                return [[r + t for t in choices] for r in row_list]
-        else:
-            # rebinding an existing variable: overwrite its column
-            body, new_vars = f.body, vars
-            i = vars.index(f.var)
-
-            def extensions(row_list, n):
-                return [[r[:i] + (a,) + r[i + 1:] for a in range(n)]
-                        for r in row_list]
-        body_ok = self._node(body, new_vars)
-        spend = self.spend
-
-        def check(rows):
-            exts = extensions(sorted(rows), values[0])
-            # rows that a rebinding maps to the same values repeat in acc;
-            # the frozenset of acc merges them. One iterator per row of acc
-            # and one for the row being chosen.
-            acc: list[tuple[int, ...]] = []
-            its = [iter(exts[0])]
-            while its:
-                row = next(its[-1], None)
-                if row is None:
-                    its.pop()
-                    if acc:
-                        acc.pop()
-                    continue
-                spend(1, "existential extension")
-                acc.append(row)
-                if not body_ok(frozenset(acc)):
-                    acc.pop()
-                elif len(acc) == len(exts):
-                    return True
-                else:
-                    its.append(iter(exts[len(acc)]))
-            return False
-        return check
-
-    def _extend_locally(self, add_row: Callable, keys: list[Callable],
-                        fixers: list[list[int]], nbase: int) -> _Node:
-        """Choose values for the last len(fixers) columns, row after row,
-        depth-first in lexicographic order. A column that an atom's table
-        already fixes for the row's earlier columns takes only that value
-        (any other would fail the atom), and none if two atoms disagree."""
-        k = len(fixers)
-        # per block column: (atom index, determinant key) of its fixers
-        fixing = [[(a, keys[a]) for a in fix] for fix in fixers]
-        pad = (0,) * k
-        spend, values_ = self.spend, self.syms.values
-
-        def check(rows):
-            row_list = sorted(rows)
-            n = values_[0]
-            # one determinant->value table per atom, for the rows chosen so far
-            tables: list[dict] = [{} for _ in keys]
-
-            def values(env: list[int], j: int):
+            def choices(env: list[int], j: int) -> Iterator[int]:
                 forced = None
                 for a, key in fixing[j]:
                     table = tables[a]
@@ -408,34 +271,121 @@ class _TeamPlan:
                         return iter(())  # two atoms disagree
                     forced = v
                 return iter(range(n) if forced is None else (forced,))
+            return add, undo, choices
+        return make
 
-            # table entries added by each row chosen so far; one frame per
-            # block column of the row being chosen and of each row before it
-            undo: list[list] = []
+    def _whole_team_sink(self, body: Formula, vars: tuple[str, ...]
+                         ) -> Callable[[], _Sink]:
+        node, values = self._node(body, vars), self.syms.values
+
+        def make() -> _Sink:
+            n = values[0]
+            acc: list[tuple[int, ...]] = []
+
+            def add(env) -> bool:
+                acc.append(tuple(env))
+                if node(frozenset(acc)):
+                    return True
+                acc.pop()
+                return False
+            return add, acc.pop, lambda env, j: iter(range(n))
+        return make
+
+    # -- team evaluation ------------------------------------------------------
+
+    def _or(self, f: Or, vars: tuple[str, ...]) -> _Node:
+        left, right = self._sink(f.left, vars, ()), self._sink(f.right, vars, ())
+        spend = self.spend
+
+        def check(rows):
+            row_list = sorted(rows)
+            add_left, undo_left, _ = left()
+            add_right, undo_right, _ = right()
+            adds, undos = (add_left, add_right), (undo_left, undo_right)
+            placed: list[int] = []  # the side of each row placed so far
+            i = side = 0  # the next row, and the side to try it on
+            while True:
+                spend(1, "disjunction split")
+                if adds[side](row_list[i]):
+                    i += 1
+                    if i == len(row_list):
+                        return True
+                    placed.append(side)
+                    side = 0
+                    continue
+                while side == 1:
+                    # neither side takes row i: move the last placed row on
+                    if not placed:
+                        return False
+                    side = placed.pop()
+                    undos[side]()
+                    i -= 1
+                side += 1
+        return check
+
+    def _forall(self, f: Forall, vars: tuple[str, ...]) -> _Node:
+        # a fresh variable is a new last column
+        i = vars.index(f.var) if f.var in vars else len(vars)
+        body = self._node(f.body, vars[:i] + (f.var,) + vars[i + 1:])
+        spend, values = self.spend, self.syms.values
+
+        def check(rows):
+            n = values[0]
+            spend(len(rows) * n, "universal extension")
+            return body(frozenset(r[:i] + (a,) + r[i + 1:]
+                                  for r in rows for a in range(n)))
+        return check
+
+    def _exists(self, f: Exists, vars: tuple[str, ...]) -> _Node:
+        # a maximal run of existentials over fresh distinct variables is
+        # chosen jointly in appended columns; a rebinding existential
+        # overwrites its variable's column
+        block: list[str] = []
+        body: Formula = f
+        while (isinstance(body, Exists) and body.var not in vars
+               and body.var not in block):
+            block.append(body.var)
+            body = body.body
+        if block:
+            new_vars = vars + tuple(block)
+            cols = range(len(vars), len(new_vars))
+        else:
+            body, new_vars, block = f.body, vars, [f.var]
+            cols = (vars.index(f.var),)
+        make = self._sink(body, new_vars, tuple(block))
+        pad = (0,) * (len(new_vars) - len(vars))
+        last = len(block) - 1
+        spend = self.spend
+
+        def check(rows):
+            row_list = sorted(rows)
+            add, undo, choices = make()
+            kept = 0  # rows kept by the sink so far
+            # one frame per block column of the row being chosen and of
+            # each row kept before it
             env = [*row_list[0], *pad]
-            frames = [(env, 0, values(env, 0))]
+            frames = [(env, 0, choices(env, 0))]
             while frames:
                 env, j, it = frames[-1]
                 v = next(it, None)
                 if v is None:
                     frames.pop()
-                    if j == 0 and undo:
+                    if j == 0 and kept:
                         # the previous row goes on to its next value tuple
-                        for table, key in undo.pop():
-                            del table[key]
+                        undo()
+                        kept -= 1
                     continue
-                env[nbase + j] = v
-                if j + 1 < k:
-                    frames.append((env, j + 1, values(env, j + 1)))
+                env[cols[j]] = v
+                if j < last:
+                    frames.append((env, j + 1, choices(env, j + 1)))
                     continue
                 spend(1, "existential extension")
-                added = add_row(tables, env)
-                if added is not None:
-                    if len(undo) + 1 == len(row_list):
+                if add(env):
+                    kept += 1
+                    if kept == len(row_list):
                         return True
-                    undo.append(added)
-                    env = [*row_list[len(undo)], *pad]
-                    frames.append((env, 0, values(env, 0)))
+                    env = [*row_list[kept], *pad]
+                    frames.append((env, 0, choices(env, 0)))
             return False
         return check
 

@@ -411,3 +411,15 @@ def test_work_ledger(name):
     ledger = Ledger()
     assert run(ledger) is verdict
     assert ledger.tally == tally
+
+
+def test_rebinding_existential_checks_one_row_at_a_time():
+    # a rebinding existential whose body is local overwrites its column
+    # row by row against the atoms' tables: 2 atom units per value tried,
+    # where evaluating the whole partial team on each try took 414
+    import itertools
+    team = Team(("x", "y", "u"),
+                frozenset(itertools.product(range(3), repeat=3)))
+    ledger = Ledger()
+    assert satisfies(bare(3), team, d("exists x. (=(u,x) & =(y,x))"), ledger)
+    assert ledger.tally == {EXT: 27, ATOM: 54}

@@ -73,7 +73,10 @@ def _read(path: str) -> str:
 
 
 def _load_json(path: str):
-    return json.loads(_read(path))
+    try:
+        return json.loads(_read(path))
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
 
 
 def _render(out) -> str:

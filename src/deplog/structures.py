@@ -288,8 +288,9 @@ def structure_from_json_dict(data, sig: Signature) -> Structure:
     rels_in, fns_in, consts_in = _json_tables(data)
     rels = {}
     for name, tuples in rels_in.items():
-        if not isinstance(tuples, list) or not all(isinstance(t, list) for t in tuples):
-            raise ShapeError(f"relation {name} must be a list of tuples")
+        if not isinstance(tuples, list) or not all(
+                isinstance(t, list) and all(map(_is_int, t)) for t in tuples):
+            raise ShapeError(f"relation {name} must be a list of integer tuples")
         rels[name] = frozenset(tuple(t) for t in tuples)
     fns = {}
     for name, table in fns_in.items():
@@ -313,11 +314,12 @@ def team_from_json_dict(data, size: int | None = None) -> Team:
     rows_in = data.get("rows")
     if not isinstance(vars_in, list) or not all(isinstance(v, str) for v in vars_in):
         raise ShapeError("'vars' must be a list of variable names")
-    if not isinstance(rows_in, list) or not all(isinstance(r, list) for r in rows_in):
-        raise ShapeError("'rows' must be a list of value rows")
+    if not isinstance(rows_in, list) or not all(
+            isinstance(r, list) and all(map(_is_int, r)) for r in rows_in):
+        raise ShapeError("'rows' must be a list of integer rows")
     team = Team.of(vars_in, rows_in)
     if size is not None:
         for r in team.rows:
-            if not all(_is_int(v) and 0 <= v < size for v in r):
+            if not all(0 <= v < size for v in r):
                 raise ShapeError(f"row {list(r)!r} outside domain of size {size}")
     return team

@@ -233,8 +233,8 @@ class Signature:
         consts = data.get("constants") or []
         if not isinstance(rels, dict) or not isinstance(fns, dict):
             raise ShapeError("'relations' and 'functions' must be objects")
-        if not isinstance(consts, list):
-            raise ShapeError("'constants' must be a list")
+        if not isinstance(consts, list) or not all(isinstance(c, str) for c in consts):
+            raise ShapeError("'constants' must be a list of names")
         return cls(dict(rels), dict(fns), frozenset(consts))
 
 

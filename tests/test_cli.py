@@ -106,6 +106,82 @@ def test_deep_chain_exits_2(write, capsys, command):
 
 
 # ---------------------------------------------------------------------------
+# input contract: a malformed input file exits 2 with one error line
+# ---------------------------------------------------------------------------
+
+GOOD_FILES = {
+    "sentence": "forall x. P(x)",
+    "open": "P(x)",
+    "structure": {"domain": 2, "relations": {"P": [[0], [1]]}},
+    "team": {"vars": ["x"], "rows": [[0], [1]]},
+    "sig": {"relations": {"P": 1}},
+}
+# each subcommand's file arguments (flag, or "" for a positional) by kind
+FILE_ARGS = {
+    "parse": [("", "sentence"), ("--sig", "sig")],
+    "check": [("--formula", "sentence"), ("--structure", "structure")],
+    "eval": [("--formula", "open"), ("--structure", "structure"),
+             ("--team", "team")],
+    "translate": [("--input", "sentence")],
+    "classify": [("--input", "sentence")],
+    "equiv": [("--left", "sentence"), ("--right", "sentence"),
+              ("--sig", "sig")],
+    "enum": [("--sig", "sig")],
+}
+OTHER_ARGS = {"translate": ["--pass", "prenex"], "equiv": ["--max-size", "1"],
+              "enum": ["--size", "1"]}
+# malformed contents (None: the file is absent) for every kind of file,
+# then per kind
+ANY_MALFORMED = {"missing": None, "not_utf8": b"\xff\xfe{}", "empty": ""}
+FORMULA_MALFORMED = {"unbalanced": "forall x. (P(x)",
+                     "deep_parens": "(" * 1500 + "P(x)" + ")" * 1500}
+JSON_MALFORMED = {"not_json": "{", "deep_json": "[" * 100_000,
+                  "not_an_object": []}
+MALFORMED = {
+    "sentence": FORMULA_MALFORMED,
+    "open": FORMULA_MALFORMED,
+    "structure": {**JSON_MALFORMED,
+                  "list_in_tuple": {"domain": 2, "relations": {"P": [[[0]]]}}},
+    "team": {**JSON_MALFORMED,
+             "list_in_row": {"vars": ["x"], "rows": [[[0]]]},
+             "object_in_row": {"vars": ["x"], "rows": [[{}]]}},
+    "sig": {**JSON_MALFORMED,
+            "list_constant": {"relations": {"P": 1}, "constants": [["c"]]}},
+}
+CONTRACT_CASES = [(command, flag, case)
+                  for command, args in FILE_ARGS.items()
+                  for flag, kind in args
+                  for case in (*ANY_MALFORMED, *MALFORMED[kind])]
+
+
+@pytest.mark.parametrize("command,flag,case", CONTRACT_CASES)
+def test_malformed_input_file_exits_2(tmp_path, write, capsys, command, flag,
+                                      case):
+    argv = [command, *OTHER_ARGS.get(command, [])]
+    for arg, kind in FILE_ARGS[command]:
+        if arg != flag:
+            path = write(f"{kind}.in", GOOD_FILES[kind])
+        else:
+            content = {**ANY_MALFORMED, **MALFORMED[kind]}[case]
+            path = str(tmp_path / "bad.in")
+            if isinstance(content, bytes):
+                (tmp_path / "bad.in").write_bytes(content)
+            elif content is not None:
+                write("bad.in", content)
+        argv += [arg, path] if arg else [path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_json_names_the_file(write, capsys):
+    sig = write("sig.json", "[" * 100_000)
+    assert main(["enum", "--sig", sig, "--size", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {sig}: JSON nested too deeply\n")
+
+
+# ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
 
@@ -161,6 +237,7 @@ def test_check_and_eval_non_object_table_exit_2(write, capsys, key):
 
 
 @pytest.mark.parametrize("table", [{"relations": {"E": [[0, True]]}},
+                                   {"relations": {"E": [[0, [1]]]}},
                                    {"functions": {"g": [1, False]}},
                                    {"constants": {"c": True}}])
 def test_check_bool_element_exits_2(write, capsys, table):

@@ -73,8 +73,9 @@ def _read(path: str) -> str:
 
 
 def _load_json(path: str):
+    text = _read(path)
     try:
-        return json.loads(_read(path))
+        return json.loads(text)
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
 

@@ -92,7 +92,7 @@ _Rows = frozenset[tuple[int, ...]]
 _Node = Callable[[_Rows], bool]
 # a sink for one team: add(row), undo() and choices(row, j), see _sink
 _Sink = tuple[Callable[[Sequence[int]], bool], Callable[[], object],
-              Callable[[list[int], int], Iterator[int]]]
+              Callable[[list[int], int], Iterator[int]] | None]
 
 
 def _mark_dep_free(f: Formula, flags: dict[int, bool]) -> bool:
@@ -184,7 +184,7 @@ class _TeamPlan:
         them as they were and returns False; ``undo()`` drops the last row
         kept; ``choices(row, j)`` iterates the values worth trying for the
         j-th variable of block, given the row's columns other than block's
-        and block's first j.
+        and block's first j (a local sink with an empty block has none).
 
         A conjunction of dependence-free formulas and positive dependence
         atoms is checked on the new row alone, against one
@@ -258,6 +258,9 @@ class _TeamPlan:
                 for table, k in log.pop():
                     del table[k]
 
+            if not block:
+                return add, undo, None  # a side of a split chooses nothing
+
             def choices(env: list[int], j: int) -> Iterator[int]:
                 forced = None
                 for a, key in fixing[j]:
@@ -278,8 +281,10 @@ class _TeamPlan:
                          ) -> Callable[[], _Sink]:
         node, values = self._node(body, vars), self.syms.values
 
+        def choices(env: list[int], j: int) -> Iterator[int]:
+            return iter(range(values[0]))
+
         def make() -> _Sink:
-            n = values[0]
             acc: list[tuple[int, ...]] = []
 
             def add(env) -> bool:
@@ -288,7 +293,7 @@ class _TeamPlan:
                     return True
                 acc.pop()
                 return False
-            return add, acc.pop, lambda env, j: iter(range(n))
+            return add, acc.pop, choices
         return make
 
     # -- team evaluation ------------------------------------------------------
@@ -339,7 +344,8 @@ class _TeamPlan:
     def _exists(self, f: Exists, vars: tuple[str, ...]) -> _Node:
         # a maximal run of existentials over fresh distinct variables is
         # chosen jointly in appended columns; a rebinding existential
-        # overwrites its variable's column
+        # overwrites its variable's column. Either way block's columns
+        # start at base.
         block: list[str] = []
         body: Formula = f
         while (isinstance(body, Exists) and body.var not in vars
@@ -347,11 +353,10 @@ class _TeamPlan:
             block.append(body.var)
             body = body.body
         if block:
-            new_vars = vars + tuple(block)
-            cols = range(len(vars), len(new_vars))
+            new_vars, base = vars + tuple(block), len(vars)
         else:
             body, new_vars, block = f.body, vars, [f.var]
-            cols = (vars.index(f.var),)
+            base = vars.index(f.var)
         make = self._sink(body, new_vars, tuple(block))
         pad = (0,) * (len(new_vars) - len(vars))
         last = len(block) - 1
@@ -375,7 +380,7 @@ class _TeamPlan:
                         undo()
                         kept -= 1
                     continue
-                env[cols[j]] = v
+                env[base + j] = v
                 if j < last:
                     frames.append((env, j + 1, choices(env, j + 1)))
                     continue

@@ -30,7 +30,7 @@ from .syntax import (
     check_symbols, contains_dep_atom, free_vars, fresh_var, function_patterns,
     is_quantifier_free, iter_subformulas, iter_terms, or_chain, parse_eso,
     parse_eso_infer, parse_formula, parse_formula_infer, prenex_split,
-    render_eso, render_formula, render_term, replace_term, satisfies_star,
+    render_eso, render_formula, render_term, replace_terms, satisfies_star,
     single_quantification, symbols_of, term_vars,
 )
 from .team_eval import satisfies, sentence_truth

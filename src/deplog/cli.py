@@ -336,7 +336,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the syntax walks recurse once per nesting level
+        # the evaluator compilers recurse once per link of an &/| chain,
+        # and a pass can nest a term deeper than the recursion limit
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
 

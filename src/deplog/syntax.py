@@ -26,6 +26,12 @@ inferred: a bare identifier is a variable, an applied identifier in atom
 position is a relation, and an applied identifier in term position is a
 function (an application followed by "=" is a term, e.g. "f(x) = y").
 Constants are never inferred; they only come from explicit signatures.
+
+Walks: two iterative walks serve the queries and rewrites here:
+iter_subformulas in pre-order and _rebuild bottom-up.  They, free_vars and
+rendering run on explicit stacks, so no walk recurses on formula depth.
+The parser still recurses once per level of parenthesis nesting and
+reports a ParseError past about 240 levels.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ __all__ = [
     "render_term", "render_formula", "render_eso",
     "term_vars", "free_vars", "symbols_of", "eso_symbols",
     "function_patterns", "satisfies_star",
-    "single_quantification", "prenex_split", "fresh_var", "replace_term",
+    "single_quantification", "prenex_split", "fresh_var", "replace_terms",
     "check_symbols", "iter_subformulas", "iter_terms",
     "contains_dep_atom", "is_quantifier_free", "and_chain", "or_chain",
 ]
@@ -149,6 +155,7 @@ class Forall:
 Formula = Union[RelAtom, Equal, DepAtom, Bool, And, Or, Exists, Forall]
 
 _ATOMS = (RelAtom, Equal, DepAtom, Bool)
+_COMPOUND = (And, Or, Exists, Forall)
 
 
 def and_chain(parts: list[Formula]) -> Formula:
@@ -462,19 +469,19 @@ class _Parser:
     # -- grammar -------------------------------------------------------------
 
     def formula(self) -> Formula:
-        if self.at_word("forall") or self.at_word("exists"):
-            t = self.peek()
-            assert t is not None
-            if t.text == "exists" and self.at_word("fn", 1):
+        prefix = []
+        while self.at_word("forall") or self.at_word("exists"):
+            t = self.take()
+            if t.text == "exists" and self.at_word("fn"):
                 raise ParseError(
                     "function quantifiers are only allowed at the front of an ESO sentence",
                     t.pos)
-            self.take()
-            var = self.bind_var()
+            prefix.append((Forall if t.text == "forall" else Exists, self.bind_var()))
             self.expect(".")
-            body = self.formula()
-            return Forall(var, body) if t.text == "forall" else Exists(var, body)
-        return self.disj()
+        f = self.disj()
+        for quantifier, var in reversed(prefix):
+            f = quantifier(var, f)
+        return f
 
     def disj(self) -> Formula:
         f = self.conj()
@@ -678,41 +685,46 @@ def _render_atom(f: Formula) -> str:
     raise ShapeError(f"not an atom: {f!r}")
 
 
-def _render_unit(f: Formula) -> str:
-    if isinstance(f, _ATOMS):
-        return _render_atom(f)
-    return f"({render_formula(f)})"
-
-
-def _render_conj(f: Formula) -> str:
-    if isinstance(f, And):
-        return f"{_render_conj(f.left)} & {_render_unit(f.right)}"
-    return _render_unit(f)
-
-
-def _render_disj(f: Formula) -> str:
-    if isinstance(f, Or):
-        return f"{_render_disj(f.left)} | {_render_conj(f.right)}"
-    return _render_conj(f)
-
-
 def render_formula(f: Formula) -> str:
-    if isinstance(f, (Forall, Exists)):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        if isinstance(f.body, (And, Or)):
-            return f"{kw} {f.var}. ({_render_disj(f.body)})"
-        return f"{kw} {f.var}. {render_formula(f.body)}"
-    return _render_disj(f)
+    return _render([], f, _COMPOUND)
 
 
 def render_eso(s: EsoSentence) -> str:
-    parts = [f"exists fn {n}/{a}. " for n, a in s.functions]
-    parts.extend(f"{k} {v}. " for k, v in s.prefix)
-    if parts and isinstance(s.matrix, (And, Or)):
-        body = f"({_render_disj(s.matrix)})"
-    else:
-        body = render_formula(s.matrix)
-    return "".join(parts) + body
+    heads = [f"exists fn {n}/{a}. " for n, a in s.functions]
+    heads.extend(f"{k} {v}. " for k, v in s.prefix)
+    return _render(heads, s.matrix, (Exists, Forall) if heads else _COMPOUND)
+
+
+def _render(out: list[str], f: Formula, bare: tuple) -> str:
+    """Append ``f`` to the rendered pieces ``out`` and join them.
+
+    The stack holds pieces still to append and (formula, bare) pairs still
+    to render, where ``bare`` lists the compound kinds that need no
+    parentheses in that place: a quantifier body may be a quantifier, a
+    disjunction's left operand a disjunction or a conjunction, a
+    conjunction's left operand a conjunction, and right operands one kind
+    tighter, which keeps both connectives left-associative.
+    """
+    todo: list = [(f, bare)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        g, bare = item
+        if not isinstance(g, _COMPOUND):
+            out.append(_render_atom(g))
+        elif not isinstance(g, bare):
+            todo += ")", (g, _COMPOUND), "("
+        elif isinstance(g, Or):
+            todo += (g.right, (And,)), " | ", (g.left, (Or, And))
+        elif isinstance(g, And):
+            todo += (g.right, ()), " & ", (g.left, (And,))
+        else:
+            kw = "forall" if isinstance(g, Forall) else "exists"
+            out.append(f"{kw} {g.var}. ")
+            todo.append((g.body, (Exists, Forall)))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -720,13 +732,42 @@ def render_eso(s: EsoSentence) -> str:
 # ---------------------------------------------------------------------------
 
 def iter_subformulas(f: Formula) -> Iterator[Formula]:
-    """Pre-order walk over all subformulas, including ``f`` itself."""
-    yield f
-    if isinstance(f, (And, Or)):
-        yield from iter_subformulas(f.left)
-        yield from iter_subformulas(f.right)
-    elif isinstance(f, (Exists, Forall)):
-        yield from iter_subformulas(f.body)
+    """Pre-order walk over all subformulas, including ``f`` itself; left
+    operands come before right ones."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        if isinstance(g, (And, Or)):
+            todo += g.right, g.left
+        elif isinstance(g, (Exists, Forall)):
+            todo.append(g.body)
+
+
+def _rebuild(f: Formula, fix) -> Formula:
+    """Rebuild ``f`` bottom-up, replacing every node g by ``fix(g)`` once
+    g's operands are rebuilt.  Left operands are fixed before right ones,
+    so fresh names come out in reading order."""
+    done: list[Formula] = []
+    todo: list = [(f, False)]
+    while todo:
+        g, ready = todo.pop()
+        if ready:
+            if isinstance(g, (And, Or)):
+                right = done.pop()
+                g = type(g)(done.pop(), right)
+            else:
+                g = type(g)(g.var, done.pop())
+            done.append(fix(g))
+        elif isinstance(g, (And, Or)):
+            todo += (g, True), (g.right, False), (g.left, False)
+        elif isinstance(g, (Exists, Forall)):
+            todo += (g, True), (g.body, False)
+        elif isinstance(g, _ATOMS):
+            done.append(fix(g))
+        else:
+            raise ShapeError(f"not a formula: {g!r}")
+    return done[0]
 
 
 def _atom_terms(f: Formula) -> tuple[Term, ...]:
@@ -740,10 +781,13 @@ def _atom_terms(f: Formula) -> tuple[Term, ...]:
 
 
 def _iter_term_nodes(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, App):
-        for a in t.args:
-            yield from _iter_term_nodes(a)
+    """Pre-order walk over a term and its nested subterms."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        if isinstance(t, App):
+            todo.extend(reversed(t.args))
 
 
 def iter_terms(f: Formula) -> Iterator[Term]:
@@ -762,49 +806,38 @@ def is_quantifier_free(f: Formula) -> bool:
 
 
 def term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Const):
-        return frozenset()
-    out: frozenset[str] = frozenset()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
+    return frozenset(s.name for s in _iter_term_nodes(t) if isinstance(s, Var))
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, _ATOMS):
-        out: frozenset[str] = frozenset()
-        for t in _atom_terms(f):
-            out |= term_vars(t)
-        return out
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise ShapeError(f"not a formula: {f!r}")
-
-
-def _term_symbols(t: Term) -> set[str]:
-    if isinstance(t, (Var, Const)):
-        return {t.name}
-    out = {t.fn}
-    for a in t.args:
-        out |= _term_symbols(a)
-    return out
+    out: set[str] = set()
+    todo = [(f, frozenset())]
+    while todo:
+        g, bound = todo.pop()
+        if isinstance(g, (And, Or)):
+            todo += (g.left, bound), (g.right, bound)
+        elif isinstance(g, (Exists, Forall)):
+            todo.append((g.body, bound | {g.var}))
+        elif isinstance(g, _ATOMS):
+            for t in _atom_terms(g):
+                if not isinstance(t, Var):
+                    out |= term_vars(t) - bound
+                elif t.name not in bound:
+                    out.add(t.name)
+        else:
+            raise ShapeError(f"not a formula: {g!r}")
+    return frozenset(out)
 
 
 def symbols_of(f: Formula) -> set[str]:
     """All identifiers occurring in the formula: variables (free and bound),
     relation, function, and constant symbols. Used as a freshness pool."""
-    out: set[str] = set()
+    out = {t.fn if isinstance(t, App) else t.name for t in iter_terms(f)}
     for sub in iter_subformulas(f):
         if isinstance(sub, RelAtom):
             out.add(sub.rel)
         elif isinstance(sub, (Exists, Forall)):
             out.add(sub.var)
-        for t in _atom_terms(sub):
-            out |= _term_symbols(t)
     return out
 
 
@@ -849,19 +882,8 @@ def satisfies_star(s: EsoSentence) -> bool:
 
 def single_quantification(f: Formula) -> bool:
     """True when no variable is bound by two different quantifiers."""
-    seen: set[str] = set()
-
-    def walk(g: Formula) -> bool:
-        if isinstance(g, (Exists, Forall)):
-            if g.var in seen:
-                return False
-            seen.add(g.var)
-            return walk(g.body)
-        if isinstance(g, (And, Or)):
-            return walk(g.left) and walk(g.right)
-        return True
-
-    return walk(f)
+    bound = [g.var for g in iter_subformulas(f) if isinstance(g, (Exists, Forall))]
+    return len(bound) == len(set(bound))
 
 
 def prenex_split(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
@@ -878,25 +900,10 @@ def prenex_split(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
         raise ShapeError(f"not a sentence: free variables {sorted(loose)}")
     if not single_quantification(f):
         raise ShapeError("a variable is quantified more than once; rename apart first")
-
-    def split(g: Formula) -> tuple[list[tuple[str, str]], Formula]:
-        if isinstance(g, Forall):
-            p, m = split(g.body)
-            return [("forall", g.var)] + p, m
-        if isinstance(g, Exists):
-            p, m = split(g.body)
-            return [("exists", g.var)] + p, m
-        if isinstance(g, And):
-            p1, m1 = split(g.left)
-            p2, m2 = split(g.right)
-            return p1 + p2, And(m1, m2)
-        if isinstance(g, Or):
-            p1, m1 = split(g.left)
-            p2, m2 = split(g.right)
-            return p1 + p2, Or(m1, m2)
-        return [], g
-
-    return split(f)
+    prefix = [("forall" if isinstance(g, Forall) else "exists", g.var)
+              for g in iter_subformulas(f) if isinstance(g, (Exists, Forall))]
+    return prefix, _rebuild(
+        f, lambda g: g.body if isinstance(g, (Exists, Forall)) else g)
 
 
 def fresh_var(used, hint: str = "z") -> str:
@@ -939,21 +946,6 @@ def check_symbols(f: Formula, sig: Signature,
                     f"function {t.fn!r} has arity {want}, got {len(t.args)} arguments")
 
 
-def _map_atoms(f: Formula, fix) -> Formula:
-    """Rebuild ``f`` with every atom g replaced by ``fix(g)``; left operands
-    are visited before right ones, so fresh names come out in reading
-    order."""
-    if isinstance(f, _ATOMS):
-        return fix(f)
-    if isinstance(f, And):
-        return And(_map_atoms(f.left, fix), _map_atoms(f.right, fix))
-    if isinstance(f, Or):
-        return Or(_map_atoms(f.left, fix), _map_atoms(f.right, fix))
-    if isinstance(f, (Exists, Forall)):
-        return type(f)(f.var, _map_atoms(f.body, fix))
-    raise ShapeError(f"not a formula: {f!r}")
-
-
 def _map_terms(f: Formula, fix) -> Formula:
     """Rebuild ``f`` with ``fix`` applied to every argument term of every
     atom."""
@@ -966,14 +958,16 @@ def _map_terms(f: Formula, fix) -> Formula:
             return DepAtom(tuple(fix(t) for t in g.terms), g.negated)
         return g
 
-    return _map_atoms(f, atom)
+    return _rebuild(f, atom)
 
 
-def replace_term(f: Formula, old: Term, new: Term) -> Formula:
-    """Replace every occurrence of the exact term ``old`` (nested ones too)."""
+def replace_terms(f: Formula, mapping: dict[Term, Term]) -> Formula:
+    """Replace every occurrence of each key of ``mapping`` (nested ones too)
+    by its value, in one pass; a replaced occurrence is not searched
+    further."""
     def swap(t: Term) -> Term:
-        if t == old:
-            return new
+        if t in mapping:
+            return mapping[t]
         if isinstance(t, App):
             return App(t.fn, tuple(swap(a) for a in t.args))
         return t

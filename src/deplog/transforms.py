@@ -33,6 +33,11 @@ Function-sentence passes (EsoSentence):
 * deskolemize_functions / eso_to_d: replace each function by an
   existential constrained by a dependence atom over the call shape.
 
+Each substitution is one pass over the formula.  The Skolem and de-Skolem
+passes and eliminate_width1 build one mapping each: no image contains a
+replaced term.  star_normalize and snf_to_star replace one call shape at a
+time, because each step looks for the next shape in the rewritten matrix.
+
 Fresh names come from numbered families (z1, z2, ... for guard variables,
 y1, ... for extracted existentials, f1/g1/h1 ... for functions, and so
 on), falling back to an underscore suffix on collision, so repeated runs
@@ -46,10 +51,10 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .syntax import (
     FALSE, TRUE, And, App, DepAtom, Equal, EsoSentence, Exists, Forall,
-    Formula, Or, Term, Var, _call_shapes, _distinct_var_tuple, _map_atoms,
-    _map_terms, and_chain, contains_dep_atom, eso_symbols, free_vars,
+    Formula, Term, Var, _call_shapes, _distinct_var_tuple, _map_terms,
+    _rebuild, and_chain, contains_dep_atom, eso_symbols, free_vars,
     fresh_var, function_patterns, is_quantifier_free, iter_subformulas,
-    iter_terms, or_chain, prenex_split, replace_term, satisfies_star,
+    iter_terms, or_chain, prenex_split, replace_terms, satisfies_star,
     symbols_of,
 )
 
@@ -120,7 +125,7 @@ def _simplify_core(prefix, matrix, used):
             args.append(Var(z))
         return DepAtom(tuple(args), g.negated)
 
-    new_matrix = _map_atoms(matrix, repair)
+    new_matrix = _rebuild(matrix, repair)
     if equalities:
         new_matrix = and_chain(equalities + [new_matrix])
     return list(prefix) + [("exists", z) for z in order], new_matrix
@@ -168,7 +173,7 @@ def _extract_core(matrix, used):
         bindings.append(DepAtom(tuple(g.terms[:-1]) + (Var(y),)))
         return Equal(Var(y), g.terms[-1])
 
-    return bindings, _map_atoms(matrix, extract)
+    return bindings, _rebuild(matrix, extract)
 
 
 def extract_dep_atoms(
@@ -277,14 +282,11 @@ def skolemize_normal_form(nf: NormalFormD,
     used |= symbols_of(nf.matrix)
     used |= set(reserved)
     names = _Names(used, "f")
-    functions: list[tuple[str, int]] = []
-    matrix = nf.matrix
-    for b in nf.bindings:
-        fn = names.new()
-        pattern = b.terms[:-1]
-        functions.append((fn, len(pattern)))
-        matrix = replace_term(matrix, b.terms[-1], App(fn, pattern))
-    return EsoSentence(tuple(functions), nf.prefix, matrix)
+    functions = [(names.new(), len(b.terms) - 1) for b in nf.bindings]
+    skolem = {b.terms[-1]: App(fn, b.terms[:-1])
+              for (fn, _), b in zip(functions, nf.bindings)}
+    return EsoSentence(tuple(functions), nf.prefix,
+                       replace_terms(nf.matrix, skolem))
 
 
 def d_to_eso(f: Formula, reserved: tuple[str, ...] = ()) -> EsoSentence:
@@ -305,19 +307,17 @@ def skolemize_prefix_existentials(s: EsoSentence,
     used = eso_symbols(s) | set(reserved)
     names = _Names(used, "g")
     functions = list(s.functions)
-    matrix = s.matrix
-    new_prefix: list[tuple[str, str]] = []
-    outer: list[str] = []
+    skolem: dict[Term, Term] = {}
+    outer: list[Var] = []
     for kind, v in s.prefix:
         if kind == "forall":
-            outer.append(v)
-            new_prefix.append((kind, v))
+            outer.append(Var(v))
         else:
             g = names.new()
             functions.append((g, len(outer)))
-            matrix = replace_term(
-                matrix, Var(v), App(g, tuple(Var(u) for u in outer)))
-    return EsoSentence(tuple(functions), tuple(new_prefix), matrix)
+            skolem[Var(v)] = App(g, tuple(outer))
+    return EsoSentence(tuple(functions), tuple(("forall", u.name) for u in outer),
+                       replace_terms(s.matrix, skolem))
 
 
 def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentence:
@@ -357,7 +357,7 @@ def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentenc
         nonlocal matrix
         fresh = tuple(Var(znames.new()) for _ in args)
         prefix.extend(("forall", v.name) for v in fresh)
-        rewritten = replace_term(matrix, App(fn, args), App(fn, fresh))
+        rewritten = replace_terms(matrix, {App(fn, args): App(fn, fresh)})
         mismatches = [Equal(z, t, negated=True) for z, t in zip(fresh, args)]
         matrix = or_chain(mismatches + [rewritten])
 
@@ -390,7 +390,7 @@ def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentenc
         for args in tuples[1:]:
             copy = copies.new()
             functions.append((copy, arities[fn]))
-            matrix = replace_term(matrix, App(fn, args), App(copy, args))
+            matrix = replace_terms(matrix, {App(fn, args): App(copy, args)})
             mismatches = [Equal(a, b, negated=True)
                           for a, b in zip(tuples[0], args)]
             guards.append(or_chain(
@@ -417,14 +417,15 @@ def deskolemize_functions(s: EsoSentence,
     names = _Names(used, "y")
     patterns = function_patterns(s)
     bindings: list[DepAtom] = []
-    matrix = s.matrix
+    deskolem: dict[Term, Term] = {}
     for fn, _ in s.functions:
         if not patterns[fn]:
             continue
         (pattern,) = patterns[fn]
-        y = names.new()
-        bindings.append(DepAtom(pattern + (Var(y),)))
-        matrix = replace_term(matrix, App(fn, pattern), Var(y))
+        y = Var(names.new())
+        bindings.append(DepAtom(pattern + (y,)))
+        deskolem[App(fn, pattern)] = y
+    matrix = replace_terms(s.matrix, deskolem)
     prefix = list(s.prefix) + [("exists", b.terms[-1].name) for b in bindings]
     if bindings:
         matrix = and_chain(list(bindings) + [matrix])
@@ -515,7 +516,7 @@ def snf_to_star(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentence:
             arities[h] = k
             helpers.append(App(h, xs))
             equalities.append(Equal(App(h, xs), arg))
-        matrix = replace_term(matrix, target, App(target.fn, tuple(helpers)))
+        matrix = replace_terms(matrix, {target: App(target.fn, tuple(helpers))})
         matrix = and_chain([matrix] + equalities)
 
     # no symbol may stay on both sides of a composition
@@ -567,9 +568,9 @@ def snf_to_star(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentence:
             guards.append(or_chain(
                 [Equal(v, u, negated=True) for v, u in zip(vs, shape)]
                 + [Equal(App(n, vs[:a]), App(h, xs))]))
-            matrix = replace_term(matrix, App(n, shape), App(h, xs))
+            matrix = replace_terms(matrix, {App(n, shape): App(h, xs)})
         if a <= k:
-            matrix = replace_term(matrix, App(n, xs[:a]), App(n, vs[:a]))
+            matrix = replace_terms(matrix, {App(n, xs[:a]): App(n, vs[:a])})
     diagonal = or_chain(
         [Equal(x, v, negated=True) for x, v in zip(xs, vs)] + [matrix])
     new_prefix = tuple(s.prefix) + tuple(("forall", v.name) for v in vs)
@@ -600,7 +601,7 @@ def collapse_existential_to_fo(f: Formula) -> Formula:
             return FALSE if g.negated else TRUE
         return g
 
-    return _map_atoms(f, polarity)
+    return _rebuild(f, polarity)
 
 
 def eliminate_width1(f: Formula, reserved: tuple[str, ...] = ()) -> Formula:
@@ -617,14 +618,12 @@ def eliminate_width1(f: Formula, reserved: tuple[str, ...] = ()) -> Formula:
     e = d_to_eso(f, reserved)
     used = eso_symbols(e) | set(reserved)
     names = _Names(used, "w")
-    front: list[tuple[str, str]] = []
-    matrix = e.matrix
-    for fn, arity in e.functions:
-        assert arity == 0  # width <= 1 atoms leave empty binding patterns
-        w = names.new()
-        front.append(("exists", w))
-        matrix = replace_term(matrix, App(fn, ()), Var(w))
-    return _wrap_prefix(front + list(e.prefix), matrix)
+    # width <= 1 atoms leave empty binding patterns
+    assert all(arity == 0 for _, arity in e.functions)
+    constants = {App(fn, ()): Var(names.new()) for fn, _ in e.functions}
+    front = [("exists", w.name) for w in constants.values()]
+    return _wrap_prefix(front + list(e.prefix),
+                        replace_terms(e.matrix, constants))
 
 
 def single_forall_reuse(f: Formula, designated: str = "x") -> Formula:
@@ -639,18 +638,10 @@ def single_forall_reuse(f: Formula, designated: str = "x") -> Formula:
     if designated in symbols_of(f):
         raise ShapeError(f"designated variable {designated!r} already occurs")
 
-    def rewrite(g: Formula) -> Formula:
-        if isinstance(g, Forall):
-            return Forall(designated,
-                          Exists(g.var,
-                                 And(Equal(Var(designated), Var(g.var)),
-                                     rewrite(g.body))))
-        if isinstance(g, Exists):
-            return Exists(g.var, rewrite(g.body))
-        if isinstance(g, And):
-            return And(rewrite(g.left), rewrite(g.right))
-        if isinstance(g, Or):
-            return Or(rewrite(g.left), rewrite(g.right))
-        return g
+    def reuse(g: Formula) -> Formula:
+        if not isinstance(g, Forall):
+            return g
+        return Forall(designated, Exists(
+            g.var, And(Equal(Var(designated), Var(g.var)), g.body)))
 
-    return rewrite(f)
+    return _rebuild(f, reuse)

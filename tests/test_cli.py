@@ -85,7 +85,9 @@ DEEP_CHAIN = " & ".join(["P(x)"] * 3000)
 @pytest.mark.parametrize("command", ["parse", "check", "eval", "classify",
                                      "translate", "equiv"])
 def test_deep_chain_exits_2(write, capsys, command):
-    # a traceback would exit 1, which check and eval use for "false"
+    # the syntax layer walks chains iteratively, so the syntax-only
+    # commands succeed; the evaluators still recurse once per link and exit
+    # 2 (a traceback would exit 1, which check and eval use for "false")
     open_f = write("open.dl", DEEP_CHAIN)
     closed = write("closed.dl", f"forall x. ({DEEP_CHAIN})")
     m = write("m.json", {"domain": 1, "relations": {"P": [[0]]}})
@@ -100,9 +102,21 @@ def test_deep_chain_exits_2(write, capsys, command):
         "equiv": ["equiv", "--left", closed, "--right", closed, "--sig", sig,
                   "--max-size", "1"],
     }[command]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err == "error: formula nested too deeply\n"
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if command == "parse":
+        assert (code, out, err) == (0, DEEP_CHAIN + "\n", "")
+    elif command == "translate":
+        assert (code, out, err) == (0, f"forall x. ({DEEP_CHAIN})\n", "")
+    elif command == "classify":
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["forall_count"] == 1
+        assert report["memberships"] == ["D(1-forall)", "D(0-dep)"]
+        assert report["upper_bound"] == "FO"
+    else:
+        assert code == 2
+        assert err == "error: formula nested too deeply\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deplog.errors import ParseError, ShapeError
+from deplog.fragments import classify_d
 from deplog.harness import corpus
 from deplog.syntax import (
     And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, FALSE,
     Forall, Or, RelAtom, Signature, TRUE, Var, and_chain, free_vars,
     fresh_var, function_patterns, is_quantifier_free, or_chain, parse_eso,
     parse_eso_infer, parse_formula, parse_formula_infer, prenex_split,
-    render_eso, render_formula, render_term, satisfies_star,
+    render_eso, render_formula, render_term, replace_terms, satisfies_star,
     single_quantification, symbols_of,
 )
 
@@ -253,6 +254,17 @@ def test_function_patterns_and_star():
     assert not satisfies_star(t)
 
 
+def test_replace_terms_one_pass():
+    y = Var("y")
+    f = parse_formula("P(x, y) & Q(g(x))", SIG)
+    assert render_formula(replace_terms(f, {x(): y, y: x()})) == \
+        "P(y,x) & Q(g(y))"
+    # a replaced term is not searched again, so g(x) -> g(g(x)) ends
+    gx = App("g", (x(),))
+    assert render_formula(replace_terms(f, {gx: App("g", (gx,))})) == \
+        "P(x,y) & Q(g(g(x)))"
+
+
 # ---------------------------------------------------------------------------
 # round trips
 # ---------------------------------------------------------------------------
@@ -324,3 +336,55 @@ def test_eso_render_round_trip(fns, body):
 def test_free_vars_binder_law(f, v):
     assert free_vars(Exists(v, f)) == free_vars(f) - {v}
     assert free_vars(Forall(v, f)) == free_vars(f) - {v}
+
+
+# ---------------------------------------------------------------------------
+# long inputs: every walk runs under the default recursion limit
+# ---------------------------------------------------------------------------
+
+def _long_chain(chain):
+    """forall x. exists y. (3,001 atoms joined by 3,000 connectives)."""
+    xy = (x(), Var("y"))
+    atoms = [DepAtom(xy) if i % 3 == 0 else RelAtom("P", xy)
+             for i in range(3001)]
+    return Forall("x", Exists("y", chain(atoms)))
+
+
+@pytest.mark.parametrize("chain,op", [(and_chain, " & "), (or_chain, " | ")])
+def test_long_chain_walks(chain, op):
+    f = _long_chain(chain)
+    text = render_formula(f)
+    body = op.join(["=(x,y)", "P(x,y)", "P(x,y)"] * 1000 + ["=(x,y)"])
+    assert text == f"forall x. exists y. ({body})"
+    assert render_formula(parse_formula(text, SIG)) == text
+    assert free_vars(f) == frozenset()
+    assert free_vars(f.body.body) == {"x", "y"}
+    assert single_quantification(f)
+    prefix, matrix = prenex_split(f)
+    assert prefix == [("forall", "x"), ("exists", "y")]
+    assert render_formula(matrix) == body
+    assert symbols_of(f) == {"x", "y", "P"}
+    report = classify_d(f)
+    assert (report.forall_count, report.max_dep_width) == (1, 2)
+
+
+def test_long_prefix_walks():
+    names = [f"x{i}" for i in range(1500)]
+    f = and_chain([RelAtom("Q", (x(v),)) for v in (names[0], names[-1])])
+    for i in reversed(range(1500)):
+        f = (Forall if i % 2 == 0 else Exists)(names[i], f)
+    heads = "".join(f"{'exists' if i % 2 else 'forall'} {v}. "
+                    for i, v in enumerate(names))
+    text = render_formula(f)
+    assert text == f"{heads}(Q(x0) & Q(x1499))"
+    assert render_formula(parse_formula(text, SIG)) == text
+    assert free_vars(f) == frozenset()
+    assert single_quantification(f)
+    assert not single_quantification(Forall("x0", f))
+    prefix, matrix = prenex_split(f)
+    assert [v for _, v in prefix] == names
+    assert render_formula(matrix) == "Q(x0) & Q(x1499)"
+    assert symbols_of(f) == set(names) | {"Q"}
+    report = classify_d(f)
+    assert report.forall_count == 750
+    assert report.memberships == ("D(750-forall)", "D(0-dep)")

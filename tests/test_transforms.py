@@ -693,3 +693,36 @@ def test_translate_bytes_pinned_per_pass(tmp_path, capsys):
             h.update(f"{code}\0{captured.out}\0{captured.err}\0".encode())
         got[pass_name] = h.hexdigest()
     assert got == PASS_DIGESTS
+
+
+# every pass on a chain of 1,500 conjuncts (2,000 atoms), longer than the
+# recursion limit; each input meets its pass's precondition
+LONG_BODY = " & ".join(["=(x,y)", "E(x,y)", "(E(y,x) | ~x = y)"] * 500)
+LONG_ESO_BODY = " & ".join(["E(f(x),y)", "E(x,y)", "(E(y,x) | ~f(y) = x)"] * 500)
+LONG_INPUTS = {
+    "fo-collapse": f"exists x. exists y. ({LONG_BODY})",
+    "width1": "forall x. exists y. ({})".format(
+        LONG_BODY.replace("=(x,y)", "=(y)")),
+    "star": f"exists fn f/1. forall x. exists y. ({LONG_ESO_BODY})",
+    "eso2d": f"exists fn f/1. forall x. exists y. ({LONG_ESO_BODY})",
+    "snf": f"exists fn f/1. forall x. exists y. ({LONG_ESO_BODY})",
+    "prop36": f"exists fn f/1. forall x. forall y. ({LONG_ESO_BODY})",
+}
+
+
+@pytest.mark.parametrize("pass_name", _PASS_ORDER)
+def test_translate_long_input(tmp_path, capsys, pass_name):
+    path = tmp_path / "long.dl"
+    path.write_text(LONG_INPUTS.get(pass_name,
+                                    f"forall x. exists y. ({LONG_BODY})"),
+                    encoding="utf-8")
+    assert cli_main(["translate", "--pass", pass_name,
+                     "--input", str(path)]) == 0
+    out = capsys.readouterr().out.rstrip("\n")
+    if "exists fn" in out:
+        assert render_eso(parse_eso_infer(out)[0]) == out
+    else:
+        assert render_formula(parse_formula_infer(out)[0]) == out
+    if pass_name == "d2eso":
+        # one quantified function per dependence atom
+        assert out.count("exists fn ") == 500

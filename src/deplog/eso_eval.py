@@ -217,25 +217,18 @@ def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
 
 def fo_satisfies(struct: Structure, formula: Formula,
                  env: dict[str, int] | None = None,
-                 extra_fns: dict[str, tuple[int, tuple[int, ...]]] | None = None,
                  budget: Budget | None = None) -> bool:
     """Classical (Tarski) satisfaction of a first-order formula by one
-    assignment. ``extra_fns`` supplies tables for symbols outside the
-    signature, as (arity, flat table) pairs."""
+    assignment."""
     env = dict(env or {})
-    extra_fns = extra_fns or {}
-    check_symbols(formula, struct.sig,
-                  extra_fns={n: a for n, (a, _) in extra_fns.items()})
+    check_symbols(formula, struct.sig)
     missing = free_vars(formula) - set(env)
     if missing:
         raise EvalError(f"assignment does not bind free variables {sorted(missing)}")
-    syms = _Symbols(extra_fns)
+    syms = _Symbols()
     check = _compile_fo(formula, tuple(env), syms, budget,
                         "first-order evaluation")
     syms.bind(struct)
-    for name, (_, table) in extra_fns.items():
-        if ("extra", name) in syms.slots:
-            syms.values[syms.slots["extra", name]] = table
     return check(list(env.values()))
 
 

@@ -88,14 +88,8 @@ class Structure:
         return self.functions[name][tuple_index(args, self.size)]
 
 
-def eval_term(struct: Structure, env: dict[str, int], term: Term,
-              extra_fns: dict[str, tuple[int, tuple[int, ...]]] | None = None) -> int:
-    """Value of a term under an assignment.
-
-    ``extra_fns`` maps additional function symbols (e.g. candidates for
-    quantified functions) to (arity, flat table) pairs; they shadow nothing
-    because quantified names may not collide with signature names.
-    """
+def eval_term(struct: Structure, env: dict[str, int], term: Term) -> int:
+    """Value of a term under an assignment."""
     if isinstance(term, Var):
         try:
             return env[term.name]
@@ -107,12 +101,7 @@ def eval_term(struct: Structure, env: dict[str, int], term: Term,
         except KeyError:
             raise EvalError(f"unknown constant {term.name!r}") from None
     if isinstance(term, App):
-        args = tuple(eval_term(struct, env, a, extra_fns) for a in term.args)
-        if extra_fns is not None and term.fn in extra_fns:
-            ar, table = extra_fns[term.fn]
-            if len(args) != ar:
-                raise EvalError(f"{term.fn} expects {ar} arguments, got {len(args)}")
-            return table[tuple_index(args, struct.size)]
+        args = tuple(eval_term(struct, env, a) for a in term.args)
         if term.fn in struct.functions:
             if len(args) != struct.sig.functions[term.fn]:
                 raise EvalError(

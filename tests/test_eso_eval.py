@@ -54,13 +54,6 @@ def test_fo_unbound_variable():
         fo_satisfies(pstruct(2), parse_formula("P(x)", SIG_P))
 
 
-def test_fo_extra_fns():
-    f = parse_formula("h(x) = x", Signature({}, {"h": 1}, frozenset()))
-    m = bare(2)
-    assert fo_satisfies(m, f, {"x": 0}, extra_fns={"h": (1, (0, 0))})
-    assert not fo_satisfies(m, f, {"x": 1}, extra_fns={"h": (1, (0, 0))})
-
-
 def test_fo_deep_right_nested_chain():
     atom = parse_formula("P(x)", SIG_P)
     chain = atom

@@ -87,13 +87,6 @@ def test_tuple_index_lexicographic():
     assert tuple_index((1, 0, 1), 2) == 5
 
 
-def test_extra_fns_shadow_table():
-    m = struct_pe()
-    val = eval_term(m, {"x": 1}, App("h", (Var("x"),)),
-                    extra_fns={"h": (1, (1, 0))})
-    assert val == 0
-
-
 # ---------------------------------------------------------------------------
 # Teams
 # ---------------------------------------------------------------------------

@@ -158,6 +158,47 @@ def test_fn_is_reserved():
         parse_formula("Q(fn)", SIG)
 
 
+_ROLE_CLASHES = [
+    # without a signature: one role and one arity per name
+    (parse_formula_infer, "Q(x) & Q(x,y)"),
+    (parse_formula_infer, "Q(x) & g(Q) = x"),
+    (parse_formula_infer, "Q(x) & Q = x"),
+    (parse_formula_infer, "g(x) = x & g(x,x) = x"),
+    (parse_formula_infer, "g(x) = x & g(x)"),
+    (parse_formula_infer, "forall Q. Q(x)"),
+    # against SIG = {P/2, Q/1; g/1; c}
+    (lambda t: parse_formula(t, SIG), "R(x)"),
+    (lambda t: parse_formula(t, SIG), "Q(x,y)"),
+    (lambda t: parse_formula(t, SIG), "g(x,y) = x"),
+    (lambda t: parse_formula(t, SIG), "g(x)"),
+    (lambda t: parse_formula(t, SIG), "Q(x) = x"),
+    (lambda t: parse_formula(t, SIG), "c(x) = x"),
+    (lambda t: parse_formula(t, SIG), "forall c. Q(c)"),
+    (lambda t: parse_formula(t, SIG), "g = x"),
+    (lambda t: parse_formula(t, SIG), "P(x, Q)"),
+    (lambda t: parse_formula(t, SIG), "forall g. Q(g)"),
+    # functions of an ESO prefix, with and without SIG
+    (None, "exists fn f/1. forall x. f(x, x) = x"),
+    (None, "exists fn f/1. forall x. f = x"),
+    (None, "exists fn f/1. forall x. f(x)"),
+    (None, "exists fn f/1. forall f. Q(f)"),
+    (None, "exists fn f/1. exists fn f/1. forall x. f(x) = x"),
+    (lambda t: parse_eso(t, SIG), "exists fn g/1. forall x. g(x) = x"),
+    (lambda t: parse_eso(t, SIG), "exists fn Q/1. forall x. Q(x) = x"),
+]
+
+
+def test_role_resolution_table():
+    for parse, text in _ROLE_CLASHES:
+        for run in ([parse] if parse else
+                    [parse_eso_infer, lambda t: parse_eso(t, SIG)]):
+            with pytest.raises(ParseError):
+                run(text)
+    assert parse_formula("P(c, x)", SIG) == RelAtom("P", (Const("c"), Var("x")))
+    s = parse_eso("exists fn f/1. forall x. P(f(c), x)", SIG)
+    assert s.matrix == RelAtom("P", (App("f", (Const("c"),)), Var("x")))
+
+
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -310,6 +351,16 @@ _formulas = st.recursive(_atoms, _combine, max_leaves=8)
 @settings(max_examples=300, deadline=None)
 def test_parse_render_round_trip(f):
     assert parse_formula(render_formula(f), SIG) == f
+
+
+@given(_formulas)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_inferred_signature_agrees_with_declared(f):
+    text = render_formula(f)
+    g, inferred = parse_formula_infer(text)
+    assert parse_formula(text, inferred) == g
+    with_c = Signature(inferred.relations, inferred.functions, frozenset({"c"}))
+    assert parse_formula(text, with_c) == f
 
 
 @given(st.lists(st.tuples(st.sampled_from(["f", "h"]), st.integers(0, 2)),

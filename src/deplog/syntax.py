@@ -20,12 +20,14 @@ permitted on atoms, so every parsed formula is in negation normal form;
 of an ESO sentence may contain nested quantifiers as long as no variable
 is quantified twice; they are hoisted into a prenex prefix at parse time.
 
-Parsing runs in one of two modes. With a Signature, every symbol must be
-declared and arities are checked. Without one, the classification is
-inferred: a bare identifier is a variable, an applied identifier in atom
-position is a relation, and an applied identifier in term position is a
-function (an application followed by "=" is a term, e.g. "f(x) = y").
-Constants are never inferred; they only come from explicit signatures.
+Parsing reads syntax only: a bare identifier is a variable, an applied
+identifier in atom position is a relation, and any other applied
+identifier is a function (an application followed by "=" is a term, e.g.
+"f(x) = y"). One resolver then settles the symbol roles. With a
+Signature, every symbol must be declared with the arity used, and bare
+names that are declared constants become constants. Without one, the
+signature is inferred and each name keeps one role and one arity;
+constants only come from explicit signatures.
 
 Walks: two iterative walks serve the queries and rewrites here:
 iter_subformulas in pre-order and _rebuild bottom-up.  They, free_vars and
@@ -333,18 +335,18 @@ def _tokenize(text: str) -> list[_Tok]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, text: str, sig: Signature | None,
-                 bound_fns: dict[str, int] | None = None):
+    """Recursive descent, syntax only.  Records symbol use for _resolve:
+    relation and function arities in order of first use, bare names and
+    quantified names."""
+
+    def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
-        self.sig = sig
-        self.infer = sig is None
-        # function symbols bound by an ESO prefix; checked in both modes
-        self.bound_fns: dict[str, int] = dict(bound_fns or {})
-        self.inf_rels: dict[str, int] = {}
-        self.inf_fns: dict[str, int] = {}
-        self.inf_vars: set[str] = set()
+        self.rels: dict[str, int] = {}
+        self.fns: dict[str, int] = {}
+        self.bare: set[str] = set()
+        self.bound: set[str] = set()
 
     # -- token plumbing ----------------------------------------------------
 
@@ -380,8 +382,6 @@ class _Parser:
         if t is not None:
             raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
 
-    # -- symbol bookkeeping --------------------------------------------------
-
     def _take_name(self, role: str) -> _Tok:
         t = self.peek()
         if t is None:
@@ -392,79 +392,10 @@ class _Parser:
             raise ParseError(f"keyword {t.text!r} cannot be used as a {role} name", t.pos)
         return self.take()
 
-    def bind_var(self, role: str = "variable") -> str:
-        t = self._take_name(role)
-        name = t.text
-        if name in self.bound_fns:
-            raise ParseError(f"{name!r} is a quantified function symbol", t.pos)
-        if self.infer:
-            if name in self.inf_rels or name in self.inf_fns:
-                raise ParseError(f"{name!r} already used as a relation or function", t.pos)
-            self.inf_vars.add(name)
-        else:
-            assert self.sig is not None
-            if name in self.sig.all_names():
-                raise ParseError(f"{name!r} is a declared signature symbol", t.pos)
-        return name
-
-    def _classify_applied(self, name: str, nargs: int, pos: int, *,
-                          term_position: bool) -> str:
-        """Return 'function' or 'relation' for ``name(...)``; check arity."""
-        if name in self.bound_fns:
-            if self.bound_fns[name] != nargs:
-                raise ParseError(
-                    f"{name!r} has arity {self.bound_fns[name]}, got {nargs} arguments", pos)
-            return "function"
-        if not self.infer:
-            assert self.sig is not None
-            if name in self.sig.relations:
-                if term_position:
-                    raise ParseError(f"relation {name!r} used in term position", pos)
-                if self.sig.relations[name] != nargs:
-                    raise ParseError(
-                        f"{name!r} has arity {self.sig.relations[name]}, got {nargs} arguments", pos)
-                return "relation"
-            if name in self.sig.functions:
-                if self.sig.functions[name] != nargs:
-                    raise ParseError(
-                        f"{name!r} has arity {self.sig.functions[name]}, got {nargs} arguments", pos)
-                return "function"
-            if name in self.sig.constants:
-                raise ParseError(f"constant {name!r} cannot take arguments", pos)
-            raise ParseError(f"undeclared symbol {name!r}", pos)
-        # inference mode
-        if name in self.inf_vars:
-            raise ParseError(f"{name!r} already used as a variable", pos)
-        if term_position:
-            if name in self.inf_rels:
-                raise ParseError(f"{name!r} already used as a relation", pos)
-            old = self.inf_fns.setdefault(name, nargs)
-            if old != nargs:
-                raise ParseError(f"{name!r} used with arities {old} and {nargs}", pos)
-            return "function"
-        if name in self.inf_fns:
-            raise ParseError(f"{name!r} already used as a function", pos)
-        old = self.inf_rels.setdefault(name, nargs)
+    def _applied(self, table: dict[str, int], t: _Tok, nargs: int) -> None:
+        old = table.setdefault(t.text, nargs)
         if old != nargs:
-            raise ParseError(f"{name!r} used with arities {old} and {nargs}", pos)
-        return "relation"
-
-    def leaf_term(self, name: str, pos: int) -> Term:
-        if name in self.bound_fns:
-            raise ParseError(f"function {name!r} needs an argument list", pos)
-        if not self.infer:
-            assert self.sig is not None
-            if name in self.sig.constants:
-                return Const(name)
-            if name in self.sig.functions:
-                raise ParseError(f"function {name!r} needs an argument list", pos)
-            if name in self.sig.relations:
-                raise ParseError(f"relation {name!r} used in term position", pos)
-            return Var(name)
-        if name in self.inf_rels or name in self.inf_fns:
-            raise ParseError(f"{name!r} already used as a relation or function", pos)
-        self.inf_vars.add(name)
-        return Var(name)
+            raise ParseError(f"{t.text!r} used with arities {old} and {nargs}", t.pos)
 
     # -- grammar -------------------------------------------------------------
 
@@ -476,7 +407,9 @@ class _Parser:
                 raise ParseError(
                     "function quantifiers are only allowed at the front of an ESO sentence",
                     t.pos)
-            prefix.append((Forall if t.text == "forall" else Exists, self.bind_var()))
+            var = self._take_name("variable").text
+            self.bound.add(var)
+            prefix.append((Forall if t.text == "forall" else Exists, var))
             self.expect(".")
         f = self.disj()
         for quantifier, var in reversed(prefix):
@@ -517,12 +450,7 @@ class _Parser:
             raise ParseError("expected an atom", len(self.text))
         if t.kind == "punct" and t.text == "=":
             self.take()
-            self.expect("(")
-            terms: tuple[Term, ...] = ()
-            if not self.at_punct(")"):
-                terms = tuple(self.terms())
-            self.expect(")")
-            return DepAtom(terms, negated)
+            return DepAtom(self.args(), negated)
         if t.kind == "ident" and t.text == "true":
             self.take()
             return FALSE if negated else TRUE
@@ -534,25 +462,15 @@ class _Parser:
                 raise ParseError(f"keyword {t.text!r} cannot start an atom", t.pos)
             if self.at_punct("(", 1):
                 name_tok = self.take()
-                self.take()  # "("
-                args: tuple[Term, ...] = ()
-                if not self.at_punct(")"):
-                    args = tuple(self.terms())
-                self.expect(")")
+                args = self.args()
                 # "R(x,y)" is a relation atom unless continued by "=",
                 # in which case it was a function term: "f(x) = y"
                 if self.at_punct("="):
-                    self._classify_applied(name_tok.text, len(args), name_tok.pos,
-                                           term_position=True)
+                    self._applied(self.fns, name_tok, len(args))
                     self.take()  # "="
                     right = self.term()
                     return Equal(App(name_tok.text, args), right, negated)
-                kind = self._classify_applied(name_tok.text, len(args), name_tok.pos,
-                                              term_position=False)
-                if kind == "function":
-                    raise ParseError(
-                        f"function application {name_tok.text!r} is not an atom "
-                        "(expected '=' to continue an equality)", name_tok.pos)
+                self._applied(self.rels, name_tok, len(args))
                 return RelAtom(name_tok.text, args, negated)
             left = self.term()
             eq = self.peek()
@@ -563,27 +481,67 @@ class _Parser:
             return Equal(left, right, negated)
         raise ParseError(f"unexpected token {t.text!r} in atom", t.pos)
 
-    def terms(self) -> list[Term]:
-        out = [self.term()]
-        while self.at_punct(","):
-            self.take()
+    def args(self) -> tuple[Term, ...]:
+        """A parenthesized, possibly empty, list of terms."""
+        self.expect("(")
+        out: list[Term] = []
+        if not self.at_punct(")"):
             out.append(self.term())
-        return out
+            while self.at_punct(","):
+                self.take()
+                out.append(self.term())
+        self.expect(")")
+        return tuple(out)
 
     def term(self) -> Term:
         t = self._take_name("term")
-        if self.at_punct("("):
-            self.take()
-            args: tuple[Term, ...] = ()
-            if not self.at_punct(")"):
-                args = tuple(self.terms())
-            self.expect(")")
-            self._classify_applied(t.text, len(args), t.pos, term_position=True)
-            return App(t.text, args)
-        return self.leaf_term(t.text, t.pos)
+        if not self.at_punct("("):
+            self.bare.add(t.text)
+            return Var(t.text)
+        args = self.args()
+        self._applied(self.fns, t, len(args))
+        return App(t.text, args)
 
-    def inferred_signature(self) -> Signature:
-        return Signature(dict(self.inf_rels), dict(self.inf_fns), frozenset())
+
+def _resolve(p: _Parser, f: Formula, sig: Signature | None,
+             bound_fns: dict[str, int]) -> tuple[Formula, Signature]:
+    """Settle the role of every name ``p`` recorded; return the formula and
+    the signature, or raise a ParseError naming the symbol at a clash.
+
+    Against ``sig`` every relation and function used must be declared with
+    the arity used, and bare names that are constants become Const.
+    Without one the signature is inferred and each name keeps one role.
+    ``bound_fns`` (name -> arity) are the functions of an ESO prefix.
+    """
+    if sig is None:
+        both = p.rels.keys() & p.fns.keys()
+        if both:
+            raise ParseError(f"{min(both)!r} used as a relation and a function")
+        sig = Signature(*({n: a for n, a in used.items() if n not in bound_fns}
+                          for used in (p.rels, p.fns)))
+    both = bound_fns.keys() & sig.all_names()
+    if both:
+        raise ParseError(f"quantified function {min(both)!r} is a signature symbol")
+    roles = {**dict.fromkeys(sig.constants, "constant"),
+             **dict.fromkeys(sig.relations, "relation"),
+             **dict.fromkeys(sig.functions, "function"),
+             **dict.fromkeys(bound_fns, "quantified function")}
+    for used, declared, role in ((p.rels, sig.relations, "relation"),
+                                 (p.fns, {**sig.functions, **bound_fns}, "function")):
+        for name, n in used.items():
+            if name not in declared:
+                raise ParseError(
+                    f"{roles.get(name, 'undeclared symbol')} {name!r} used as a {role}")
+            if declared[name] != n:
+                raise ParseError(f"{name!r} has arity {declared[name]}, got {n} arguments")
+    # a constant may stand bare but not be quantified
+    bad = (p.bound & roles.keys()) | (p.bare & roles.keys() - sig.constants)
+    if bad:
+        raise ParseError(f"{roles[min(bad)]} {min(bad)!r} used as a variable")
+    consts = p.bare & sig.constants
+    if consts:
+        f = replace_terms(f, {Var(c): Const(c) for c in consts})
+    return f, sig
 
 
 def parse_formula(text: str, sig: Signature | None = None) -> Formula:
@@ -592,18 +550,19 @@ def parse_formula(text: str, sig: Signature | None = None) -> Formula:
     With ``sig`` all symbols must be declared; without it the symbol roles
     are inferred (bare identifiers become variables).
     """
-    return _whole_formula(_Parser(text, sig))
+    return _parse(_Parser(text), sig, {})[0]
 
 
 def parse_formula_infer(text: str) -> tuple[Formula, Signature]:
     """Parse without a signature; also return the inferred signature."""
-    p = _Parser(text, None)
-    return _whole_formula(p), p.inferred_signature()
+    return _parse(_Parser(text), None, {})
 
 
-def _whole_formula(p: _Parser) -> Formula:
-    """The formula spanning the rest of the input. Nesting deeper than the
-    parser's recursion allows (about 240 parentheses) is a ParseError."""
+def _parse(p: _Parser, sig: Signature | None,
+           bound_fns: dict[str, int]) -> tuple[Formula, Signature]:
+    """Parse the rest of the input as one formula and resolve its symbols.
+    Nesting deeper than the parser's recursion allows (about 240
+    parentheses) is a ParseError."""
     try:
         f = p.formula()
     except RecursionError:
@@ -611,24 +570,18 @@ def _whole_formula(p: _Parser) -> Formula:
         raise ParseError("formula nested too deeply",
                          t.pos if t else len(p.text)) from None
     p.finish()
-    return f
+    return _resolve(p, f, sig, bound_fns)
 
 
-def _parse_eso_with(p: _Parser) -> EsoSentence:
-    fns: list[tuple[str, int]] = []
+def _parse_eso_with(text: str, sig: Signature | None) -> tuple[EsoSentence, Signature]:
+    p = _Parser(text)
+    fns: dict[str, int] = {}
     while p.at_word("exists") and p.at_word("fn", 1):
         p.take()
         p.take()
         name_tok = p._take_name("function")
-        name = name_tok.text
-        if name in p.bound_fns:
-            raise ParseError(f"function {name!r} quantified twice", name_tok.pos)
-        if not p.infer:
-            assert p.sig is not None
-            if name in p.sig.all_names():
-                raise ParseError(
-                    f"quantified function {name!r} collides with a signature symbol",
-                    name_tok.pos)
+        if name_tok.text in fns:
+            raise ParseError(f"function {name_tok.text!r} quantified twice", name_tok.pos)
         p.expect("/")
         ar_tok = p.peek()
         if ar_tok is None or ar_tok.kind != "num":
@@ -636,13 +589,13 @@ def _parse_eso_with(p: _Parser) -> EsoSentence:
                              ar_tok.pos if ar_tok else len(p.text))
         p.take()
         p.expect(".")
-        fns.append((name, int(ar_tok.text)))
-        p.bound_fns[name] = int(ar_tok.text)
-    f = _whole_formula(p)
+        fns[name_tok.text] = int(ar_tok.text)
+    # resolved before prenex_split: a constant is a free Var until then
+    f, sig = _parse(p, sig, fns)
     if contains_dep_atom(f):
         raise ParseError("dependence atoms are not allowed in an ESO sentence")
     prefix, matrix = prenex_split(f)
-    return EsoSentence(tuple(fns), tuple(prefix), matrix)
+    return EsoSentence(tuple(fns.items()), tuple(prefix), matrix), sig
 
 
 def parse_eso(text: str, sig: Signature | None = None) -> EsoSentence:
@@ -651,13 +604,11 @@ def parse_eso(text: str, sig: Signature | None = None) -> EsoSentence:
     The first-order part is hoisted to prenex form; it must be a sentence
     and must not quantify any variable twice.
     """
-    return _parse_eso_with(_Parser(text, sig))
+    return _parse_eso_with(text, sig)[0]
 
 
 def parse_eso_infer(text: str) -> tuple[EsoSentence, Signature]:
-    p = _Parser(text, None)
-    s = _parse_eso_with(p)
-    return s, p.inferred_signature()
+    return _parse_eso_with(text, None)
 
 
 # ---------------------------------------------------------------------------

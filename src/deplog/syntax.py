@@ -803,11 +803,11 @@ def _call_shapes(f: Formula, fns) -> dict[str, list[tuple[Term, ...]]]:
     """Distinct argument tuples of each function named in ``fns``, in first
     occurrence order (pre-order); a function with no occurrence maps to an
     empty list."""
-    out: dict[str, list[tuple[Term, ...]]] = {n: [] for n in fns}
+    out: dict[str, dict[tuple[Term, ...], None]] = {n: {} for n in fns}
     for t in iter_terms(f):
-        if isinstance(t, App) and t.fn in out and t.args not in out[t.fn]:
-            out[t.fn].append(t.args)
-    return out
+        if isinstance(t, App) and t.fn in out:
+            out[t.fn][t.args] = None
+    return {n: list(shapes) for n, shapes in out.items()}
 
 
 def function_patterns(s: EsoSentence) -> dict[str, list[tuple[Term, ...]]]:

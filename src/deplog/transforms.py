@@ -34,9 +34,10 @@ Function-sentence passes (EsoSentence):
   existential constrained by a dependence atom over the call shape.
 
 Each substitution is one pass over the formula.  The Skolem and de-Skolem
-passes and eliminate_width1 build one mapping each: no image contains a
-replaced term.  star_normalize and snf_to_star replace one call shape at a
-time, because each step looks for the next shape in the rewritten matrix.
+passes, eliminate_width1 and star_normalize's split build one mapping
+each: no image contains a replaced term.  star_normalize's flattening and
+snf_to_star replace one call shape at a time, because each step looks for
+the next shape in the rewritten matrix.
 
 Fresh names come from numbered families (z1, z2, ... for guard variables,
 y1, ... for extracted existentials, f1/g1/h1 ... for functions, and so
@@ -384,19 +385,19 @@ def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentenc
 
     guards: list[Formula] = []
     functions = list(s.functions)
-    for fn in fn_names:
-        tuples = _call_shapes(matrix, [fn])[fn]
+    split: dict[Term, Term] = {}
+    for fn, tuples in _call_shapes(matrix, fn_names).items():
         copies = _Names(used, fn + "_")
         for args in tuples[1:]:
             copy = copies.new()
             functions.append((copy, arities[fn]))
-            matrix = replace_terms(matrix, {App(fn, args): App(copy, args)})
+            split[App(fn, args)] = App(copy, args)
             mismatches = [Equal(a, b, negated=True)
                           for a, b in zip(tuples[0], args)]
             guards.append(or_chain(
                 mismatches + [Equal(App(fn, tuples[0]), App(copy, args))]))
     if guards:
-        matrix = and_chain(guards + [matrix])
+        matrix = and_chain(guards + [replace_terms(matrix, split)])
     return EsoSentence(tuple(functions), tuple(prefix), matrix)
 
 

@@ -42,8 +42,9 @@ the next shape in the rewritten matrix.
 Fresh names come from numbered families (z1, z2, ... for guard variables,
 y1, ... for extracted existentials, f1/g1/h1 ... for functions, and so
 on), falling back to an underscore suffix on collision, so repeated runs
-produce identical output.  ``reserved`` excludes extra names, e.g. the
-symbols of a signature the formula does not happen to mention.
+produce identical output.  Every pass avoids the names its input uses;
+extract_dep_atoms, which sees only a body, also avoids its ``reserved``
+names, e.g. the variables of the enclosing prefix.
 """
 from __future__ import annotations
 
@@ -132,7 +133,7 @@ def _simplify_core(prefix, matrix, used):
     return list(prefix) + [("exists", z) for z in order], new_matrix
 
 
-def simplify_atom_terms(f: Formula, reserved: tuple[str, ...] = ()) -> Formula:
+def simplify_atom_terms(f: Formula) -> Formula:
     """Rewrite dependence atoms so each argument is a distinct variable.
 
     An atom whose arguments are already pairwise-distinct variables is left
@@ -143,7 +144,7 @@ def simplify_atom_terms(f: Formula, reserved: tuple[str, ...] = ()) -> Formula:
     replacing all arguments at once keeps the atom's width unchanged.
     """
     prefix, matrix = prenex_split(f)
-    used = symbols_of(f) | set(reserved)
+    used = symbols_of(f)
     new_prefix, new_matrix = _simplify_core(prefix, matrix, used)
     return _wrap_prefix(new_prefix, new_matrix)
 
@@ -261,17 +262,16 @@ class NormalFormD:
         return _wrap_prefix(prefix, body)
 
 
-def to_normal_form(f: Formula, reserved: tuple[str, ...] = ()) -> NormalFormD:
+def to_normal_form(f: Formula) -> NormalFormD:
     """Prenex the sentence, clean its atoms, and hoist them, in one go."""
     prefix, matrix = prenex_split(f)
-    used = symbols_of(f) | set(reserved)
+    used = symbols_of(f)
     prefix, matrix = _simplify_core(prefix, matrix, used)
     bindings, theta = _extract_core(matrix, used)
     return NormalFormD(tuple(prefix), tuple(bindings), theta)
 
 
-def skolemize_normal_form(nf: NormalFormD,
-                          reserved: tuple[str, ...] = ()) -> EsoSentence:
+def skolemize_normal_form(nf: NormalFormD) -> EsoSentence:
     """Turn each binding into a quantified function.
 
     A binding =(z1, ..., zm, y) says y is a function of z1, ..., zm, so
@@ -281,7 +281,6 @@ def skolemize_normal_form(nf: NormalFormD,
     used = {v for _, v in nf.prefix}
     used.update(nf.bound_vars)
     used |= symbols_of(nf.matrix)
-    used |= set(reserved)
     names = _Names(used, "f")
     functions = [(names.new(), len(b.terms) - 1) for b in nf.bindings]
     skolem = {b.terms[-1]: App(fn, b.terms[:-1])
@@ -290,22 +289,21 @@ def skolemize_normal_form(nf: NormalFormD,
                        replace_terms(nf.matrix, skolem))
 
 
-def d_to_eso(f: Formula, reserved: tuple[str, ...] = ()) -> EsoSentence:
+def d_to_eso(f: Formula) -> EsoSentence:
     """Full pipeline from a dependence-logic sentence to a function sentence."""
-    return skolemize_normal_form(to_normal_form(f, reserved), reserved)
+    return skolemize_normal_form(to_normal_form(f))
 
 
 # ---------------------------------------------------------------------------
 # Function sentences: Skolem prefixes and single call shapes
 # ---------------------------------------------------------------------------
 
-def skolemize_prefix_existentials(s: EsoSentence,
-                                  reserved: tuple[str, ...] = ()) -> EsoSentence:
+def skolemize_prefix_existentials(s: EsoSentence) -> EsoSentence:
     """Remove first-order existentials: each becomes a quantified function
     applied to the universals quantified before it."""
     if all(kind == "forall" for kind, _ in s.prefix):
         return s
-    used = eso_symbols(s) | set(reserved)
+    used = eso_symbols(s)
     names = _Names(used, "g")
     functions = list(s.functions)
     skolem: dict[Term, Term] = {}
@@ -321,7 +319,7 @@ def skolemize_prefix_existentials(s: EsoSentence,
                        replace_terms(s.matrix, skolem))
 
 
-def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentence:
+def star_normalize(s: EsoSentence) -> EsoSentence:
     """Rewrite until every quantified function has a single call shape
     consisting of pairwise-distinct universal variables.
 
@@ -347,7 +345,7 @@ def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentenc
             a.name in outer_universals
             for pats in function_patterns(s).values() for p in pats for a in p):
         return s
-    used = eso_symbols(s) | set(reserved)
+    used = eso_symbols(s)
     znames = _Names(used, "z")
     prefix = list(s.prefix)
     matrix = s.matrix
@@ -401,8 +399,7 @@ def star_normalize(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentenc
     return EsoSentence(tuple(functions), tuple(prefix), matrix)
 
 
-def deskolemize_functions(s: EsoSentence,
-                          reserved: tuple[str, ...] = ()) -> Formula:
+def deskolemize_functions(s: EsoSentence) -> Formula:
     """Replace every quantified function by a constrained existential.
 
     Needs the single distinct-variable call shape (run star_normalize
@@ -414,7 +411,7 @@ def deskolemize_functions(s: EsoSentence,
     if not satisfies_star(s):
         raise ShapeError("every function needs a single distinct-variable "
                          "call shape; run star normalization first")
-    used = eso_symbols(s) | set(reserved)
+    used = eso_symbols(s)
     names = _Names(used, "y")
     patterns = function_patterns(s)
     bindings: list[DepAtom] = []
@@ -433,12 +430,12 @@ def deskolemize_functions(s: EsoSentence,
     return _wrap_prefix(prefix, matrix)
 
 
-def eso_to_d(s: EsoSentence, reserved: tuple[str, ...] = ()) -> Formula:
+def eso_to_d(s: EsoSentence) -> Formula:
     """Full pipeline from a function sentence to a dependence-logic sentence."""
-    return deskolemize_functions(star_normalize(s, reserved), reserved)
+    return deskolemize_functions(star_normalize(s))
 
 
-def snf_to_star(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentence:
+def snf_to_star(s: EsoSentence) -> EsoSentence:
     """Single call shapes for a purely universal prefix, by composition.
 
     Where star_normalize spends fresh universals per rewritten call shape,
@@ -475,7 +472,7 @@ def snf_to_star(s: EsoSentence, reserved: tuple[str, ...] = ()) -> EsoSentence:
     if wide:
         raise ShapeError("function arity exceeds the universal count: "
                          + ", ".join(wide))
-    used = eso_symbols(s) | set(reserved)
+    used = eso_symbols(s)
     hnames = _Names(used, "h")
     vnames = _Names(used, "v")
     xs = tuple(Var(v) for _, v in s.prefix)
@@ -605,7 +602,7 @@ def collapse_existential_to_fo(f: Formula) -> Formula:
     return _rebuild(f, polarity)
 
 
-def eliminate_width1(f: Formula, reserved: tuple[str, ...] = ()) -> Formula:
+def eliminate_width1(f: Formula) -> Formula:
     """Remove dependence atoms of width at most one.
 
     =(t) forces one shared value of t across the team, so the function
@@ -616,8 +613,8 @@ def eliminate_width1(f: Formula, reserved: tuple[str, ...] = ()) -> Formula:
     for sub in iter_subformulas(f):
         if isinstance(sub, DepAtom) and len(sub.terms) > 1:
             raise ShapeError("a dependence atom has width above one")
-    e = d_to_eso(f, reserved)
-    used = eso_symbols(e) | set(reserved)
+    e = d_to_eso(f)
+    used = eso_symbols(e)
     names = _Names(used, "w")
     # width <= 1 atoms leave empty binding patterns
     assert all(arity == 0 for _, arity in e.functions)

@@ -18,60 +18,60 @@ The empty team satisfies every formula.
 The search is exhaustive but takes verdict-preserving shortcuts. Formulas
 without dependence atoms are evaluated row by row (satisfaction of such
 formulas only depends on the individual rows), by the classical evaluator
-of eso_eval. The two searches, choosing values at an existential and
-splitting the team at a disjunction, both grow a team one row at a time
-and abandon a partial team as soon as it fails its formula. Every formula
-here is downward closed (a team that satisfies it passes that to all its
-subteams), so a failing partial team cannot grow into a satisfying one.
+of eso_eval. Any other formula is decided by one depth-first search that
+pushes each row of the team down the formula: a universal extends the row
+by every domain value, a conjunction sends it to every conjunct, and the
+two choice points send it on one way of several: a disjunction to one
+side, a run of existentials extended by one value tuple. A check takes the
+row or refuses it, and a refusal undoes the latest choice that has an
+option left. The team a subformula gets is the rows that reach it. Every
+formula here is downward closed (a team that satisfies it passes that to
+all its subteams), so choosing one side or one value tuple per row, with
+equal rows free to choose apart, decides as the team definitions do (J.
+Väänänen, Dependence Logic, 2007; P. Galliani, APAL 163(1), 2012), and a
+partial choice that a check refuses cannot grow into a satisfying one.
 
-Both searches hand their rows to a sink, compiled once per formula: `add`
-keeps a row if the team grown so far still satisfies the formula and
-refuses it otherwise, `undo` drops the last row kept, and `choices` lists
-the values worth trying in one column of a row. A conjunction of
-dependence-free formulas and positive dependence atoms (the shape of the
-normal form "prefix ∃ȳ (=(z̄1,y1) ∧ ... ∧ matrix)" that translations
-produce, and of each side of phi1) gets a local sink. It checks only the
-new row: dependence-free formulas are flat (a team satisfies one iff each
-row does), and a dependence atom is a condition on pairs of rows (a team
-satisfies it iff no two rows agree on the determinant and differ on the
-value), so the new row is checked against one determinant->value table
-per atom and against the dependence-free conjuncts alone. The entries a
-row adds are recorded, and undo deletes them. Its choices force a value:
-an atom =(t̄,y) whose t̄ uses only team columns and variables chosen
-before y fixes y once the row's value of t̄ is in its table, so y is tried
-with that value only (any other fails the atom), and with none when two
-such atoms disagree. On the translation of even_R over its 18 structures
-of size <= 2 this cuts the value tuples tried from 818,210 to 59,781. Any
-other formula (a negated atom, an atom under a disjunction or a
-quantifier) gets a sink that re-evaluates the whole partial team on each
-row and tries every value. Both sinks prune exactly where the whole-team
-check would, in the same order, so verdicts are unchanged.
+A check covers a conjunction's dependence-free conjuncts and positive
+dependence atoms, and looks at the new row alone: dependence-free formulas
+are flat (a team satisfies one iff each row does), and a dependence atom
+is a condition on pairs of rows (a team satisfies it iff no two rows agree
+on the determinant and differ on the value), so the row is checked against
+one determinant->value table per atom. The entries a check adds go on one
+trail, and undoing a choice pops them back to where the choice found
+them. A negated dependence atom is a check that refuses every row; =() is
+dropped. An existential's options force values: an atom =(t̄,y) of its
+body whose t̄ uses only columns before y's fixes y once the row's value of
+t̄ is in its table, so y is tried with that value only (any other fails
+the atom), and with none when two such atoms disagree. On the translation
+of even_R over its 18 structures of size <= 2 this cuts the value tuples
+tried from 818,210 to 59,781.
 
-An existential chooses each row's values column by column, depth-first in
-lexicographic order. A block of fresh variables fills appended columns; a
-rebinding existential overwrites its variable's column, and rows it maps
-to the same values are kept twice, which changes no verdict. A split
-places the sorted rows one at a time, each on the left side first and then
-on the right. A split into two disjoint subteams (a two-colouring of the
-rows) exists whenever any covering pair of subteams does, so a false team
-is refuted without trying all 2^m colourings: phi1 = =(x,y) | =(u,v) on
-all 81 rows over a domain of 3 takes 444 placements. Both searches keep
-their state on an explicit stack, one entry per row, so a long team needs
-no deep Python recursion.
+The search works through rows depth-first on an explicit stack and queues
+the choice points they reach. It takes a choice only when no other work is
+left, the most recent first: a row's own choices are made before the next
+row's, and a universal's extensions are never redone on backtracking. The
+queue is a persistent linked list, so a choice taken saves the queue, the
+trail length and its remaining options in constant time. Rows are handled
+in sorted order, sides left before right and value tuples in
+lexicographic order. A split into two disjoint subteams (a two-colouring
+of the rows) exists whenever any covering pair of subteams does, so a
+false team is refuted without trying all 2^m colourings: phi1 = =(x,y) |
+=(u,v) on all 81 rows over a domain of 3 takes 444 placements. No part of
+the search recurses in Python, so a long team needs no deep recursion.
 
-All of this is planned once per formula and root variables (_TeamPlan):
-every subformula's variables, and so each variable's column, follow from
-the root's and the quantifiers above it. The plan holds per subformula its
-dependence-free flag, the compiled row predicate of a dependence-free one,
-the compiled determinant and value terms of each atom, and each sink with
-the atoms that fix each existential. Deciding a team in another structure
-then rebinds the structure's symbols and walks no syntax. equiv_check
-builds one plan per sentence and runs it on every structure.
+All of this is planned once per formula and root variables (_TeamPlan).
+Each quantifier appends a column of its own to the rows that reach it (a
+rebinding one too: its variable then names the newer column), so every
+subformula's columns are fixed at compile time. The plan holds one node
+per subformula: the compiled row predicates and atom terms of each check,
+and the options of each choice point. Deciding a team in another
+structure then rebinds the structure's symbols and walks no syntax.
+equiv_check builds one plan per sentence and runs it on every structure.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .budget import Budget
 from .errors import EvalError, ShapeError
@@ -81,318 +81,266 @@ from .eso_eval import (
 from .structures import Structure, Team
 from .syntax import (
     And, DepAtom, Exists, Forall, Formula, Or, Var, check_symbols, free_vars,
-    term_vars,
+    iter_subformulas, term_vars,
 )
 
 __all__ = ["satisfies", "sentence_truth"]
 
-_Rows = frozenset[tuple[int, ...]]
-# a compiled formula: does a nonempty team (of rows over the formula's
-# variables, in order) satisfy it?
-_Node = Callable[[_Rows], bool]
-# a sink for one team: add(row), undo() and choices(row, j), see _sink
-_Sink = tuple[Callable[[Sequence[int]], bool], Callable[[], object],
-              Callable[[list[int], int], Iterator[int]] | None]
+_Row = tuple[int, ...]
+# a compiled subformula, (kind, step): a check's step takes or refuses a
+# row, a conjunction's is its conjuncts' nodes, a universal's is its body's
+# node, and a choice's yields a row's options in order, each a (node, row)
+_Node = tuple[int, object]
+_CHECK, _AND, _ALL, _CHOICE = range(4)
 
 
-def _mark_dep_free(f: Formula, flags: dict[int, bool]) -> bool:
-    """Record for f and each subformula whether it is dependence-free."""
-    if isinstance(f, DepAtom):
-        free = False
-    elif isinstance(f, (And, Or)):
-        free = _mark_dep_free(f.left, flags) & _mark_dep_free(f.right, flags)
-    elif isinstance(f, (Exists, Forall)):
-        free = _mark_dep_free(f.body, flags)
-    else:
-        free = True
-    flags[id(f)] = free
-    return free
+def _never(row: _Row) -> bool:
+    return False
+
+
+def _scope(vars: tuple[str, ...]) -> dict[str, int]:
+    # a rebound variable names its newest column
+    return {v: i for i, v in enumerate(vars)}
+
+
+def _mark_dep_free(root: Formula) -> dict[int, bool]:
+    """Whether root and each subformula is dependence-free, by id; the
+    subformulas are visited children first, on an explicit stack."""
+    flags: dict[int, bool] = {}
+    for f in reversed(list(iter_subformulas(root))):
+        if isinstance(f, DepAtom):
+            free = False
+        elif isinstance(f, (And, Or)):
+            free = flags[id(f.left)] and flags[id(f.right)]
+        elif isinstance(f, (Exists, Forall)):
+            free = flags[id(f.body)]
+        else:
+            free = True
+        flags[id(f)] = free
+    return flags
 
 
 class _TeamPlan:
     """A formula compiled once for teams over the given variables; calling
-    the plan with a structure and a team's rows decides satisfaction.
-
-    Every subformula becomes a closure over rows whose variables' columns
-    are fixed at compile time: the variables of a subformula follow from
-    the root's and the quantifiers above it."""
+    the plan with a structure and a team's rows decides satisfaction."""
 
     def __init__(self, root: Formula, vars: tuple[str, ...],
                  budget: Budget | None):
         self.syms = _Symbols()
         self.budget = budget
         self.spend = _spender(budget)
-        self.dep_free: dict[int, bool] = {}
-        _mark_dep_free(root, self.dep_free)
-        self.check = self._node(root, vars)
+        # the table entries the checks added, in order: (table, key)
+        self.trail: list[tuple[dict, tuple]] = []
+        self.dep_free = _mark_dep_free(root)
+        self.root = self._node(root, vars)
 
-    def __call__(self, struct: Structure, rows: _Rows) -> bool:
+    def __call__(self, struct: Structure, rows: frozenset[_Row]) -> bool:
         if not rows:
-            return True  # the only empty team a node can be handed
+            return True
         self.syms.bind(struct)
-        return self.check(rows)
+        trail = self.trail
+        if trail:  # what the last call left in the tables
+            for table, k in trail:
+                del table[k]
+            trail.clear()
+        kind, step = self.root
+        if kind == _CHECK:
+            return all(map(step, rows))
+        spend, n = self.spend, self.syms.values[0]
+        work = [(self.root, row) for row in sorted(rows)]
+        queue = None  # choice points not yet taken: (options, row, rest)
+        frames = []  # per choice taken: (queue, len(trail), options left)
+        while True:
+            while work:
+                (kind, step), row = work.pop()
+                if kind == _CHECK:
+                    if not step(row):
+                        break
+                elif kind == _AND:
+                    work += [(node, row) for node in step]
+                elif kind == _ALL:
+                    spend(n, "universal extension")
+                    work += [(step, row + (a,)) for a in range(n)]
+                else:
+                    queue = step, row, queue
+            else:
+                if queue is None:
+                    return True
+                options, row, queue = queue
+                options = options(row)
+                item = next(options, None)
+                if item is not None:
+                    frames.append((queue, len(trail), options))
+                    work.append(item)
+                    continue
+            # a check refused a row, or a choice had no option: go on
+            # with the next option of the latest choice that has one
+            while True:
+                if not frames:
+                    return False
+                queue, mark, options = frames[-1]
+                while len(trail) > mark:
+                    table, k = trail.pop()
+                    del table[k]
+                item = next(options, None)
+                if item is not None:
+                    break
+                frames.pop()
+            work = [item]
 
     # -- compilation ----------------------------------------------------------
+    # Work is popped from a stack, so a node pushes its successors in order
+    # and they reach their choice points in reverse: the latest queued, and
+    # so the first taken, is the first successor's.
 
     def _node(self, f: Formula, vars: tuple[str, ...]) -> _Node:
         if self.dep_free[id(f)]:
-            row_ok = _compile_fo(f, vars, self.syms, self.budget, "row evaluation")
-            return lambda rows: all(map(row_ok, rows))
-        if isinstance(f, DepAtom):
-            return self._dep(f, vars)
-        if isinstance(f, And):
-            left, right = self._node(f.left, vars), self._node(f.right, vars)
-            return lambda rows: left(rows) and right(rows)
+            return _CHECK, _compile_fo(f, vars, self.syms, self.budget,
+                                       "row evaluation")
         if isinstance(f, Or):
-            return self._or(f, vars)
+            return _CHOICE, self._or(f, vars)
         if isinstance(f, Exists):
-            return self._exists(f, vars)
+            return _CHOICE, self._exists(f, vars)
         if isinstance(f, Forall):
-            return self._forall(f, vars)
-        raise EvalError(f"cannot evaluate {f!r}")
+            return _ALL, self._node(f.body, vars + (f.var,))
+        return self._conjunction(f, vars)[0]
 
-    def _scope(self, vars: tuple[str, ...]) -> dict[str, int]:
-        return {v: i for i, v in enumerate(vars)}
-
-    def _dep(self, f: DepAtom, vars: tuple[str, ...]) -> _Node:
-        if f.negated:
-            # only the empty team satisfies a negated dependence atom
-            return lambda rows: False
-        if not f.terms:
-            return lambda rows: True
-        scope = self._scope(vars)
-        key = _compile_terms(f.terms[:-1], scope, self.syms)
-        value = _compile_term(f.terms[-1], scope, self.syms)
-        spend = self.spend
-
-        def check(rows):
-            spend(len(rows), "dependence atom")
-            determined: dict[tuple[int, ...], int] = {}
-            for row in rows:
-                v = value(row)
-                if determined.setdefault(key(row), v) != v:
-                    return False
-            return True
-        return check
-
-    def _sink(self, body: Formula, vars: tuple[str, ...],
-              block: tuple[str, ...]) -> Callable[[], _Sink]:
-        """Compile body, over rows of ``vars`` in which the variables of
-        block are being chosen, in order, into a maker of sinks, one per
-        team. ``add(row)`` keeps the row (a tuple or list of values) and
-        returns True if the rows kept so far satisfy body, else leaves
-        them as they were and returns False; ``undo()`` drops the last row
-        kept; ``choices(row, j)`` iterates the values worth trying for the
-        j-th variable of block, given the row's columns other than block's
-        and block's first j (a local sink with an empty block has none).
-
-        A conjunction of dependence-free formulas and positive dependence
-        atoms is checked on the new row alone, against one
-        determinant->value table per atom. A column that an atom's table
-        already fixes for the row is offered only that value, and none if
-        two atoms disagree. Any other body is evaluated on all rows kept."""
+    def _conjunction(self, f: Formula, vars: tuple[str, ...]
+                     ) -> tuple[_Node, list[tuple[DepAtom, Callable, dict]]]:
+        """f's conjuncts as one node, with one check for the dependence-free
+        ones and the positive atoms; also each such atom with its compiled
+        determinant and its table."""
         free: list[Formula] = []
         atoms: list[DepAtom] = []
-        todo = [body]
+        others: list[Formula] = []
+        todo = [f]
         while todo:
             g = todo.pop()
             if self.dep_free[id(g)]:
                 free.append(g)
             elif isinstance(g, And):
                 todo += (g.right, g.left)
-            elif isinstance(g, DepAtom) and not g.negated:
+            elif isinstance(g, DepAtom):
+                if g.negated:
+                    # only the empty team satisfies a negated atom, and so
+                    # a conjunction with one
+                    return (_CHECK, _never), []
                 if g.terms:
                     atoms.append(g)
             else:
-                return self._whole_team_sink(body, vars)
-        scope = self._scope(vars)
-        keys = [_compile_terms(g.terms[:-1], scope, self.syms) for g in atoms]
-        terms = list(zip(keys, (_compile_term(g.terms[-1], scope, self.syms)
-                                for g in atoms)))
-        row_oks = [_compile_fo(g, vars, self.syms, self.budget, "row evaluation")
-                   for g in free]
-        # per variable of block: (atom index, determinant key) of the atoms
-        # whose value term is the variable and whose determinant has no
-        # variable of block from it on
-        fixing: list[list[tuple[int, Callable]]] = [[] for _ in block]
-        for a, g in enumerate(atoms):
-            dep = g.terms[-1]
-            if isinstance(dep, Var) and dep.name in block:
-                j = block.index(dep.name)
-                later = set(block[j:])
-                if not any(term_vars(t) & later for t in g.terms[:-1]):
-                    fixing[j].append((a, keys[a]))
-        spend, values = self.spend, self.syms.values
-        m = len(atoms)
+                others.append(g)
+        scope = _scope(vars)
+        tests = [(_compile_terms(g.terms[:-1], scope, self.syms),
+                  _compile_term(g.terms[-1], scope, self.syms), {})
+                 for g in atoms]
+        row_oks = [_compile_fo(g, vars, self.syms, self.budget,
+                               "row evaluation") for g in free]
+        nodes = [self._node(g, vars) for g in others]
+        if tests or row_oks or not nodes:
+            # last, so that it runs before the other conjuncts
+            nodes.append((_CHECK, self._check(tests, row_oks)))
+        node = nodes[0] if len(nodes) == 1 else (_AND, tuple(nodes))
+        return node, [(g, key, table)
+                      for g, (key, _, table) in zip(atoms, tests)]
 
-        def make() -> _Sink:
-            n = values[0]
-            tables: list[dict] = [{} for _ in atoms]
-            log: list[list] = []  # the table entries each kept row added
+    def _check(self, tests: list[tuple[Callable, Callable, dict]],
+               row_oks: list[Callable]) -> Callable[[_Row], bool]:
+        """Take a row if it agrees with every atom's table (adding the
+        entries it is the first to fill) and satisfies every row
+        predicate."""
+        if not tests:
+            if len(row_oks) == 1:
+                return row_oks[0]
+            return lambda row: all(ok(row) for ok in row_oks)
+        spend, push, m = self.spend, self.trail.append, len(tests)
 
-            def add(env) -> bool:
-                if m:
-                    spend(m, "dependence atom")
-                added: list[tuple[dict, tuple[int, ...]]] = []
-                for (key, value), table in zip(terms, tables):
-                    k = key(env)
-                    v = value(env)
-                    old = table.get(k)
-                    if old is None:
-                        table[k] = v
-                        added.append((table, k))
-                    elif old != v:
-                        break
-                else:
-                    for ok in row_oks:
-                        if not ok(env):
-                            break
-                    else:
-                        log.append(added)
-                        return True
-                for table, k in added:
-                    del table[k]
-                return False
+        def check(row: _Row) -> bool:
+            spend(m, "dependence atom")
+            for key, value, table in tests:
+                k = key(row)
+                v = value(row)
+                old = table.get(k)
+                if old is None:
+                    table[k] = v
+                    push((table, k))
+                elif old != v:
+                    return False
+            for ok in row_oks:
+                if not ok(row):
+                    return False
+            return True
+        return check
 
-            def undo() -> None:
-                for table, k in log.pop():
-                    del table[k]
-
-            if not block:
-                return add, undo, None  # a side of a split chooses nothing
-
-            def choices(env: list[int], j: int) -> Iterator[int]:
-                forced = None
-                for a, key in fixing[j]:
-                    table = tables[a]
-                    if not table:
-                        continue
-                    v = table.get(key(env))
-                    if v is None or v == forced:
-                        continue
-                    if forced is not None:
-                        return iter(())  # two atoms disagree
-                    forced = v
-                return iter(range(n) if forced is None else (forced,))
-            return add, undo, choices
-        return make
-
-    def _whole_team_sink(self, body: Formula, vars: tuple[str, ...]
-                         ) -> Callable[[], _Sink]:
-        node, values = self._node(body, vars), self.syms.values
-
-        def choices(env: list[int], j: int) -> Iterator[int]:
-            return iter(range(values[0]))
-
-        def make() -> _Sink:
-            acc: list[tuple[int, ...]] = []
-
-            def add(env) -> bool:
-                acc.append(tuple(env))
-                if node(frozenset(acc)):
-                    return True
-                acc.pop()
-                return False
-            return add, acc.pop, choices
-        return make
-
-    # -- team evaluation ------------------------------------------------------
-
-    def _or(self, f: Or, vars: tuple[str, ...]) -> _Node:
-        left, right = self._sink(f.left, vars, ()), self._sink(f.right, vars, ())
+    def _or(self, f: Or, vars: tuple[str, ...]
+            ) -> Callable[[_Row], Iterator[tuple[_Node, _Row]]]:
+        left, right = self._node(f.left, vars), self._node(f.right, vars)
         spend = self.spend
 
-        def check(rows):
-            row_list = sorted(rows)
-            add_left, undo_left, _ = left()
-            add_right, undo_right, _ = right()
-            adds, undos = (add_left, add_right), (undo_left, undo_right)
-            placed: list[int] = []  # the side of each row placed so far
-            i = side = 0  # the next row, and the side to try it on
-            while True:
-                spend(1, "disjunction split")
-                if adds[side](row_list[i]):
-                    i += 1
-                    if i == len(row_list):
-                        return True
-                    placed.append(side)
-                    side = 0
-                    continue
-                while side == 1:
-                    # neither side takes row i: move the last placed row on
-                    if not placed:
-                        return False
-                    side = placed.pop()
-                    undos[side]()
-                    i -= 1
-                side += 1
-        return check
+        def options(row: _Row) -> Iterator[tuple[_Node, _Row]]:
+            spend(1, "disjunction split")
+            yield left, row
+            spend(1, "disjunction split")
+            yield right, row
+        return options
 
-    def _forall(self, f: Forall, vars: tuple[str, ...]) -> _Node:
-        # a fresh variable is a new last column
-        i = vars.index(f.var) if f.var in vars else len(vars)
-        body = self._node(f.body, vars[:i] + (f.var,) + vars[i + 1:])
-        spend, values = self.spend, self.syms.values
-
-        def check(rows):
-            n = values[0]
-            spend(len(rows) * n, "universal extension")
-            return body(frozenset(r[:i] + (a,) + r[i + 1:]
-                                  for r in rows for a in range(n)))
-        return check
-
-    def _exists(self, f: Exists, vars: tuple[str, ...]) -> _Node:
-        # a maximal run of existentials over fresh distinct variables is
-        # chosen jointly in appended columns; a rebinding existential
-        # overwrites its variable's column. Either way block's columns
-        # start at base.
+    def _exists(self, f: Exists, vars: tuple[str, ...]
+                ) -> Callable[[_Row], Iterator[tuple[_Node, _Row]]]:
+        # a maximal run of existentials is chosen jointly, one column each
         block: list[str] = []
         body: Formula = f
-        while (isinstance(body, Exists) and body.var not in vars
-               and body.var not in block):
+        while isinstance(body, Exists):
             block.append(body.var)
             body = body.body
-        if block:
-            new_vars, base = vars + tuple(block), len(vars)
-        else:
-            body, new_vars, block = f.body, vars, [f.var]
-            base = vars.index(f.var)
-        make = self._sink(body, new_vars, tuple(block))
-        pad = (0,) * (len(new_vars) - len(vars))
-        last = len(block) - 1
-        spend = self.spend
+        new_vars = vars + tuple(block)
+        base = len(vars)
+        node, atoms = self._conjunction(body, new_vars)
+        # per column of block: the tables and determinants of the atoms
+        # whose value term is its variable and whose determinant reads only
+        # earlier columns
+        scope = _scope(new_vars)
+        fixing: list[list[tuple[dict, Callable]]] = [[] for _ in block]
+        for g, key, table in atoms:
+            dep = g.terms[-1]
+            if isinstance(dep, Var) and scope[dep.name] >= base:
+                col = scope[dep.name]
+                if all(scope[v] < col for t in g.terms[:-1]
+                       for v in term_vars(t)):
+                    fixing[col - base].append((table, key))
+        spend, values = self.spend, self.syms.values
 
-        def check(rows):
-            row_list = sorted(rows)
-            add, undo, choices = make()
-            kept = 0  # rows kept by the sink so far
-            # one frame per block column of the row being chosen and of
-            # each row kept before it
-            env = [*row_list[0], *pad]
-            frames = [(env, 0, choices(env, 0))]
-            while frames:
-                env, j, it = frames[-1]
+        def choices(env: _Row, fix: list[tuple[dict, Callable]]
+                    ) -> Iterator[int]:
+            # the values worth trying in env's next column, which fix fixes
+            forced = None
+            for table, key in fix:
+                if not table:
+                    continue
+                v = table.get(key(env))
+                if v is None or v == forced:
+                    continue
+                if forced is not None:
+                    return iter(())  # two atoms disagree
+                forced = v
+            return iter(range(values[0]) if forced is None else (forced,))
+
+        def options(row: _Row) -> Iterator[tuple[_Node, _Row]]:
+            # one (prefix, values left) per column being tried
+            todo = [(row, choices(row, fixing[0]))]
+            while todo:
+                env, it = todo[-1]
+                if len(todo) == len(fixing):
+                    todo.pop()
+                    for v in it:
+                        spend(1, "existential extension")
+                        yield node, env + (v,)
+                    continue
                 v = next(it, None)
                 if v is None:
-                    frames.pop()
-                    if j == 0 and kept:
-                        # the previous row goes on to its next value tuple
-                        undo()
-                        kept -= 1
-                    continue
-                env[base + j] = v
-                if j < last:
-                    frames.append((env, j + 1, choices(env, j + 1)))
-                    continue
-                spend(1, "existential extension")
-                if add(env):
-                    kept += 1
-                    if kept == len(row_list):
-                        return True
-                    env = [*row_list[kept], *pad]
-                    frames.append((env, 0, choices(env, 0)))
-            return False
-        return check
+                    todo.pop()
+                else:
+                    env += (v,)
+                    todo.append((env, choices(env, fixing[len(todo)])))
+        return options
 
 
 def satisfies(struct: Structure, team: Team, formula: Formula,

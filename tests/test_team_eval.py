@@ -192,8 +192,8 @@ def test_full_cover_oracle_agreement():
                         == oracle_satisfies(m, fv, team.rows, f)), (text, team)
 
 
-# existential bodies that are checked one candidate row at a time, and bodies
-# that must fall back to evaluating the whole partial team
+# existential bodies that are one check of each extended row, and bodies
+# whose rows go on to further choice points or to a negated atom
 LOCAL_EXISTS_FORMULAS = [
     "exists z. (~z = y & =(x,z) & =(y,z) & E(x,z))",
     "exists z. (=() & =(z) & E(x,z))",
@@ -207,7 +207,7 @@ LOCAL_EXISTS_FORMULAS = [
     # z = 0 suits row (0,0) but not (0,1): the search must undo row (0,0)
     "exists z. (=(z) & (x = y | z = y))",
 ]
-FALLBACK_EXISTS_FORMULAS = [
+NESTED_EXISTS_FORMULAS = [
     "E(x,y) | (exists z. (~=(x,z) & P(z)))",
     "exists z. (E(x,z) & (=(y,z) | P(z)))",
     "exists z. (E(x,z) & (exists x. =(z,x)))",
@@ -217,7 +217,7 @@ FALLBACK_EXISTS_FORMULAS = [
 
 def test_existential_oracle_agreement():
     for m in grid_structures():
-        for text in LOCAL_EXISTS_FORMULAS + FALLBACK_EXISTS_FORMULAS:
+        for text in LOCAL_EXISTS_FORMULAS + NESTED_EXISTS_FORMULAS:
             f = d(text, SIG_PE)
             fv = tuple(sorted(free_vars(f)))
             for team in enumerate_teams(fv, m.size, max_rows=3):
@@ -225,9 +225,9 @@ def test_existential_oracle_agreement():
                         == oracle_satisfies(m, fv, team.rows, f)), (text, team)
 
 
-# disjunctions whose sides are checked one placed row at a time (a
-# conjunction of positive atoms and dependence-free formulas), and sides that
-# evaluate their whole partial subteam
+# disjunctions whose sides are one check of each placed row (a conjunction
+# of positive atoms and dependence-free formulas), and sides whose rows go
+# on to further choice points or to a negated atom
 DISJUNCTION_FORMULAS = [
     "(=(x,y) & E(x,y)) | (=(y,x) & =() & ~P(x))",  # two local sides
     "=(x,y) | E(x,y) & P(y)",  # a dependence-free side
@@ -316,7 +316,8 @@ def test_forcing_conflict_tries_no_value():
 
 
 def test_long_team_needs_no_recursion():
-    # both searches keep one stack entry per row, not one Python frame
+    # the search keeps its rows and its choices on explicit stacks, not in
+    # Python frames
     import itertools
     team = Team(("x", "y", "u"),
                 frozenset(itertools.product(range(10), repeat=3)))
@@ -335,6 +336,16 @@ def test_deep_right_nested_chain_evaluates():
         for _ in range(899):
             chain = And(atom, chain)
         assert sentence_truth(m, quant("x", chain)) is True
+
+
+def test_deep_dependence_chain_evaluates():
+    # a chain with dependence atoms is walked on explicit stacks only, so it
+    # may nest deeper than Python's recursion limit
+    chain = " & ".join(["=(x)"] + ["P(x)"] * 2999 + ["=(x,y)"])
+    sig = Signature({"P": 1})
+    m = Structure(sig, 1, {"P": frozenset({(0,)})}, {}, {})
+    f = d(f"forall x. exists y. ({chain})", sig)
+    assert sentence_truth(m, f) is True
 
 
 def test_budget_bounds_split_search():
@@ -414,9 +425,9 @@ def test_work_ledger(name):
 
 
 def test_rebinding_existential_checks_one_row_at_a_time():
-    # a rebinding existential whose body is local overwrites its column
-    # row by row against the atoms' tables: 2 atom units per value tried,
-    # where evaluating the whole partial team on each try took 414
+    # a rebinding existential fills a column of its own, checked row by row
+    # against the atoms' tables: 2 atom units per value tried, where
+    # evaluating the whole partial team on each try took 414
     import itertools
     team = Team(("x", "y", "u"),
                 frozenset(itertools.product(range(3), repeat=3)))

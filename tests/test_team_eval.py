@@ -398,10 +398,10 @@ def _ledger_cases():
         "phi1 full": (lambda b: satisfies(bare(3), full, phi1, b),
                       False, {SPLIT: 444, ATOM: 444}),
         "phi2 crowded": (lambda b: satisfies(bare(3), crowded, phi2, b),
-                         True, {SPLIT: 198, ATOM: 186}),
+                         True, {SPLIT: 36, ATOM: 24}),
         "phi2_closed": (lambda b: sentence_truth(
                             bare(2), corpus_item("phi2_closed").formula(), b),
-                        True, {SPLIT: 30, ATOM: 20, EXT: 4, UNIV: 6}),
+                        True, {SPLIT: 8, ATOM: 4, EXT: 4, UNIV: 6}),
         "parity": (lambda b: sentence_truth(
                        Structure(sig_p, 4, {"P": frozenset({(1,), (3,)})},
                                  {}, {}), parity, b),

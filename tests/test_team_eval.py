@@ -402,6 +402,12 @@ def _ledger_cases():
         "phi2_closed": (lambda b: sentence_truth(
                             bare(2), corpus_item("phi2_closed").formula(), b),
                         True, {SPLIT: 8, ATOM: 4, EXT: 4, UNIV: 6}),
+        "phi1_closed": (lambda b: sentence_truth(
+                            bare(3), corpus_item("phi1_closed").formula(), b),
+                        True, {SPLIT: 9, ATOM: 9, EXT: 9, UNIV: 12}),
+        "henkin_eq": (lambda b: sentence_truth(
+                          bare(3), corpus_item("henkin_eq").formula(), b),
+                      True, {ATOM: 15, EXT: 20, ROW: 36, UNIV: 18}),
         "parity": (lambda b: sentence_truth(
                        Structure(sig_p, 4, {"P": frozenset({(1,), (3,)})},
                                  {}, {}), parity, b),

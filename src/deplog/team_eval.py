@@ -146,7 +146,11 @@ class _TeamPlan:
         kind, step = self.root
         if kind == _CHECK:
             return all(map(step, rows))
-        spend, n = self.spend, self.syms.values[0]
+        return self._search(rows)
+
+    def _search(self, rows: frozenset[_Row]) -> bool:
+        """Push the rows down the root node, making its choices."""
+        trail, spend, n = self.trail, self.spend, self.syms.values[0]
         work = [(self.root, row) for row in sorted(rows)]
         queue = None  # choice points not yet taken: (options, row, rest)
         frames = []  # per choice taken: (queue, len(trail), options left)
@@ -323,23 +327,23 @@ class _TeamPlan:
                 forced = v
             return iter(range(values[0]) if forced is None else (forced,))
 
+        last = len(block) - 1
+
         def options(row: _Row) -> Iterator[tuple[_Node, _Row]]:
-            # one (prefix, values left) per column being tried
-            todo = [(row, choices(row, fixing[0]))]
+            # one (prefix, column, values left) per column being tried
+            todo = [(row, 0, choices(row, fixing[0]))]
             while todo:
-                env, it = todo[-1]
-                if len(todo) == len(fixing):
-                    todo.pop()
+                env, j, it = todo.pop()
+                if j == last:
                     for v in it:
                         spend(1, "existential extension")
                         yield node, env + (v,)
                     continue
                 v = next(it, None)
-                if v is None:
-                    todo.pop()
-                else:
+                if v is not None:
+                    todo.append((env, j, it))
                     env += (v,)
-                    todo.append((env, choices(env, fixing[len(todo)])))
+                    todo.append((env, j + 1, choices(env, fixing[j + 1])))
         return options
 
 

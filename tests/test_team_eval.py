@@ -326,8 +326,8 @@ def test_long_team_needs_no_recursion():
 
 
 def test_deep_right_nested_chain_evaluates():
-    # compiling a formula recurses once per nesting level, as evaluating it
-    # did before, so a chain this deep still fits Python's default limit
+    # the classical compiler recurses once per nesting level, so a
+    # dependence-free chain this deep still fits Python's default limit
     sig = Signature({"P": 1})
     m = Structure(sig, 2, {"P": frozenset({(0,), (1,)})}, {}, {})
     for atom, quant in ((RelAtom("P", (Var("x"),)), Forall),

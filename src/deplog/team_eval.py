@@ -23,13 +23,14 @@ pushes each row of the team down the formula: a universal extends the row
 by every domain value, a conjunction sends it to every conjunct, and the
 two choice points send it on one way of several: a disjunction to one
 side, a run of existentials extended by one value tuple. A check takes the
-row or refuses it, and a refusal undoes the latest choice that has an
-option left. The team a subformula gets is the rows that reach it. Every
-formula here is downward closed (a team that satisfies it passes that to
-all its subteams), so choosing one side or one value tuple per row, with
-equal rows free to choose apart, decides as the team definitions do (J.
-Väänänen, Dependence Logic, 2007; P. Galliani, APAL 163(1), 2012), and a
-partial choice that a check refuses cannot grow into a satisfying one.
+row or refuses it, and a refusal undoes the latest choice it depends on
+that has an option left (below). The team a subformula gets is the rows
+that reach it. Every formula here is downward closed (a team that
+satisfies it passes that to all its subteams), so choosing one side or
+one value tuple per row, with equal rows free to choose apart, decides as
+the team definitions do (J. Väänänen, Dependence Logic, 2007; P.
+Galliani, APAL 163(1), 2012), and a partial choice that a check refuses
+cannot grow into a satisfying one.
 
 A check covers a conjunction's dependence-free conjuncts and positive
 dependence atoms, and looks at the new row alone: dependence-free formulas
@@ -53,7 +54,15 @@ row's, and a universal's extensions are never redone on backtracking. The
 queue is a persistent linked list, so a choice taken saves the queue, the
 trail length and its remaining options in constant time. Rows are handled
 in sorted order, sides left before right and value tuples in
-lexicographic order. A split into two disjoint subteams (a two-colouring
+lexicographic order. The rows a check holds depend only on the choices
+made at the choice points above it, so a refusal goes back to the latest
+choice taken at one of those and drops the choices taken since, which
+lie beside its path (conflict-directed backjumping: P. Prosser,
+Computational Intelligence 9(3), 1993). A choice point that runs out of
+options goes back the same way, by the choice points that all its
+options' failures depended on. Going back to the latest choice instead
+would retry every split of a conjunct beside a refused existential,
+2^k tries for k rows. A split into two disjoint subteams (a two-colouring
 of the rows) exists whenever any covering pair of subteams does, so a
 false team is refuted without trying all 2^m colourings: phi1 = =(x,y) |
 =(u,v) on all 81 rows over a domain of 3 takes 444 placements. No part of
@@ -87,10 +96,12 @@ from .syntax import (
 __all__ = ["satisfies", "sentence_truth"]
 
 _Row = tuple[int, ...]
-# a compiled subformula, (kind, step): a check's step takes or refuses a
-# row, a conjunction's is its conjuncts' nodes, a universal's is its body's
-# node, and a choice's yields a row's options in order, each a (node, row)
-_Node = tuple[int, object]
+# a compiled subformula, (kind, step, mask): a check's step takes or refuses
+# a row, a conjunction's is its conjuncts' nodes, a universal's is its
+# body's node, and a choice's is (options, bit, mask), options yielding a
+# row's options in order, each a (node, row); mask has the bit of each
+# choice point on the way from the root to the node, a choice's own too
+_Node = tuple[int, object, int]
 _CHECK, _AND, _ALL, _CHOICE = range(4)
 
 
@@ -132,7 +143,8 @@ class _TeamPlan:
         # the table entries the checks added, in order: (table, key)
         self.trail: list[tuple[dict, tuple]] = []
         self.dep_free = _mark_dep_free(root)
-        self.root = self._node(root, vars)
+        self.choices = 0  # choice points compiled so far
+        self.root = self._node(root, vars, 0)
 
     def __call__(self, struct: Structure, rows: frozenset[_Row]) -> bool:
         if not rows:
@@ -143,7 +155,7 @@ class _TeamPlan:
             for table, k in trail:
                 del table[k]
             trail.clear()
-        kind, step = self.root
+        kind, step, _ = self.root
         if kind == _CHECK:
             return all(map(step, rows))
         return self._search(rows)
@@ -152,11 +164,13 @@ class _TeamPlan:
         """Push the rows down the root node, making its choices."""
         trail, spend, n = self.trail, self.spend, self.syms.values[0]
         work = [(self.root, row) for row in sorted(rows)]
-        queue = None  # choice points not yet taken: (options, row, rest)
-        frames = []  # per choice taken: (queue, len(trail), options left)
+        queue = None  # choice points not yet taken: (step, row, rest)
+        # per choice taken: (queue, len(trail), options left, its bit, the
+        # choice points that it and its failed options depend on)
+        frames = []
         while True:
             while work:
-                (kind, step), row = work.pop()
+                (kind, step, mask), row = work.pop()
                 if kind == _CHECK:
                     if not step(row):
                         break
@@ -170,26 +184,34 @@ class _TeamPlan:
             else:
                 if queue is None:
                     return True
-                options, row, queue = queue
+                (options, bit, mask), row, queue = queue
                 options = options(row)
                 item = next(options, None)
                 if item is not None:
-                    frames.append((queue, len(trail), options))
+                    frames.append((queue, len(trail), options, bit, mask))
                     work.append(item)
                     continue
-            # a check refused a row, or a choice had no option: go on
-            # with the next option of the latest choice that has one
-            while True:
-                if not frames:
-                    return False
-                queue, mark, options = frames[-1]
-                while len(trail) > mark:
-                    table, k = trail.pop()
-                    del table[k]
-                item = next(options, None)
-                if item is not None:
-                    break
+            # a check refused a row, or a choice had no option, and mask
+            # names the choice points the failure depends on: go back to
+            # the latest choice taken at one of them, dropping the choices
+            # taken since (they lie beside the failure's path), and take
+            # its next option; a choice with none left fails in turn, by
+            # all that its options' failures depended on
+            while frames:
+                queue, mark, options, bit, seen = frames[-1]
+                if bit & mask:
+                    while len(trail) > mark:
+                        table, k = trail.pop()
+                        del table[k]
+                    item = next(options, None)
+                    mask |= seen
+                    if item is not None:
+                        if mask != seen:
+                            frames[-1] = queue, mark, options, bit, mask
+                        break
                 frames.pop()
+            else:
+                return False
             work = [item]
 
     # -- compilation ----------------------------------------------------------
@@ -197,19 +219,23 @@ class _TeamPlan:
     # and they reach their choice points in reverse: the latest queued, and
     # so the first taken, is the first successor's.
 
-    def _node(self, f: Formula, vars: tuple[str, ...]) -> _Node:
+    def _node(self, f: Formula, vars: tuple[str, ...], above: int) -> _Node:
+        # above: the mask of the choice points on the way to f
         if self.dep_free[id(f)]:
             return _CHECK, _compile_fo(f, vars, self.syms, self.budget,
-                                       "row evaluation")
-        if isinstance(f, Or):
-            return _CHOICE, self._or(f, vars)
-        if isinstance(f, Exists):
-            return _CHOICE, self._exists(f, vars)
+                                       "row evaluation"), above
         if isinstance(f, Forall):
-            return _ALL, self._node(f.body, vars + (f.var,))
-        return self._conjunction(f, vars)[0]
+            return _ALL, self._node(f.body, vars + (f.var,), above), above
+        if not isinstance(f, (Or, Exists)):
+            return self._conjunction(f, vars, above)[0]
+        bit = 1 << self.choices
+        self.choices += 1
+        above |= bit
+        options = (self._or if isinstance(f, Or) else self._exists)(
+            f, vars, above)
+        return _CHOICE, (options, bit, above), above
 
-    def _conjunction(self, f: Formula, vars: tuple[str, ...]
+    def _conjunction(self, f: Formula, vars: tuple[str, ...], above: int
                      ) -> tuple[_Node, list[tuple[DepAtom, Callable, dict]]]:
         """f's conjuncts as one node, with one check for the dependence-free
         ones and the positive atoms; also each such atom with its compiled
@@ -228,7 +254,7 @@ class _TeamPlan:
                 if g.negated:
                     # only the empty team satisfies a negated atom, and so
                     # a conjunction with one
-                    return (_CHECK, _never), []
+                    return (_CHECK, _never, above), []
                 if g.terms:
                     atoms.append(g)
             else:
@@ -239,11 +265,11 @@ class _TeamPlan:
                  for g in atoms]
         row_oks = [_compile_fo(g, vars, self.syms, self.budget,
                                "row evaluation") for g in free]
-        nodes = [self._node(g, vars) for g in others]
+        nodes = [self._node(g, vars, above) for g in others]
         if tests or row_oks or not nodes:
             # last, so that it runs before the other conjuncts
-            nodes.append((_CHECK, self._check(tests, row_oks)))
-        node = nodes[0] if len(nodes) == 1 else (_AND, tuple(nodes))
+            nodes.append((_CHECK, self._check(tests, row_oks), above))
+        node = nodes[0] if len(nodes) == 1 else (_AND, tuple(nodes), above)
         return node, [(g, key, table)
                       for g, (key, _, table) in zip(atoms, tests)]
 
@@ -275,9 +301,10 @@ class _TeamPlan:
             return True
         return check
 
-    def _or(self, f: Or, vars: tuple[str, ...]
+    def _or(self, f: Or, vars: tuple[str, ...], above: int
             ) -> Callable[[_Row], Iterator[tuple[_Node, _Row]]]:
-        left, right = self._node(f.left, vars), self._node(f.right, vars)
+        left = self._node(f.left, vars, above)
+        right = self._node(f.right, vars, above)
         spend = self.spend
 
         def options(row: _Row) -> Iterator[tuple[_Node, _Row]]:
@@ -287,7 +314,7 @@ class _TeamPlan:
             yield right, row
         return options
 
-    def _exists(self, f: Exists, vars: tuple[str, ...]
+    def _exists(self, f: Exists, vars: tuple[str, ...], above: int
                 ) -> Callable[[_Row], Iterator[tuple[_Node, _Row]]]:
         # a maximal run of existentials is chosen jointly, one column each
         block: list[str] = []
@@ -297,7 +324,7 @@ class _TeamPlan:
             body = body.body
         new_vars = vars + tuple(block)
         base = len(vars)
-        node, atoms = self._conjunction(body, new_vars)
+        node, atoms = self._conjunction(body, new_vars, above)
         # per column of block: the tables and determinants of the atoms
         # whose value term is its variable and whose determinant reads only
         # earlier columns

@@ -315,6 +315,17 @@ def test_forcing_conflict_tries_no_value():
     assert satisfies(bare(2), team, f, Budget(16)) is False
 
 
+def test_forcing_conflict_goes_back_to_the_rows_that_set_it():
+    # the last row takes z from the second row through y and from the
+    # first through w; they first differ (z = 0, then 1 as E(1,z) needs),
+    # so the last row has no value until the first row takes z = 1
+    s = pe(3, E=[(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2)])
+    f = d("exists z. (=(y,z) & =(w,z) & E(x,z))", SIG_PE)
+    team = Team.of(("x", "y", "w"), [(0, 0, 0), (1, 1, 1), (2, 1, 0)])
+    assert satisfies(s, team, f) is True
+    assert oracle_satisfies(s, team.vars, team.rows, f) is True
+
+
 def test_long_team_needs_no_recursion():
     # the search keeps its rows and its choices on explicit stacks, not in
     # Python frames
@@ -408,6 +419,16 @@ def _ledger_cases():
         "henkin_eq": (lambda b: sentence_truth(
                           bare(3), corpus_item("henkin_eq").formula(), b),
                       True, {ATOM: 15, EXT: 20, ROW: 36, UNIV: 18}),
+        # a refusal in the existential conjunct, from the row x = 1, undoes
+        # only the existential's own choices; deciding the two conjuncts
+        # apart spends split 16 and atom 34, and backtracking through the
+        # splits beside the existential as well spends atom 4,086,
+        # doubling with each row more
+        "split beside refused exists": (lambda b: sentence_truth(
+            pe(2, E=[(0, 0), (0, 1)]),
+            d("forall x. forall w. forall v. forall u. ((=(x,x) | =(x,x)) "
+              "& (exists z. (=(z) & E(x,z))))", SIG_PE), b),
+            False, {SPLIT: 17, ATOM: 35, EXT: 18, ROW: 18, UNIV: 30}),
         "parity": (lambda b: sentence_truth(
                        Structure(sig_p, 4, {"P": frozenset({(1,), (3,)})},
                                  {}, {}), parity, b),

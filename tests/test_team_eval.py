@@ -206,6 +206,10 @@ LOCAL_EXISTS_FORMULAS = [
     "exists z. exists w. (=(x,w) & =(z,w) & =(y,z) & E(w,z))",
     # z = 0 suits row (0,0) but not (0,1): the search must undo row (0,0)
     "exists z. (=(z) & (x = y | z = y))",
+    # with E = {(1,1)}, row (1,1) reads z through x from row (1,0) and
+    # through y from row (0,1); when those differ it has no value, and the
+    # search must go back to the rows that fixed them
+    "exists z. (=(x,z) & =(y,z) & (~E(x,y) | z = y))",
 ]
 NESTED_EXISTS_FORMULAS = [
     "E(x,y) | (exists z. (~=(x,z) & P(z)))",
@@ -313,17 +317,6 @@ def test_forcing_conflict_tries_no_value():
     f = d("exists z. (=(x,z) & =(y,z) & z = x)")
     team = Team.of(("x", "y"), [(0, 1), (1, 0), (1, 1)])
     assert satisfies(bare(2), team, f, Budget(16)) is False
-
-
-def test_forcing_conflict_goes_back_to_the_rows_that_set_it():
-    # the last row takes z from the second row through y and from the
-    # first through w; they first differ (z = 0, then 1 as E(1,z) needs),
-    # so the last row has no value until the first row takes z = 1
-    s = pe(3, E=[(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (2, 2)])
-    f = d("exists z. (=(y,z) & =(w,z) & E(x,z))", SIG_PE)
-    team = Team.of(("x", "y", "w"), [(0, 0, 0), (1, 1, 1), (2, 1, 0)])
-    assert satisfies(s, team, f) is True
-    assert oracle_satisfies(s, team.vars, team.rows, f) is True
 
 
 def test_long_team_needs_no_recursion():

@@ -20,9 +20,8 @@ from .harness import (
     CorpusItem, Verdict, corpus, corpus_item, equiv_check, sentence_value,
 )
 from .structures import (
-    Structure, Team, count_structures, enumerate_structures, enumerate_teams,
-    eval_term, structure_from_json_dict, structure_to_json_dict,
-    team_from_json_dict, team_to_json_dict, tuple_index,
+    Structure, Team, enumerate_structures, structure_from_json_dict,
+    structure_to_json_dict, team_from_json_dict, team_to_json_dict,
 )
 from .syntax import (
     And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, FALSE,

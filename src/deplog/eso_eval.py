@@ -90,7 +90,7 @@ def _var_slot(t: Var, scope: dict[str, int]) -> int:
 
 def _compile_term(t: Term, scope: dict[str, int], syms: _Symbols) -> _Value:
     """A term as a closure; function arguments index the flat table in
-    lexicographic order (structures.tuple_index)."""
+    lexicographic order, the first argument most significant."""
     if isinstance(t, Var):
         return itemgetter(_var_slot(t, scope))
     values = syms.values

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 from .budget import Budget, default_check_budget, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
-from .eso_eval import _eso_plan, eso_satisfies
+from .eso_eval import _eso_plan
 from .structures import Structure, enumerate_structures, structure_to_json_dict
 from .syntax import (
     EsoSentence, Formula, Signature, check_symbols, free_vars, parse_eso,
     parse_formula,
 )
-from .team_eval import _sentence_plan, sentence_truth
+from .team_eval import _sentence_plan
 
 __all__ = [
     "Verdict", "equiv_check", "sentence_value",
@@ -39,11 +39,23 @@ __all__ = [
 ]
 
 
+def _plan(s, sig: Signature, budget: Budget | None):
+    """A sentence checked against the signature and compiled once, as a
+    function from structures of that signature to truth (team semantics
+    for a dependence sentence, table search for a function sentence)."""
+    if isinstance(s, EsoSentence):
+        check_symbols(s.matrix, sig, extra_fns=dict(s.functions))
+        return _eso_plan(s, budget)
+    loose = free_vars(s)
+    if loose:
+        raise ShapeError(f"not a sentence: free variables {sorted(loose)}")
+    check_symbols(s, sig)
+    return _sentence_plan(s, budget)
+
+
 def sentence_value(struct: Structure, s, budget: Budget | None = None) -> bool:
     """Truth of a sentence in one structure, picking the semantics by kind."""
-    if isinstance(s, EsoSentence):
-        return eso_satisfies(struct, s, budget)
-    return sentence_truth(struct, s, budget)
+    return _plan(s, struct.sig, budget)(struct)
 
 
 @dataclass(frozen=True)
@@ -79,23 +91,6 @@ class Verdict:
         return out
 
 
-def _plan(s, budget: Budget):
-    """A sentence compiled once, as a function from structures to truth."""
-    if isinstance(s, EsoSentence):
-        return _eso_plan(s, budget)
-    return _sentence_plan(s, budget)
-
-
-def _check_sentence(s, sig: Signature) -> None:
-    if isinstance(s, EsoSentence):
-        check_symbols(s.matrix, sig, extra_fns=dict(s.functions))
-        return
-    loose = free_vars(s)
-    if loose:
-        raise ShapeError(f"not a sentence: free variables {sorted(loose)}")
-    check_symbols(s, sig)
-
-
 def equiv_check(left, right, sig: Signature, max_n: int,
                 budget: int | None = None) -> Verdict:
     """Compare two sentences on all structures of sizes 1..max_n.
@@ -112,13 +107,11 @@ def equiv_check(left, right, sig: Signature, max_n: int,
         raise ShapeError("max_n must be at least 1")
     if budget is not None and budget < 1:
         raise ShapeError("budget must be at least 1")
-    _check_sentence(left, sig)
-    _check_sentence(right, sig)
     sbudget = Budget(budget) if budget is not None else default_structure_budget()
     cbudget = Budget(budget) if budget is not None else default_check_budget()
     start = time.perf_counter()
-    left_value = _plan(left, cbudget)
-    right_value = _plan(right, cbudget)
+    left_value = _plan(left, sig, cbudget)
+    right_value = _plan(right, sig, cbudget)
     checked = 0
     size = 1
     try:

@@ -13,25 +13,14 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .budget import Budget
-from .errors import EvalError, ShapeError
-from .syntax import App, Const, Signature, Term, Var
+from .errors import ShapeError
+from .syntax import Signature
 
 __all__ = [
-    "Structure", "Team",
-    "tuple_index", "eval_term",
-    "count_structures", "enumerate_structures",
-    "enumerate_teams",
+    "Structure", "Team", "enumerate_structures",
     "structure_to_json_dict", "structure_from_json_dict",
     "team_to_json_dict", "team_from_json_dict",
 ]
-
-
-def tuple_index(args: tuple[int, ...], size: int) -> int:
-    """Position of an argument tuple in lexicographic order."""
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
 
 
 def _is_int(v) -> bool:
@@ -84,32 +73,6 @@ class Structure:
             if not _is_int(val) or not 0 <= val < n:
                 raise ShapeError(f"constant {name} value {val!r} outside the domain")
 
-    def fn_value(self, name: str, args: tuple[int, ...]) -> int:
-        return self.functions[name][tuple_index(args, self.size)]
-
-
-def eval_term(struct: Structure, env: dict[str, int], term: Term) -> int:
-    """Value of a term under an assignment."""
-    if isinstance(term, Var):
-        try:
-            return env[term.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {term.name!r}") from None
-    if isinstance(term, Const):
-        try:
-            return struct.constants[term.name]
-        except KeyError:
-            raise EvalError(f"unknown constant {term.name!r}") from None
-    if isinstance(term, App):
-        args = tuple(eval_term(struct, env, a) for a in term.args)
-        if term.fn in struct.functions:
-            if len(args) != struct.sig.functions[term.fn]:
-                raise EvalError(
-                    f"{term.fn} expects {struct.sig.functions[term.fn]} arguments, got {len(args)}")
-            return struct.functions[term.fn][tuple_index(args, struct.size)]
-        raise EvalError(f"unknown function {term.fn!r}")
-    raise EvalError(f"not a term: {term!r}")
-
 
 # ---------------------------------------------------------------------------
 # Teams
@@ -153,36 +116,10 @@ class Team:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def index(self, var: str) -> int:
-        try:
-            return self.vars.index(var)
-        except ValueError:
-            raise ShapeError(f"variable {var!r} not in team") from None
-
-    def restrict(self, keep) -> "Team":
-        """Project onto a subset of the variables (order as given)."""
-        keep = tuple(keep)
-        cols = [self.index(v) for v in keep]
-        return Team(keep, frozenset(tuple(r[c] for c in cols) for r in self.rows))
-
-
 
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
-
-def count_structures(sig: Signature, size: int) -> int:
-    """Number of structures of the signature with the given domain size."""
-    if size < 1:
-        raise ShapeError("domain size must be at least 1")
-    total = 1
-    for ar in sig.relations.values():
-        total *= 2 ** (size ** ar)
-    for ar in sig.functions.values():
-        total *= size ** (size ** ar)
-    total *= size ** len(sig.constants)
-    return total
-
 
 def _rel_options(size: int, arity: int) -> Iterator[frozenset[tuple[int, ...]]]:
     tuples = list(itertools.product(range(size), repeat=arity))
@@ -228,16 +165,6 @@ def enumerate_structures(sig: Signature, size: int,
             del consts[name]
 
     return rec(0, {}, {}, {})
-
-
-def enumerate_teams(var_names, size: int, max_rows: int | None = None) -> Iterator[Team]:
-    """All teams over the given variables, smallest first (empty team included)."""
-    var_names = tuple(var_names)
-    all_rows = list(itertools.product(range(size), repeat=len(var_names)))
-    top = len(all_rows) if max_rows is None else min(max_rows, len(all_rows))
-    for k in range(top + 1):
-        for chosen in itertools.combinations(all_rows, k):
-            yield Team(var_names, frozenset(chosen))
 
 
 # ---------------------------------------------------------------------------

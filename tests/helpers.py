@@ -8,6 +8,9 @@ with different data layouts and search orders than the package code:
   value-choice functions, with no memoization and no shortcuts.
 * oracle_fo / oracle_eso evaluate function sentences with dict-based
   tables keyed by argument tuple, enumerated per sorted argument order.
+  Every term, in every oracle, is evaluated by _oracle_term.
+* count_structures, enumerate_teams and restrict are the tests' own
+  reference counts and team builders.
 
 Expected values in the test files marked as frozen were computed with
 these oracles and then written down as literals; the tests assert both
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from deplog.structures import Structure, eval_term
+from deplog.structures import Structure, Team
 from deplog.syntax import (
     And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, Forall,
     Formula, Or, RelAtom, Var,
@@ -32,18 +35,6 @@ def _row_env(vars: tuple[str, ...], row: tuple[int, ...]) -> dict[str, int]:
     return dict(zip(vars, row))
 
 
-def _literal_holds(struct: Structure, env: dict[str, int], f: Formula) -> bool:
-    if isinstance(f, RelAtom):
-        args = tuple(eval_term(struct, env, a) for a in f.args)
-        return (args in struct.relations[f.rel]) != f.negated
-    if isinstance(f, Equal):
-        same = eval_term(struct, env, f.left) == eval_term(struct, env, f.right)
-        return same != f.negated
-    if isinstance(f, Bool):
-        return f.value
-    raise AssertionError(f"not a literal: {f!r}")
-
-
 def oracle_satisfies(struct: Structure, vars, rows, f: Formula) -> bool:
     """Team satisfaction straight from the definition, no shortcuts."""
     vars = tuple(vars)
@@ -51,7 +42,7 @@ def oracle_satisfies(struct: Structure, vars, rows, f: Formula) -> bool:
     if not rows:
         return True
     if isinstance(f, (RelAtom, Equal, Bool)):
-        return all(_literal_holds(struct, _row_env(vars, r), f) for r in rows)
+        return all(oracle_fo(struct, _row_env(vars, r), f) for r in rows)
     if isinstance(f, DepAtom):
         if f.negated:
             return False
@@ -60,8 +51,8 @@ def oracle_satisfies(struct: Structure, vars, rows, f: Formula) -> bool:
         seen: dict[tuple[int, ...], int] = {}
         for r in rows:
             env = _row_env(vars, r)
-            key = tuple(eval_term(struct, env, t) for t in f.terms[:-1])
-            val = eval_term(struct, env, f.terms[-1])
+            key = tuple(_oracle_term(struct, env, t, {}) for t in f.terms[:-1])
+            val = _oracle_term(struct, env, f.terms[-1], {})
             if seen.setdefault(key, val) != val:
                 return False
         return True
@@ -123,7 +114,10 @@ def _oracle_term(struct: Structure, env, t, tables) -> int:
         args = tuple(_oracle_term(struct, env, a, tables) for a in t.args)
         if t.fn in tables:
             return tables[t.fn][args]
-        return struct.fn_value(t.fn, args)
+        idx = 0  # flat tables list argument tuples first-argument-major
+        for a in args:
+            idx = idx * struct.size + a
+        return struct.functions[t.fn][idx]
     raise AssertionError(f"not a term: {t!r}")
 
 
@@ -194,3 +188,35 @@ def oracle_value(struct: Structure, sentence) -> bool:
     if isinstance(sentence, EsoSentence):
         return oracle_eso(struct, sentence)
     return oracle_sentence_truth(struct, sentence)
+
+
+# ---------------------------------------------------------------------------
+# Reference counts and team builders
+# ---------------------------------------------------------------------------
+
+def count_structures(sig, size: int) -> int:
+    """Number of structures of the signature with the given domain size."""
+    total = 1
+    for ar in sig.relations.values():
+        total *= 2 ** (size ** ar)
+    for ar in sig.functions.values():
+        total *= size ** (size ** ar)
+    return total * size ** len(sig.constants)
+
+
+def enumerate_teams(var_names, size: int, max_rows: int | None = None):
+    """All teams over the given variables, smallest first (empty team included)."""
+    var_names = tuple(var_names)
+    all_rows = list(itertools.product(range(size), repeat=len(var_names)))
+    top = len(all_rows) if max_rows is None else min(max_rows, len(all_rows))
+    for k in range(top + 1):
+        for chosen in itertools.combinations(all_rows, k):
+            yield Team(var_names, frozenset(chosen))
+
+
+def restrict(team: Team, keep) -> Team:
+    """Project a team onto some of its variables, in the order given; an
+    unknown variable is a ValueError."""
+    keep = tuple(keep)
+    cols = [team.vars.index(v) for v in keep]
+    return Team(keep, frozenset(tuple(r[c] for c in cols) for r in team.rows))

@@ -8,11 +8,11 @@ needs, so single tests can be selected with -k.
 import random
 import time
 
-from helpers import oracle_satisfies
+from helpers import enumerate_teams, oracle_satisfies, restrict
 from deplog.cli import _PASS_ORDER, main as cli_main
 from deplog.fragments import classify_d, classify_eso
 from deplog.harness import corpus, corpus_item, equiv_check, sentence_value
-from deplog.structures import enumerate_structures, enumerate_teams
+from deplog.structures import enumerate_structures
 from deplog.syntax import (
     And, Bool, DepAtom, Equal, Exists, Forall, Or, RelAtom, Signature, Var,
     contains_dep_atom, free_vars, render_formula,
@@ -150,7 +150,7 @@ def test_criterion_1_semantics_conformance():
             fvs = tuple(sorted(free_vars(f)))
             local: dict[frozenset, bool] = {}
             for team in teams:
-                small = team.restrict(fvs)
+                small = restrict(team, fvs)
                 if small.rows not in local:
                     local[small.rows] = satisfies(m, small, f)
                 if local[small.rows] != vals[team.rows]:

@@ -2,18 +2,17 @@
 minimality and determinism, budget behavior, corpus integrity."""
 import pytest
 
+from helpers import count_structures
 from deplog import harness
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.harness import (
     CorpusItem, Verdict, corpus, corpus_item, equiv_check, sentence_value,
 )
-from deplog.structures import (
-    count_structures, enumerate_structures, structure_to_json_dict,
-)
+from deplog.structures import enumerate_structures, structure_to_json_dict
 from deplog.syntax import (
-    Signature, parse_eso, parse_formula, parse_formula_infer, render_eso,
-    render_formula,
+    Signature, parse_eso, parse_eso_infer, parse_formula, parse_formula_infer,
+    render_eso, render_formula,
 )
 from deplog.transforms import d_to_eso, eso_to_d
 
@@ -157,9 +156,15 @@ def test_equiv_rejects_open_formula():
 
 
 def test_equiv_rejects_undeclared_symbols():
+    sig = Signature({"Q": 1})
     f, _ = parse_formula_infer("exists x. P(x)")
     with pytest.raises(ShapeError):
-        equiv_check(f, f, Signature({"Q": 1}), 2)
+        equiv_check(f, f, sig, 2)
+    s, _ = parse_eso_infer("exists fn f/1. forall x. P(f(x))")
+    with pytest.raises(ShapeError):
+        equiv_check(s, s, sig, 2)
+    with pytest.raises(ShapeError):
+        sentence_value(next(enumerate_structures(sig, 1)), s)
 
 
 # ---------------------------------------------------------------------------

@@ -2,27 +2,22 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import count_structures, enumerate_teams, restrict
 from deplog.budget import Budget
-from deplog.errors import BudgetExceededError, EvalError, ShapeError
+from deplog.errors import BudgetExceededError, ShapeError
 from deplog.structures import (
-    Structure, Team, count_structures, enumerate_structures, enumerate_teams,
-    eval_term, structure_from_json_dict, structure_to_json_dict,
-    team_from_json_dict, team_to_json_dict, tuple_index,
+    Structure, Team, enumerate_structures, structure_from_json_dict,
+    structure_to_json_dict, team_from_json_dict, team_to_json_dict,
 )
-from deplog.syntax import App, Const, Signature, Var
+from deplog.syntax import Signature
 
 SIG_P = Signature({"P": 1}, {}, frozenset())
 SIG_R = Signature({"R": 2}, {}, frozenset())
 SIG_F = Signature({}, {"f": 1}, frozenset())
 
 
-def struct_pe(size=2, P=(), E=()):
-    sig = Signature({"P": 1, "E": 2}, {}, frozenset())
-    return Structure(sig, size, {"P": frozenset(P), "E": frozenset(E)}, {}, {})
-
-
 # ---------------------------------------------------------------------------
-# Structure validation and term evaluation
+# Structure validation
 # ---------------------------------------------------------------------------
 
 def test_structure_validates_against_signature():
@@ -52,53 +47,18 @@ def test_structure_rejects_bool_elements():
         team_from_json_dict({"vars": ["x"], "rows": [[True]]}, size=2)
 
 
-def test_eval_term_variable():
-    m = struct_pe()
-    assert eval_term(m, {"x": 1}, Var("x")) == 1
-
-
-def test_eval_term_constant():
-    sig = Signature({}, {}, frozenset({"c"}))
-    m = Structure(sig, 2, {}, {}, {"c": 0})
-    assert eval_term(m, {}, Const("c")) == 0
-
-
-def test_eval_term_nested_application():
-    # f is successor mod 2: f(f(1)) = f(0) = 1   (frozen: two table lookups)
-    m = Structure(SIG_F, 2, {}, {"f": (1, 0)}, {})
-    t = App("f", (App("f", (Var("x"),)),))
-    assert eval_term(m, {"x": 1}, t) == 1
-
-
-def test_eval_term_errors():
-    m = struct_pe()
-    with pytest.raises(EvalError):
-        eval_term(m, {}, Var("x"))
-    with pytest.raises(EvalError):
-        eval_term(m, {}, Const("nope"))
-    with pytest.raises(EvalError):
-        eval_term(m, {"x": 0}, App("f", (Var("x"),)))
-
-
-def test_tuple_index_lexicographic():
-    assert tuple_index((), 3) == 0
-    assert tuple_index((2,), 3) == 2
-    assert tuple_index((1, 2), 3) == 5
-    assert tuple_index((1, 0, 1), 2) == 5
-
-
 # ---------------------------------------------------------------------------
 # Teams
 # ---------------------------------------------------------------------------
 
 def test_team_restrict():
     t = Team.of(("x", "y"), [(0, 0), (0, 1)])
-    assert t.restrict(("x",)) == Team.of(("x",), [(0,)])
-    assert t.restrict(("x", "y")) == t
+    assert restrict(t, ("x",)) == Team.of(("x",), [(0,)])
+    assert restrict(t, ("x", "y")) == t
     # restriction to no variables keeps one empty row
-    assert t.restrict(()) == Team.of((), [()])
-    with pytest.raises(ShapeError):
-        t.restrict(("z",))
+    assert restrict(t, ()) == Team.of((), [()])
+    with pytest.raises(ValueError):
+        restrict(t, ("z",))
 
 
 def test_team_shape_errors():

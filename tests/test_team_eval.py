@@ -2,13 +2,11 @@
 comparison against the independent oracle in helpers.py."""
 import pytest
 
-from helpers import oracle_satisfies
+from helpers import enumerate_teams, oracle_satisfies, restrict
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, EvalError
 from deplog.harness import corpus_item
-from deplog.structures import (
-    Structure, Team, enumerate_structures, enumerate_teams,
-)
+from deplog.structures import Structure, Team, enumerate_structures
 from deplog.syntax import (
     And, DepAtom, Exists, Forall, RelAtom, Signature, Var, free_vars,
     parse_eso, parse_formula,
@@ -165,7 +163,7 @@ def test_locality_on_grid():
             big = tuple(sorted(set(fv) | {"x", "pad"}))
             for team in enumerate_teams(big, m.size, max_rows=3):
                 assert (satisfies(m, team, f)
-                        == satisfies(m, team.restrict(fv), f)), (text, team)
+                        == satisfies(m, restrict(team, fv), f)), (text, team)
 
 
 def test_flatness_for_dependence_free():

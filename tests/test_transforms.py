@@ -4,11 +4,11 @@ import hashlib
 
 import pytest
 
-from helpers import oracle_satisfies, oracle_value
+from helpers import enumerate_teams, oracle_satisfies, oracle_value
 from deplog.cli import _PASS_ORDER, main as cli_main
 from deplog.errors import ShapeError
 from deplog.harness import corpus, corpus_item, sentence_value
-from deplog.structures import enumerate_structures, enumerate_teams
+from deplog.structures import enumerate_structures
 from deplog.syntax import (
     And, DepAtom, Equal, EsoSentence, Exists, Forall, Or, RelAtom, Signature,
     Var, contains_dep_atom, free_vars, function_patterns, is_quantifier_free,

@@ -266,8 +266,16 @@ def _cmd_enum(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, without the usage block;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="deplog",
         description="dependence-logic and function-sentence toolkit")
     sub = top.add_subparsers(dest="command", required=True)

@@ -79,6 +79,23 @@ def test_parse_deep_nesting_exits_2(write, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["equiv", "--left", "l.dl", "--right", "l.dl", "--sig", "sig.json",
+     "--max-size", "abc"],
+    ["check", "--formula", "f.dl"],
+    ["translate", "--pass", "nope", "--input", "f.dl"],
+    ["bogus"],
+    [],
+], ids=["bad_int", "missing_flag", "bad_choice", "unknown_command",
+        "no_command"])
+def test_bad_flags_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 DEEP_CHAIN = " & ".join(["P(x)"] * 3000)
 
 

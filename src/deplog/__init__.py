@@ -14,7 +14,7 @@ from .budget import (
 from .errors import (
     BudgetExceededError, DeplogError, EvalError, ParseError, ShapeError,
 )
-from .eso_eval import eso_satisfies, fo_satisfies
+from .eso_eval import eso_satisfies
 from .fragments import FragmentReport, classify_d, classify_eso
 from .harness import (
     CorpusItem, Verdict, corpus, corpus_item, equiv_check, sentence_value,
@@ -26,11 +26,11 @@ from .structures import (
 from .syntax import (
     And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, FALSE,
     Forall, Formula, Or, RelAtom, Signature, TRUE, Term, Var, and_chain,
-    check_symbols, contains_dep_atom, free_vars, fresh_var, function_patterns,
-    is_quantifier_free, iter_subformulas, iter_terms, or_chain, parse_eso,
-    parse_eso_infer, parse_formula, parse_formula_infer, prenex_split,
-    render_eso, render_formula, render_term, replace_terms, satisfies_star,
-    single_quantification, symbols_of, term_vars,
+    check_symbols, contains_dep_atom, eso_symbols, free_vars, fresh_var,
+    function_patterns, is_quantifier_free, iter_subformulas, iter_terms,
+    or_chain, parse_eso, parse_eso_infer, parse_formula, parse_formula_infer,
+    prenex_split, render_eso, render_formula, render_term, replace_terms,
+    satisfies_star, single_quantification, symbols_of, term_vars,
 )
 from .team_eval import satisfies, sentence_truth
 from .transforms import (

@@ -205,7 +205,7 @@ def _cmd_eval(args) -> int:
     raw = _load_json(args.structure)
     formula, sig = _parse_against_structure(text, raw)
     struct = structure_from_json_dict(raw, sig)
-    team = team_from_json_dict(_load_json(args.team), struct.size)
+    team = team_from_json_dict(_load_json(args.team))
     value = satisfies(struct, team, formula, default_check_budget())
     print("true" if value else "false")
     return 0 if value else 1

@@ -32,10 +32,12 @@ class ShapeError(DeplogError):
 
 
 class EvalError(DeplogError):
-    """Raised when evaluation is asked something semantically ill-posed,
+    """Raised when an evaluator is asked to compile a tree it has no
+    semantics for, e.g. a node that is not a term or formula of the
+    language.
 
-    e.g. a formula with free variables passed to a sentence-truth check, or
-    a dependence atom reaching the classical first-order evaluator.
+    Input faults (undeclared symbols, free variables left unbound, team
+    rows outside the domain) are ShapeErrors, checked before compiling.
     """
 
 

@@ -7,8 +7,10 @@ order with early exit on the first witness; the total number of candidate
 interpretations is checked against the budget up front, so an infeasible
 instance fails loudly before any work is done.
 
-The classical evaluator here is the only one in the package: the team
-evaluator also uses it for dependence-free subformulas, row by row.  It
+The classical evaluator here is the only one in the package, and it has
+no public entry of its own: the ESO plan runs it on the matrix, and the
+team evaluator on dependence-free subformulas, row by row (so satisfies
+on a one-row team is classical satisfaction by one assignment).  It
 compiles a formula once into closures over a slot-indexed environment (a
 list, or a team row tuple): each variable is resolved to its slot, each
 quantifier gets a slot of its own, and each relation, function and constant
@@ -20,7 +22,10 @@ charges its budget under its own context, one unit per node visited:
 An ESO sentence is compiled the same way, once: the prefix into nested
 loops over its variables' slots and the matrix into one closure, with each
 quantified function's table in a symbol slot that the table search fills.
-equiv_check builds that plan once and runs it on every structure.
+_eso_plan is the one entry that builds that plan, after checking the
+sentence's symbols against the signature: eso_satisfies calls it per
+call, and equiv_check once per sentence to run the plan on every
+structure.
 """
 
 from __future__ import annotations
@@ -34,11 +39,11 @@ from .budget import Budget
 from .errors import BudgetExceededError, EvalError
 from .structures import Structure
 from .syntax import (
-    And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, Forall,
-    Formula, Or, RelAtom, Term, Var, check_symbols, free_vars,
+    And, App, Bool, Const, Equal, EsoSentence, Exists, Forall,
+    Formula, Or, RelAtom, Signature, Term, Var, check_symbols,
 )
 
-__all__ = ["fo_satisfies", "eso_satisfies"]
+__all__ = ["eso_satisfies"]
 
 # a compiled formula or term, called on a slot-indexed environment
 _Check = Callable[[Sequence[int]], bool]
@@ -202,8 +207,6 @@ def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
             def check(env):
                 spend(1, context)
                 return loop(env)
-        elif isinstance(f, DepAtom):
-            raise EvalError("dependence atoms have no classical first-order semantics")
         else:
             raise EvalError(f"cannot evaluate {f!r}")
         return check
@@ -215,29 +218,13 @@ def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
     return lambda env: check([*env, *pad])
 
 
-def fo_satisfies(struct: Structure, formula: Formula,
-                 env: dict[str, int] | None = None,
-                 budget: Budget | None = None) -> bool:
-    """Classical (Tarski) satisfaction of a first-order formula by one
-    assignment."""
-    env = dict(env or {})
-    check_symbols(formula, struct.sig)
-    missing = free_vars(formula) - set(env)
-    if missing:
-        raise EvalError(f"assignment does not bind free variables {sorted(missing)}")
-    syms = _Symbols()
-    check = _compile_fo(formula, tuple(env), syms, budget,
-                        "first-order evaluation")
-    syms.bind(struct)
-    return check(list(env.values()))
-
-
-def _eso_plan(sentence: EsoSentence, budget: Budget | None
+def _eso_plan(sentence: EsoSentence, sig: Signature, budget: Budget | None
               ) -> Callable[[Structure], bool]:
-    """Compile an ESO sentence once; the result decides it, by table
-    search, on any structure whose signature the sentence was checked
-    against."""
+    """The sentence checked against the signature and compiled once; the
+    result decides it, by table search, on any structure of the
+    signature."""
     fns = sentence.functions
+    check_symbols(sentence.matrix, sig, extra_fns=dict(fns))
     syms = _Symbols(name for name, _ in fns)
     slots = [syms.slot("extra", name) for name, _ in fns]
     prefix = sentence.prefix
@@ -286,6 +273,4 @@ def _quantifier_loop(i: int, want: bool, body: _Check, values: list) -> _Check:
 def eso_satisfies(struct: Structure, sentence: EsoSentence,
                   budget: Budget | None = None) -> bool:
     """Truth of an ESO sentence by exhaustive function-table search."""
-    check_symbols(sentence.matrix, struct.sig,
-                  extra_fns=dict(sentence.functions))
-    return _eso_plan(sentence, budget)(struct)
+    return _eso_plan(sentence, struct.sig, budget)(struct)

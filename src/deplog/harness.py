@@ -27,11 +27,8 @@ from .budget import Budget, default_check_budget, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
 from .eso_eval import _eso_plan
 from .structures import Structure, enumerate_structures, structure_to_json_dict
-from .syntax import (
-    EsoSentence, Formula, Signature, check_symbols, free_vars, parse_eso,
-    parse_formula,
-)
-from .team_eval import _sentence_plan
+from .syntax import EsoSentence, Formula, Signature, parse_eso, parse_formula
+from .team_eval import _plan as _team_plan
 
 __all__ = [
     "Verdict", "equiv_check", "sentence_value",
@@ -44,13 +41,8 @@ def _plan(s, sig: Signature, budget: Budget | None):
     function from structures of that signature to truth (team semantics
     for a dependence sentence, table search for a function sentence)."""
     if isinstance(s, EsoSentence):
-        check_symbols(s.matrix, sig, extra_fns=dict(s.functions))
-        return _eso_plan(s, budget)
-    loose = free_vars(s)
-    if loose:
-        raise ShapeError(f"not a sentence: free variables {sorted(loose)}")
-    check_symbols(s, sig)
-    return _sentence_plan(s, budget)
+        return _eso_plan(s, sig, budget)
+    return _team_plan(s, (), sig, budget)
 
 
 def sentence_value(struct: Structure, s, budget: Budget | None = None) -> bool:

@@ -100,19 +100,6 @@ class Team:
             if len(r) != width:
                 raise ShapeError(f"row {r!r} does not match team variables {self.vars!r}")
 
-    @classmethod
-    def of(cls, vars, rows) -> "Team":
-        return cls(tuple(vars), frozenset(tuple(r) for r in rows))
-
-    @classmethod
-    def empty(cls, vars=()) -> "Team":
-        return cls(tuple(vars), frozenset())
-
-    @classmethod
-    def initial(cls) -> "Team":
-        """The team containing only the empty assignment."""
-        return cls((), frozenset({()}))
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -220,7 +207,7 @@ def team_to_json_dict(team: Team) -> dict:
     return {"vars": list(team.vars), "rows": sorted(list(r) for r in team.rows)}
 
 
-def team_from_json_dict(data, size: int | None = None) -> Team:
+def team_from_json_dict(data) -> Team:
     if not isinstance(data, dict):
         raise ShapeError("team JSON must be an object")
     unknown = set(data) - {"vars", "rows"}
@@ -233,9 +220,4 @@ def team_from_json_dict(data, size: int | None = None) -> Team:
     if not isinstance(rows_in, list) or not all(
             isinstance(r, list) and all(map(_is_int, r)) for r in rows_in):
         raise ShapeError("'rows' must be a list of integer rows")
-    team = Team.of(vars_in, rows_in)
-    if size is not None:
-        for r in team.rows:
-            if not all(0 <= v < size for v in r):
-                raise ShapeError(f"row {list(r)!r} outside domain of size {size}")
-    return team
+    return Team(vars_in, rows_in)

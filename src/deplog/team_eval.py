@@ -75,7 +75,10 @@ subformula's columns are fixed at compile time. The plan holds one node
 per subformula: the compiled row predicates and atom terms of each check,
 and the options of each choice point. Deciding a team in another
 structure then rebinds the structure's symbols and walks no syntax.
-equiv_check builds one plan per sentence and runs it on every structure.
+_plan is the one entry that builds a plan: it first checks the formula's
+symbols against the signature and its free variables against the root
+variables. satisfies and sentence_truth call it per call; equiv_check
+calls it once per sentence and runs the plan on every structure.
 """
 
 from __future__ import annotations
@@ -83,14 +86,14 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from .budget import Budget
-from .errors import EvalError, ShapeError
+from .errors import ShapeError
 from .eso_eval import (
     _Symbols, _compile_fo, _compile_term, _compile_terms, _spender,
 )
 from .structures import Structure, Team
 from .syntax import (
-    And, DepAtom, Exists, Forall, Formula, Or, Var, check_symbols, free_vars,
-    iter_subformulas, term_vars,
+    And, DepAtom, Exists, Forall, Formula, Or, Signature, Var, check_symbols,
+    free_vars, iter_subformulas, term_vars,
 )
 
 __all__ = ["satisfies", "sentence_truth"]
@@ -103,6 +106,8 @@ _Row = tuple[int, ...]
 # choice point on the way from the root to the node, a choice's own too
 _Node = tuple[int, object, int]
 _CHECK, _AND, _ALL, _CHOICE = range(4)
+# the rows of the team of the empty assignment, which decides a sentence
+_ROOT: frozenset[_Row] = frozenset({()})
 
 
 def _never(row: _Row) -> bool:
@@ -146,7 +151,8 @@ class _TeamPlan:
         self.choices = 0  # choice points compiled so far
         self.root = self._node(root, vars, 0)
 
-    def __call__(self, struct: Structure, rows: frozenset[_Row]) -> bool:
+    def __call__(self, struct: Structure, rows: frozenset[_Row] = _ROOT
+                 ) -> bool:
         if not rows:
             return True
         self.syms.bind(struct)
@@ -374,32 +380,32 @@ class _TeamPlan:
         return options
 
 
+def _plan(formula: Formula, vars: tuple[str, ...], sig: Signature,
+          budget: Budget | None) -> _TeamPlan:
+    """The formula checked against the signature and the team variables
+    (a sentence has none) and compiled once; the plan decides teams over
+    those variables, the team of the empty assignment by default, in any
+    structure of the signature."""
+    check_symbols(formula, sig)
+    loose = free_vars(formula) - set(vars)
+    if loose:
+        raise ShapeError(f"team does not bind free variables {sorted(loose)}"
+                         if vars else
+                         f"not a sentence: free variables {sorted(loose)}")
+    return _TeamPlan(formula, vars, budget)
+
+
 def satisfies(struct: Structure, team: Team, formula: Formula,
               budget: Budget | None = None) -> bool:
     """Does the team satisfy the formula in the structure (team semantics)?"""
-    check_symbols(formula, struct.sig)
-    missing = free_vars(formula) - set(team.vars)
-    if missing:
-        raise EvalError(f"team does not bind free variables {sorted(missing)}")
+    plan = _plan(formula, team.vars, struct.sig, budget)
     for r in team.rows:
         if not all(0 <= v < struct.size for v in r):
             raise ShapeError(f"team row {list(r)!r} outside domain of size {struct.size}")
-    return _TeamPlan(formula, team.vars, budget)(struct, team.rows)
-
-
-def _sentence_plan(formula: Formula, budget: Budget | None
-                   ) -> Callable[[Structure], bool]:
-    """Compile a sentence once; the result decides it on any structure of
-    the signature it was checked against."""
-    plan = _TeamPlan(formula, (), budget)
-    rows = Team.initial().rows
-    return lambda struct: plan(struct, rows)
+    return plan(struct, team.rows)
 
 
 def sentence_truth(struct: Structure, formula: Formula,
                    budget: Budget | None = None) -> bool:
     """Truth of a sentence: satisfaction by the team of the empty assignment."""
-    loose = free_vars(formula)
-    if loose:
-        raise EvalError(f"not a sentence: free variables {sorted(loose)}")
-    return satisfies(struct, Team.initial(), formula, budget)
+    return _plan(formula, (), struct.sig, budget)(struct)

@@ -175,7 +175,8 @@ MALFORMED = {
                   "list_in_tuple": {"domain": 2, "relations": {"P": [[[0]]]}}},
     "team": {**JSON_MALFORMED,
              "list_in_row": {"vars": ["x"], "rows": [[[0]]]},
-             "object_in_row": {"vars": ["x"], "rows": [[{}]]}},
+             "object_in_row": {"vars": ["x"], "rows": [[{}]]},
+             "row_outside_domain": {"vars": ["x"], "rows": [[5]]}},
     "sig": {**JSON_MALFORMED,
             "list_constant": {"relations": {"P": 1}, "constants": [["c"]]}},
 }

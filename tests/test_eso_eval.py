@@ -1,13 +1,18 @@
-"""Classical first-order evaluation and function-table search."""
+"""Classical first-order evaluation and function-table search.
+
+The classical evaluator has no public entry of its own; its tests run it
+through satisfies on a one-row team, which decides a dependence-free
+formula row by row."""
 import pytest
 
 from helpers import oracle_eso, oracle_fo
 from deplog.budget import Budget
-from deplog.errors import BudgetExceededError, EvalError
-from deplog.eso_eval import eso_satisfies, fo_satisfies
+from deplog.errors import BudgetExceededError, ShapeError
+from deplog.eso_eval import eso_satisfies
 from deplog.harness import corpus_item
-from deplog.structures import Structure, enumerate_structures
+from deplog.structures import Structure, Team, enumerate_structures
 from deplog.syntax import And, Signature, parse_eso, parse_formula
+from deplog.team_eval import satisfies
 
 SIG0 = Signature({}, {}, frozenset())
 SIG_P = Signature({"P": 1}, {}, frozenset())
@@ -22,17 +27,24 @@ def pstruct(size, P=()):
     return Structure(SIG_P, size, {"P": frozenset(P)}, {}, {})
 
 
+def fo(struct, formula, env=None):
+    """Classical satisfaction by one assignment: satisfies on the team of
+    that one row."""
+    env = env or {}
+    return satisfies(struct, Team(tuple(env), [tuple(env.values())]), formula)
+
+
 # ---------------------------------------------------------------------------
-# fo_satisfies
+# classical evaluation
 # ---------------------------------------------------------------------------
 
 def test_fo_true():
-    assert fo_satisfies(bare(2), parse_formula("true", SIG0))
+    assert fo(bare(2), parse_formula("true", SIG0))
 
 
 def test_fo_atom_false():
     m = pstruct(2, P=[(0,)])
-    assert not fo_satisfies(m, parse_formula("P(x)", SIG_P), {"x": 1})
+    assert not fo(m, parse_formula("P(x)", SIG_P), {"x": 1})
 
 
 def test_fo_distinct_element():
@@ -40,18 +52,13 @@ def test_fo_distinct_element():
     f = parse_formula("forall x. exists y. ~x = y", SIG0)
     m = bare(2)
     assert oracle_fo(m, {}, f) is True
-    assert fo_satisfies(m, f) is True
-    assert fo_satisfies(bare(1), f) is False
-
-
-def test_fo_rejects_dep_atom():
-    with pytest.raises(EvalError):
-        fo_satisfies(bare(2), parse_formula("=(x)", SIG0), {"x": 0})
+    assert fo(m, f) is True
+    assert fo(bare(1), f) is False
 
 
 def test_fo_unbound_variable():
-    with pytest.raises(EvalError):
-        fo_satisfies(pstruct(2), parse_formula("P(x)", SIG_P))
+    with pytest.raises(ShapeError):
+        fo(pstruct(2), parse_formula("P(x)", SIG_P))
 
 
 def test_fo_deep_right_nested_chain():
@@ -59,7 +66,7 @@ def test_fo_deep_right_nested_chain():
     chain = atom
     for _ in range(899):
         chain = And(atom, chain)
-    assert fo_satisfies(pstruct(2, P=[(1,)]), chain, {"x": 1}) is True
+    assert fo(pstruct(2, P=[(1,)]), chain, {"x": 1}) is True
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +109,7 @@ def test_zero_function_sentence_is_first_order():
     s = parse_eso("forall x. exists y. ~x = y", SIG0)
     assert s.functions == ()
     for n in (1, 2, 3):
-        assert eso_satisfies(bare(n), s) == fo_satisfies(
+        assert eso_satisfies(bare(n), s) == fo(
             bare(n), parse_formula("forall x. exists y. ~x = y", SIG0))
 
 

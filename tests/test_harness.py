@@ -14,6 +14,7 @@ from deplog.syntax import (
     Signature, parse_eso, parse_eso_infer, parse_formula, parse_formula_infer,
     render_eso, render_formula,
 )
+from deplog.team_eval import sentence_truth
 from deplog.transforms import d_to_eso, eso_to_d
 
 SIG_E = Signature({"E": 2})
@@ -149,10 +150,16 @@ def test_max_n_must_be_positive():
 
 
 def test_equiv_rejects_open_formula():
+    # the same error class from every sentence entry
     item = corpus_item("phi1")
     f = parse_formula(item.text, item.sig)
+    m = next(enumerate_structures(item.sig, 2))
     with pytest.raises(ShapeError):
         equiv_check(f, f, item.sig, 2)
+    with pytest.raises(ShapeError):
+        sentence_value(m, f)
+    with pytest.raises(ShapeError):
+        sentence_truth(m, f)
 
 
 def test_equiv_rejects_undeclared_symbols():

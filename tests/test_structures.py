@@ -44,7 +44,7 @@ def test_structure_rejects_bool_elements():
         with pytest.raises(ShapeError):
             structure_from_json_dict({**ok, key: bad}, sig)
     with pytest.raises(ShapeError):
-        team_from_json_dict({"vars": ["x"], "rows": [[True]]}, size=2)
+        team_from_json_dict({"vars": ["x"], "rows": [[True]]})
 
 
 # ---------------------------------------------------------------------------
@@ -52,20 +52,20 @@ def test_structure_rejects_bool_elements():
 # ---------------------------------------------------------------------------
 
 def test_team_restrict():
-    t = Team.of(("x", "y"), [(0, 0), (0, 1)])
-    assert restrict(t, ("x",)) == Team.of(("x",), [(0,)])
+    t = Team(("x", "y"), [(0, 0), (0, 1)])
+    assert restrict(t, ("x",)) == Team(("x",), [(0,)])
     assert restrict(t, ("x", "y")) == t
     # restriction to no variables keeps one empty row
-    assert restrict(t, ()) == Team.of((), [()])
+    assert restrict(t, ()) == Team((), [()])
     with pytest.raises(ValueError):
         restrict(t, ("z",))
 
 
 def test_team_shape_errors():
     with pytest.raises(ShapeError):
-        Team.of(("x", "x"), [(0, 0)])
+        Team(("x", "x"), [(0, 0)])
     with pytest.raises(ShapeError):
-        Team.of(("x",), [(0, 1)])
+        Team(("x",), [(0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_enumeration_budget():
 def test_enumerate_teams():
     teams = list(enumerate_teams(("x",), 2))
     assert len(teams) == 4  # subsets of two rows
-    assert teams[0] == Team.empty(("x",))
+    assert teams[0] == Team(("x",), ())
     capped = list(enumerate_teams(("x", "y"), 2, max_rows=1))
     assert len(capped) == 1 + 4
 
@@ -144,11 +144,9 @@ def test_structure_json_errors():
 
 
 def test_team_json_round_trip():
-    t = Team.of(("x", "y"), [(0, 1), (1, 1)])
+    t = Team(("x", "y"), [(0, 1), (1, 1)])
     data = team_to_json_dict(t)
     assert data == {"vars": ["x", "y"], "rows": [[0, 1], [1, 1]]}
     assert team_from_json_dict(data) == t
-    with pytest.raises(ShapeError):
-        team_from_json_dict({"vars": ["x"], "rows": [[5]]}, size=2)
     with pytest.raises(ShapeError):
         team_from_json_dict({"variables": ["x"], "rows": []})

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import enumerate_teams, oracle_satisfies, restrict
 from deplog.budget import Budget
-from deplog.errors import BudgetExceededError, EvalError
+from deplog.errors import BudgetExceededError, ShapeError
 from deplog.harness import corpus_item
 from deplog.structures import Structure, Team, enumerate_structures
 from deplog.syntax import (
@@ -39,7 +39,7 @@ def test_empty_team_satisfies_everything():
     for text in ["P(x)", "~P(x)", "=(x,y)", "~=(x,y)", "false",
                  "exists z. (E(x,z) | =(y,z))"]:
         f = d(text, SIG_PE)
-        team = Team.empty(tuple(sorted(free_vars(f))))
+        team = Team(sorted(free_vars(f)), ())
         assert satisfies(m, team, f)
 
 
@@ -52,21 +52,21 @@ def test_empty_dep_atom_universally_true():
 def test_dep_atom_violation():
     # equal x, unequal y
     m = bare(2)
-    team = Team.of(("x", "y"), [(0, 0), (0, 1)])
+    team = Team(("x", "y"), [(0, 0), (0, 1)])
     assert not satisfies(m, team, d("=(x,y)"))
 
 
 def test_negated_dep_atom_only_empty_team():
     m = bare(2)
-    assert satisfies(m, Team.empty(("x",)), d("~=(x)"))
-    assert not satisfies(m, Team.of(("x",), [(0,)]), d("~=(x)"))
+    assert satisfies(m, Team(("x",), ()), d("~=(x)"))
+    assert not satisfies(m, Team(("x",), [(0,)]), d("~=(x)"))
 
 
 def test_phi1_three_row_team():
     # frozen: the split {rows 1,3} / {row 2} works
     m = bare(2)
     phi1 = corpus_item("phi1").formula()
-    team = Team.of(("x", "y", "u", "v"),
+    team = Team(("x", "y", "u", "v"),
                    [(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 1, 0)])
     expected = True
     assert oracle_satisfies(m, team.vars, team.rows, phi1) == expected
@@ -77,7 +77,7 @@ def test_phi1_failing_team():
     # frozen: x determines neither y-branch nor u-branch under any split
     m = bare(2)
     phi1 = corpus_item("phi1").formula()
-    team = Team.of(("x", "y", "u", "v"),
+    team = Team(("x", "y", "u", "v"),
                    [(0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 0, 1), (0, 1, 0, 0)])
     expected = False
     assert oracle_satisfies(m, team.vars, team.rows, phi1) == expected
@@ -108,7 +108,7 @@ def test_disjunction_needs_split_not_both():
     # each row can pick a different disjunct
     m = pe(2, P=[(0,)], E=[(1, 1)])
     f = d("P(x) | E(x,x)", SIG_PE)
-    team = Team.of(("x",), [(0,), (1,)])
+    team = Team(("x",), [(0,), (1,)])
     assert satisfies(m, team, f)
     assert not satisfies(m, team, d("P(x)", SIG_PE))
     assert not satisfies(m, team, d("E(x,x)", SIG_PE))
@@ -257,19 +257,18 @@ def test_disjunction_oracle_agreement():
 # ---------------------------------------------------------------------------
 
 def test_unbound_free_variable():
-    with pytest.raises(EvalError):
-        satisfies(bare(2), Team.of(("x",), [(0,)]), d("=(x,y)"))
+    with pytest.raises(ShapeError):
+        satisfies(bare(2), Team(("x",), [(0,)]), d("=(x,y)"))
 
 
 def test_sentence_truth_rejects_open_formula():
-    with pytest.raises(EvalError):
+    with pytest.raises(ShapeError):
         sentence_truth(bare(2), d("=(x,y)"))
 
 
 def test_row_outside_domain():
-    from deplog.errors import ShapeError
     with pytest.raises(ShapeError):
-        satisfies(bare(2), Team.of(("x",), [(7,)]), d("=(x)"))
+        satisfies(bare(2), Team(("x",), [(7,)]), d("=(x)"))
 
 
 def test_budget_exhaustion():
@@ -313,7 +312,7 @@ def test_forcing_conflict_tries_no_value():
     # refutation takes 4 value choices of 1 + 2 atom + 1 row evaluation
     # units each; trying a value on the conflicting row would cost 3 more
     f = d("exists z. (=(x,z) & =(y,z) & z = x)")
-    team = Team.of(("x", "y"), [(0, 1), (1, 0), (1, 1)])
+    team = Team(("x", "y"), [(0, 1), (1, 0), (1, 1)])
     assert satisfies(bare(2), team, f, Budget(16)) is False
 
 

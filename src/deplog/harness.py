@@ -1,16 +1,18 @@
 """Equivalence oracle over enumerated structures, plus the built-in corpus.
 
-equiv_check evaluates two sentences on every structure of a signature at
+equiv_check compares two sentences on the structures of a signature at
 domain sizes 1..max_n (team semantics for dependence-logic sentences,
 function-table search for function sentences) and reports either
 equivalence up to that size or the first structure where the verdicts
 differ.  Enumeration is size-ascending and lexicographic within a size,
 so the reported counterexample is minimal and stable across runs.  Each
 side is checked against the signature and compiled once (a team plan or a
-table-search plan), and the two plans run on every structure.  The
-per-structure checks are independent of each other; this implementation
-runs them sequentially, which already realizes the minimal-counterexample
-guarantee.
+table-search plan).  Every structure is enumerated and counted, but the
+two plans run only on the first structure of each isomorphism class:
+truth is invariant under renaming the domain, and the first
+counterexample is the first of its class.  The per-structure checks are
+independent of each other; this implementation runs them sequentially,
+which already realizes the minimal-counterexample guarantee.
 
 corpus() is the fixed list of named formulas the tests and the CLI lean
 on: the two open split formulas with their four-variable team schema,
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from .budget import Budget, default_check_budget, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
 from .eso_eval import _eso_plan
-from .structures import Structure, enumerate_structures, structure_to_json_dict
+from .structures import Structure, _walk, structure_to_json_dict
 from .syntax import EsoSentence, Formula, Signature, parse_eso, parse_formula
 from .team_eval import _plan as _team_plan
 
@@ -88,10 +90,14 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     """Compare two sentences on all structures of sizes 1..max_n.
 
     Returns the first differing structure as a counterexample Verdict, or
-    an equivalence Verdict once every structure has agreed.  ``budget``
-    caps both the number of structures enumerated and the semantic-check
-    work; left unset, the module defaults apply (10^6 structures, 10^7
-    check steps, both overridable through DEPLOG_BUDGET).  A ``budget``
+    an equivalence Verdict once every structure has agreed.  Every
+    structure is enumerated and counted in ``structures_checked``; the
+    sentences are evaluated on the first structure of each isomorphism
+    class only, which decides the rest of the class.  ``budget`` caps
+    both the number of structures enumerated and the semantic-check work
+    (spent on the evaluated structures); left unset, the module defaults
+    apply (10^6 structures, 10^7 check steps, both overridable through
+    DEPLOG_BUDGET).  A ``budget``
     below 1 is a ShapeError.  Running out raises BudgetExceededError
     naming the domain size reached, never a silent pass.
     """
@@ -108,17 +114,20 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     size = 1
     try:
         for size in range(1, max_n + 1):
-            for struct in enumerate_structures(sig, size, sbudget):
-                lv = left_value(struct)
-                rv = right_value(struct)
+            # the first counterexample is the first of its isomorphism
+            # class, so the skipped structures need no evaluation
+            for struct in _walk(sig, size, sbudget, leaders_only=True):
+                if struct is not None:
+                    lv = left_value(struct)
+                    rv = right_value(struct)
+                    if lv != rv:
+                        return Verdict(
+                            outcome="counterexample", max_size=size,
+                            structures_checked=checked + 1,
+                            wall_time=time.perf_counter() - start,
+                            structure=structure_to_json_dict(struct),
+                            left_verdict=lv, right_verdict=rv)
                 checked += 1
-                if lv != rv:
-                    return Verdict(
-                        outcome="counterexample", max_size=size,
-                        structures_checked=checked,
-                        wall_time=time.perf_counter() - start,
-                        structure=structure_to_json_dict(struct),
-                        left_verdict=lv, right_verdict=rv)
     except BudgetExceededError as e:
         raise BudgetExceededError(
             f"equivalence check at domain size {size} "

@@ -4,12 +4,22 @@ Domains are always {0, ..., n-1} with n >= 1. Function interpretations are
 flat lookup tables in lexicographic argument order (first argument most
 significant), so an a-ary function over domain size n is a tuple of n**a
 values. Relations are frozensets of argument tuples.
+
+``Structure(...)`` and ``structure_from_json_dict`` validate what they are
+given; enumeration builds its structures without those checks, since it
+only makes well-formed ones.  Enumeration visits a structure's code (a
+relation's flag per argument tuple, a function's table, a constant's
+value, symbol by symbol) in lexicographic order.  The equivalence checker
+walks the same enumeration but builds only the first structure of each
+isomorphism class: the one whose code no permutation of the domain makes
+smaller (the lex-leader test of Crawford, Ginsberg, Luks and Roy, KR 1996).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .budget import Budget
@@ -100,18 +110,112 @@ class Team:
             if len(r) != width:
                 raise ShapeError(f"row {r!r} does not match team variables {self.vars!r}")
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
 
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _rel_options(size: int, arity: int) -> Iterator[frozenset[tuple[int, ...]]]:
-    tuples = list(itertools.product(range(size), repeat=arity))
-    for flags in itertools.product((0, 1), repeat=len(tuples)):
-        yield frozenset(t for t, f in zip(tuples, flags) if f)
+def _structure(sig: Signature, size: int, relations: dict, functions: dict,
+               constants: dict) -> Structure:
+    """A Structure built without ``__post_init__``'s checks, for the
+    interpretations enumeration makes itself (always well formed)."""
+    struct = object.__new__(Structure)
+    struct.sig, struct.size = sig, size
+    struct.relations, struct.functions, struct.constants = relations, functions, constants
+    return struct
+
+
+def _leader_test(syms: list, size: int, tuples: dict):
+    """A test of a structure's code (one value per symbol of ``syms``, the
+    (kind, name, arity) list in enumeration order: a relation's flag per
+    argument tuple, a function's table, a constant's value) that is true
+    when no permutation of the domain maps the structure to a smaller code,
+    i.e. to one enumerated earlier; None at size 1, where the identity is
+    the only permutation.  ``tuples`` lists the argument tuples of each
+    arity."""
+    perms = list(itertools.permutations(range(size)))[1:]
+    if not perms:
+        return None
+    index = {ar: {t: i for i, t in enumerate(ts)} for ar, ts in tuples.items()}
+    images = []
+    for p in perms:
+        q = [0] * size
+        for x, y in enumerate(p):
+            q[y] = x
+        # the image's entry at tuple t is the original's at q(t)
+        moves = {}
+        for ar, ts in tuples.items():
+            pos = [index[ar][tuple(q[x] for x in t)] for t in ts]
+            moves[ar] = (itemgetter(*pos) if len(pos) > 1
+                         else lambda v, j=pos[0]: (v[j],))
+        row = []
+        for kind, _, ar in syms:
+            if kind == "rel":
+                row.append(moves[ar])
+            elif kind == "fn":
+                row.append(lambda v, move=moves[ar], to=p.__getitem__:
+                           tuple(map(to, move(v))))
+            else:
+                row.append(p.__getitem__)
+        images.append(row)
+
+    def is_leader(code) -> bool:
+        for row in images:
+            for image, v in zip(row, code):
+                w = image(v)
+                if w != v:
+                    if w < v:
+                        return False
+                    break
+        return True
+
+    return is_leader
+
+
+def _walk(sig: Signature, size: int, budget: Budget | None,
+          leaders_only: bool) -> Iterator[Structure | None]:
+    """Every structure of the signature with domain {0..size-1}, in
+    enumeration order, spending one budget unit each.  With
+    ``leaders_only``, a structure that is not the first of its isomorphism
+    class comes out as None instead, and is never built."""
+    syms = ([("rel", name, sig.relations[name]) for name in sorted(sig.relations)]
+            + [("fn", name, sig.functions[name]) for name in sorted(sig.functions)]
+            + [("const", name, 0) for name in sorted(sig.constants)])
+    tuples = {ar: list(itertools.product(range(size), repeat=ar))
+              for kind, _, ar in syms if kind != "const"}
+    is_leader = _leader_test(syms, size, tuples) if leaders_only else None
+    code: list = [None] * len(syms)
+
+    def values(kind: str, ar: int) -> Iterator:
+        """One symbol's values, lexicographically."""
+        if kind == "const":
+            return range(size)
+        return itertools.product((0, 1) if kind == "rel" else range(size),
+                                 repeat=size ** ar)
+
+    def build() -> Structure:
+        rels, fns, consts = {}, {}, {}
+        for (kind, name, ar), v in zip(syms, code):
+            if kind == "rel":
+                rels[name] = frozenset(itertools.compress(tuples[ar], v))
+            elif kind == "fn":
+                fns[name] = v
+            else:
+                consts[name] = v
+        return _structure(sig, size, rels, fns, consts)
+
+    def rec(i: int) -> Iterator[Structure | None]:
+        if i == len(syms):
+            if budget is not None:
+                budget.spend(1, "structure enumeration")
+            yield None if is_leader is not None and not is_leader(code) else build()
+            return
+        kind, _, ar = syms[i]
+        for v in values(kind, ar):
+            code[i] = v
+            yield from rec(i + 1)
+
+    return rec(0)
 
 
 def enumerate_structures(sig: Signature, size: int,
@@ -119,39 +223,13 @@ def enumerate_structures(sig: Signature, size: int,
     """All structures with domain {0..size-1}, in a fixed deterministic order.
 
     Symbols are filled in sorted-name order (relations, then functions, then
-    constants), the later symbols varying fastest. Spends one budget unit
-    per structure.
+    constants), the later symbols varying fastest; a relation runs through
+    its flag per argument tuple and a function through its table, each
+    lexicographically.  Spends one budget unit per structure.
     """
     if size < 1:
         raise ShapeError("domain size must be at least 1")
-    syms = ([("rel", name) for name in sorted(sig.relations)]
-            + [("fn", name) for name in sorted(sig.functions)]
-            + [("const", name) for name in sorted(sig.constants)])
-
-    def rec(i: int, rels: dict, fns: dict, consts: dict) -> Iterator[Structure]:
-        if i == len(syms):
-            if budget is not None:
-                budget.spend(1, "structure enumeration")
-            yield Structure(sig, size, dict(rels), dict(fns), dict(consts))
-            return
-        kind, name = syms[i]
-        if kind == "rel":
-            for rv in _rel_options(size, sig.relations[name]):
-                rels[name] = rv
-                yield from rec(i + 1, rels, fns, consts)
-            del rels[name]
-        elif kind == "fn":
-            for table in itertools.product(range(size), repeat=size ** sig.functions[name]):
-                fns[name] = table
-                yield from rec(i + 1, rels, fns, consts)
-            del fns[name]
-        else:
-            for val in range(size):
-                consts[name] = val
-                yield from rec(i + 1, rels, fns, consts)
-            del consts[name]
-
-    return rec(0, {}, {}, {})
+    return _walk(sig, size, budget, leaders_only=False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ with different data layouts and search orders than the package code:
   Every term, in every oracle, is evaluated by _oracle_term.
 * count_structures, enumerate_teams and restrict are the tests' own
   reference counts and team builders.
+* is_class_leader permutes a structure's domain every possible way and
+  keeps the smallest code, by dict-keyed tables.
 
 Expected values in the test files marked as frozen were computed with
 these oracles and then written down as literals; the tests assert both
@@ -202,6 +204,37 @@ def count_structures(sig, size: int) -> int:
     for ar in sig.functions.values():
         total *= size ** (size ** ar)
     return total * size ** len(sig.constants)
+
+
+def _canonical_code(struct: Structure, perm) -> tuple:
+    """The code of the structure with its domain renamed by ``perm``:
+    relation membership flags and function values per argument tuple in
+    lexicographic order, then constant values, each symbol kind in
+    sorted-name order.  Enumeration visits codes in increasing order."""
+    sig, n = struct.sig, struct.size
+    code = []
+    for name in sorted(sig.relations):
+        renamed = {tuple(perm[x] for x in t) for t in struct.relations[name]}
+        code.append(tuple(args in renamed for args in
+                          itertools.product(range(n), repeat=sig.relations[name])))
+    for name in sorted(sig.functions):
+        ar = sig.functions[name]
+        table = dict(zip(itertools.product(range(n), repeat=ar),
+                         struct.functions[name]))
+        renamed = {tuple(perm[x] for x in args): perm[v] for args, v in table.items()}
+        code.append(tuple(renamed[args] for args in
+                          itertools.product(range(n), repeat=ar)))
+    for name in sorted(sig.constants):
+        code.append(perm[struct.constants[name]])
+    return tuple(code)
+
+
+def is_class_leader(struct: Structure) -> bool:
+    """Whether the structure has the smallest code in its isomorphism class,
+    i.e. comes first of the class in enumeration order."""
+    own = _canonical_code(struct, range(struct.size))
+    return own == min(_canonical_code(struct, p)
+                      for p in itertools.permutations(range(struct.size)))
 
 
 def enumerate_teams(var_names, size: int, max_rows: int | None = None):

@@ -2,7 +2,7 @@
 minimality and determinism, budget behavior, corpus integrity."""
 import pytest
 
-from helpers import count_structures
+from helpers import count_structures, is_class_leader
 from deplog import harness
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
@@ -38,15 +38,17 @@ def test_equiv_spine_against_translation():
 @pytest.mark.parametrize("name,fits", [("spine", True), ("phi2_closed", False),
                                        ("term_atom", True), ("eso_choice", True)])
 def test_compiled_sides_spend_what_sentence_value_spends(name, fits, monkeypatch):
-    # equiv_check compiles each side once; the plans must do exactly the
-    # work of one sentence_value call per side and structure
+    # equiv_check compiles each side once and evaluates the first structure
+    # of each isomorphism class only; the plans must do exactly the work of
+    # one sentence_value call per side and class leader
     item = corpus_item(name)
     left = item.parsed()
     right = d_to_eso(left) if item.kind == "D" else eso_to_d(left)
     shared = Budget(10**9)
     for n in (1, 2):
         for m in enumerate_structures(item.sig, n):
-            assert sentence_value(m, left, shared) == sentence_value(m, right, shared)
+            if is_class_leader(m):
+                assert sentence_value(m, left, shared) == sentence_value(m, right, shared)
     spent = shared.spent
     made = []
 
@@ -69,6 +71,91 @@ def test_compiled_sides_spend_what_sentence_value_spends(name, fits, monkeypatch
     if fits:
         v = equiv_check(left, right, item.sig, 2, budget=spent)
         assert v.outcome == "equivalent"
+
+
+SIG_MIXED = Signature({"P": 1, "E": 2}, {"g": 1}, frozenset({"c"}))
+MIXED_TEXTS = (
+    "P(c)",
+    "exists x. (x = c & P(x))",
+    "P(g(c))",
+    "exists x. P(x)",
+    "forall x. P(x)",
+    "exists x. exists y. (P(y) & g(x) = y)",
+    "exists x. P(g(x))",
+    "forall x. E(x, g(x))",
+    "E(c, g(c))",
+    "E(g(c), c)",
+    "forall x. exists y. (=(x,y) & E(x,y))",
+    "forall x. (P(x) | E(x, x))",
+)
+
+
+def _brute_force_equiv(left_values, right_values, structs):
+    """equiv_check's verdict, from every structure's values in enumeration
+    order: the first disagreement, or none."""
+    for i, (m, lv, rv) in enumerate(zip(structs, left_values, right_values)):
+        if lv != rv:
+            return {"outcome": "counterexample", "max_size": m.size,
+                    "structures_checked": i + 1,
+                    "structure": structure_to_json_dict(m),
+                    "left_verdict": lv, "right_verdict": rv}
+    return {"outcome": "equivalent", "max_size": structs[-1].size,
+            "structures_checked": len(structs)}
+
+
+def test_equiv_matches_brute_force_on_mixed_signature():
+    # evaluating one structure per isomorphism class must give the verdict,
+    # count and counterexample that evaluating every structure gives
+    sentences = [parse_formula(t, SIG_MIXED) for t in MIXED_TEXTS]
+    sentences.append(d_to_eso(sentences[-2]))
+    sentences.append(parse_eso("exists fn f/1. forall x. E(x, f(x))", SIG_MIXED))
+    structs = [m for n in (1, 2) for m in enumerate_structures(SIG_MIXED, n)]
+    values = [[sentence_value(m, s) for m in structs] for s in sentences]
+    outcomes = set()
+    for i, left in enumerate(sentences):
+        for j, right in enumerate(sentences):
+            got = equiv_check(left, right, SIG_MIXED, 2).to_dict()
+            del got["wall_time"]
+            assert got == _brute_force_equiv(values[i], values[j], structs), (i, j)
+            outcomes.add((got["outcome"], got["max_size"]))
+    # equivalent pairs, and counterexamples at both sizes
+    assert outcomes == {("equivalent", 2), ("counterexample", 1),
+                        ("counterexample", 2)}
+
+
+def _evaluated(sig, max_n, monkeypatch) -> int:
+    """How many structures equiv_check evaluates on sizes 1..max_n."""
+    calls = []
+    plan = harness._plan
+
+    def counting(s, signature, budget):
+        run = plan(s, signature, budget)
+        return lambda m: calls.append(m) or run(m)
+
+    f = parse_formula("forall x. x = x", sig)
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "_plan", counting)
+        v = equiv_check(f, f, sig, max_n)
+    assert v.structures_checked == sum(count_structures(sig, n)
+                                       for n in range(1, max_n + 1))
+    assert len(calls) % 2 == 0
+    return len(calls) // 2
+
+
+@pytest.mark.parametrize("sig,n,classes", [
+    (SIG_E, 3, 104),
+    (Signature({"P": 1, "E": 2}), 3, 752),
+    (SIG_MIXED, 2, None),
+    (Signature({}, {"g": 1}, frozenset({"c", "d"})), 3, None),
+    (Signature({}, {"f": 1, "g": 1}, frozenset({"c"})), 3, None),
+    (Signature({}, {"F": 2}), 2, None),
+])
+def test_equiv_evaluates_one_structure_per_class(sig, n, classes, monkeypatch):
+    leaders = sum(map(is_class_leader, enumerate_structures(sig, n)))
+    if classes is not None:
+        assert leaders == classes
+    at_n = _evaluated(sig, n, monkeypatch) - _evaluated(sig, n - 1, monkeypatch)
+    assert at_n == leaders
 
 
 def test_counterexample_is_first_structure():

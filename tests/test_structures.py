@@ -97,6 +97,26 @@ def test_enumeration_count_and_distinctness(sig, n):
     assert len(seen) == len(structs)
 
 
+def test_enumerated_structures_equal_validated_ones():
+    # enumeration builds its structures without Structure's checks; each
+    # must equal the structure the JSON boundary validates from it
+    sig = Signature({"P": 1, "E": 2, "Z": 0}, {"f": 1, "k": 0},
+                    frozenset({"c"}))
+    for n in (1, 2):
+        for m in enumerate_structures(sig, n):
+            back = structure_from_json_dict(structure_to_json_dict(m), sig)
+            assert (m.sig, m.size, m.relations, m.functions, m.constants) == (
+                back.sig, back.size, back.relations, back.functions, back.constants)
+            for rel in m.relations.values():
+                assert type(rel) is frozenset
+                assert all(type(t) is tuple and all(type(v) is int for v in t)
+                           for t in rel)
+            for table in m.functions.values():
+                assert type(table) is tuple
+                assert all(type(v) is int for v in table)
+            assert all(type(v) is int for v in m.constants.values())
+
+
 def test_enumeration_deterministic():
     a = [structure_to_json_dict(s) for s in enumerate_structures(SIG_R, 2)]
     b = [structure_to_json_dict(s) for s in enumerate_structures(SIG_R, 2)]

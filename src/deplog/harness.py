@@ -8,8 +8,9 @@ differ.  Enumeration is size-ascending and lexicographic within a size,
 so the reported counterexample is minimal and stable across runs.  Each
 side is checked against the signature and compiled once (a team plan or a
 table-search plan).  Every structure is enumerated and counted, but the
-two plans run only on the first structure of each isomorphism class:
-truth is invariant under renaming the domain, and the first
+two plans run only on the first structure of each isomorphism class
+(at the sizes where finding it costs less than the evaluations it
+saves): truth is invariant under renaming the domain, and the first
 counterexample is the first of its class.  The per-structure checks are
 independent of each other; this implementation runs them sequentially,
 which already realizes the minimal-counterexample guarantee.
@@ -93,7 +94,8 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     an equivalence Verdict once every structure has agreed.  Every
     structure is enumerated and counted in ``structures_checked``; the
     sentences are evaluated on the first structure of each isomorphism
-    class only, which decides the rest of the class.  ``budget`` caps
+    class only, which decides the rest of the class, except at sizes where
+    finding the first costs more than evaluating them all.  ``budget`` caps
     both the number of structures enumerated and the semantic-check work
     (spent on the evaluated structures); left unset, the module defaults
     apply (10^6 structures, 10^7 check steps, both overridable through

@@ -13,11 +13,17 @@ value, symbol by symbol) in lexicographic order.  The equivalence checker
 walks the same enumeration but builds only the first structure of each
 isomorphism class: the one whose code no permutation of the domain makes
 smaller (the lex-leader test of Crawford, Ginsberg, Luks and Roy, KR 1996).
+It takes that test only at a size where it pays: the number of classes,
+counted by Burnside's lemma, times size! comparisons must be small beside
+the evaluations it saves, and the size! images must fit in the structure
+budget; elsewhere every structure is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
@@ -115,6 +121,13 @@ class Team:
 # Enumeration
 # ---------------------------------------------------------------------------
 
+# An image comparison in the leader test costs about a twentieth of
+# evaluating the cheapest pair of sentences (``c = c`` against itself) on
+# a structure; the test is taken only where it spends at most this many
+# per structure it skips.
+_COMPARISONS_PER_SKIP = 8
+
+
 def _structure(sig: Signature, size: int, relations: dict, functions: dict,
                constants: dict) -> Structure:
     """A Structure built without ``__post_init__``'s checks, for the
@@ -130,12 +143,9 @@ def _leader_test(syms: list, size: int, tuples: dict):
     (kind, name, arity) list in enumeration order: a relation's flag per
     argument tuple, a function's table, a constant's value) that is true
     when no permutation of the domain maps the structure to a smaller code,
-    i.e. to one enumerated earlier; None at size 1, where the identity is
-    the only permutation.  ``tuples`` lists the argument tuples of each
-    arity."""
-    perms = list(itertools.permutations(range(size)))[1:]
-    if not perms:
-        return None
+    i.e. to one enumerated earlier.  ``tuples`` lists the argument tuples
+    of each arity."""
+    perms = itertools.islice(itertools.permutations(range(size)), 1, None)
     index = {ar: {t: i for i, t in enumerate(ts)} for ar, ts in tuples.items()}
     images = []
     for p in perms:
@@ -172,18 +182,88 @@ def _leader_test(syms: list, size: int, tuples: dict):
     return is_leader
 
 
+def _class_count(syms: list, size: int) -> int:
+    """The number of isomorphism classes of structures of ``syms`` at this
+    size, by Burnside's lemma: the mean, over the permutations of the
+    domain, of the structures each one fixes, summed once per cycle type.
+    A permutation with m_d cycles of length d fixes a relation constant on
+    each cycle of argument tuples, and a function (a constant is a nullary
+    one) that maps each cycle of length l onto a domain cycle whose length
+    divides l."""
+    total = 0
+    for lengths in _partitions(size, size):
+        cycles = Counter(lengths)
+        fixed = 1
+        for kind, _, ar in syms:
+            tuple_cycles = Counter({1: 1})
+            for _ in range(ar):
+                longer = Counter()
+                for ln, c in tuple_cycles.items():
+                    for d, m in cycles.items():
+                        g = math.gcd(ln, d)
+                        longer[ln * d // g] += c * m * g
+                tuple_cycles = longer
+            if kind == "rel":
+                fixed *= 2 ** sum(tuple_cycles.values())
+            else:
+                fixed *= math.prod(
+                    sum(d * m for d, m in cycles.items() if ln % d == 0) ** c
+                    for ln, c in tuple_cycles.items())
+        total += fixed * math.factorial(size) // math.prod(
+            d ** m * math.factorial(m) for d, m in cycles.items())
+    return total // math.factorial(size)
+
+
+def _partitions(n: int, top: int) -> Iterator[list[int]]:
+    """The partitions of n into parts of at most ``top``, largest first."""
+    if n == 0:
+        yield []
+    for k in range(min(n, top), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k, *rest]
+
+
+def _leader_test_pays(syms: list, size: int, budget: Budget | None) -> bool:
+    """Whether the leader test is worth building at this size.  It builds
+    the size! - 1 permutation images up front, which must fit in what the
+    structure budget has left, and compares each leader with all of them:
+    it is taken only where those comparisons, about classes x size!, come
+    to at most ``_COMPARISONS_PER_SKIP`` per structure it saves evaluating.
+    Small signatures at large sizes, whose structures have many
+    automorphisms and so fall into many small classes, fail this, and
+    every structure is evaluated."""
+    perms = math.factorial(size)
+    if size == 1 or (budget is not None and budget.would_exceed(perms)):
+        return False
+    count = math.prod((2 if kind == "rel" else size) ** size ** ar
+                      for kind, _, ar in syms)
+    # a class at least, so at least size! comparisons
+    if perms > _COMPARISONS_PER_SKIP * (count - 1):
+        return False
+    classes = _class_count(syms, size)
+    return classes * perms <= _COMPARISONS_PER_SKIP * (count - classes)
+
+
+def _symbols(sig: Signature) -> list[tuple[str, str, int]]:
+    """The signature's symbols as (kind, name, arity) in enumeration order:
+    relations, then functions, then constants, each by name."""
+    return ([("rel", name, sig.relations[name]) for name in sorted(sig.relations)]
+            + [("fn", name, sig.functions[name]) for name in sorted(sig.functions)]
+            + [("const", name, 0) for name in sorted(sig.constants)])
+
+
 def _walk(sig: Signature, size: int, budget: Budget | None,
           leaders_only: bool) -> Iterator[Structure | None]:
     """Every structure of the signature with domain {0..size-1}, in
     enumeration order, spending one budget unit each.  With
-    ``leaders_only``, a structure that is not the first of its isomorphism
-    class comes out as None instead, and is never built."""
-    syms = ([("rel", name, sig.relations[name]) for name in sorted(sig.relations)]
-            + [("fn", name, sig.functions[name]) for name in sorted(sig.functions)]
-            + [("const", name, 0) for name in sorted(sig.constants)])
+    ``leaders_only``, where the leader test pays (``_leader_test_pays``), a
+    structure that is not the first of its isomorphism class comes out as
+    None instead, and is never built."""
+    syms = _symbols(sig)
     tuples = {ar: list(itertools.product(range(size), repeat=ar))
               for kind, _, ar in syms if kind != "const"}
-    is_leader = _leader_test(syms, size, tuples) if leaders_only else None
+    is_leader = (_leader_test(syms, size, tuples)
+                 if leaders_only and _leader_test_pays(syms, size, budget) else None)
     code: list = [None] * len(syms)
 
     def values(kind: str, ar: int) -> Iterator:

@@ -3,7 +3,7 @@ minimality and determinism, budget behavior, corpus integrity."""
 import pytest
 
 from helpers import count_structures, is_class_leader
-from deplog import harness
+from deplog import harness, structures
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.harness import (
@@ -39,8 +39,9 @@ def test_equiv_spine_against_translation():
                                        ("term_atom", True), ("eso_choice", True)])
 def test_compiled_sides_spend_what_sentence_value_spends(name, fits, monkeypatch):
     # equiv_check compiles each side once and evaluates the first structure
-    # of each isomorphism class only; the plans must do exactly the work of
-    # one sentence_value call per side and class leader
+    # of each isomorphism class only (the leader test pays at sizes 1 and 2
+    # of these signatures); the plans must do exactly the work of one
+    # sentence_value call per side and class leader
     item = corpus_item(name)
     left = item.parsed()
     right = d_to_eso(left) if item.kind == "D" else eso_to_d(left)
@@ -156,6 +157,42 @@ def test_equiv_evaluates_one_structure_per_class(sig, n, classes, monkeypatch):
         assert leaders == classes
     at_n = _evaluated(sig, n, monkeypatch) - _evaluated(sig, n - 1, monkeypatch)
     assert at_n == leaders
+
+
+def _leader_tests_built(sig, max_n, monkeypatch) -> list[int]:
+    """The sizes at which equiv_check builds the leader test."""
+    built = []
+    test = structures._leader_test
+
+    def recording(syms, size, tuples):
+        built.append(size)
+        return test(syms, size, tuples)
+
+    f = parse_formula("forall x. x = x", sig)
+    with monkeypatch.context() as mp:
+        mp.setattr(structures, "_leader_test", recording)
+        equiv_check(f, f, sig, max_n)
+    return built
+
+
+def test_leader_test_only_where_it_pays(monkeypatch):
+    # with one constant there is one class per size: past size 4 the
+    # size! - 1 images would cost more than the structures they save, so
+    # every structure is evaluated, and size 12 is as quick as before
+    sig = Signature({}, {}, frozenset({"c"}))
+    f = parse_formula("c = c", sig)
+    v = equiv_check(f, f, sig, 12)
+    assert (v.outcome, v.structures_checked) == ("equivalent", 78)
+    assert _leader_tests_built(sig, 12, monkeypatch) == [2, 3, 4]
+    assert _evaluated(sig, 5, monkeypatch) - _evaluated(sig, 4, monkeypatch) == 5
+    assert _leader_tests_built(Signature({"P": 1}), 10, monkeypatch) == [2, 3]
+    # nor does it build more images than the structure budget has left:
+    # after sizes 1 and 2 of {E/2}, 18 structures are spent, and size 3's
+    # 6 images fit in a limit of 24 but not of 23
+    for limit, pays in ((24, True), (23, False)):
+        budget = Budget(limit)
+        budget.spend(18)
+        assert structures._leader_test_pays(structures._symbols(SIG_E), 3, budget) is pays
 
 
 def test_counterexample_is_first_structure():

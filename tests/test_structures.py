@@ -2,12 +2,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_structures, enumerate_teams, restrict
+from helpers import count_structures, enumerate_teams, is_class_leader, restrict
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.structures import (
-    Structure, Team, enumerate_structures, structure_from_json_dict,
-    structure_to_json_dict, team_from_json_dict, team_to_json_dict,
+    Structure, Team, _class_count, _symbols, enumerate_structures,
+    structure_from_json_dict, structure_to_json_dict, team_from_json_dict,
+    team_to_json_dict,
 )
 from deplog.syntax import Signature
 
@@ -115,6 +116,24 @@ def test_enumerated_structures_equal_validated_ones():
                 assert type(table) is tuple
                 assert all(type(v) is int for v in table)
             assert all(type(v) is int for v in m.constants.values())
+
+
+@pytest.mark.parametrize("sig,n", [
+    (Signature({"P": 1, "E": 2}, {"g": 1}, frozenset({"c"})), 2),
+    (SIG_R, 3),
+    (Signature({"P": 1, "Q": 1}), 4),
+    (Signature({"Z": 0}, {"k": 0, "g": 1}, frozenset({"c", "d"})), 3),
+    (Signature({}, {"f": 1, "g": 1}, frozenset({"c"})), 3),
+    (Signature({}, {"F": 2}), 2),
+    (Signature({}, {"F": 3}), 2),
+    (Signature({}, {}, frozenset("cdef")), 4),
+    (Signature({}, {}, frozenset()), 3),
+])
+def test_class_count_matches_brute_force(sig, n):
+    # the count that decides where equiv_check takes the leader test
+    # (Burnside's lemma) against the leaders found by trying every renaming
+    assert _class_count(_symbols(sig), n) == sum(
+        map(is_class_leader, enumerate_structures(sig, n)))
 
 
 def test_enumeration_deterministic():

@@ -1,8 +1,13 @@
 """Command-line interface, exercised in process through main()."""
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import deplog
 from deplog.cli import main
 
 SPINE = "forall x. exists y. (=(x,y) & E(x,y))"
@@ -506,3 +511,23 @@ def test_enum_deterministic(write, capsys):
     main(["enum", "--sig", sig, "--size", "2"])
     assert capsys.readouterr().out == first
     assert len(first.strip().splitlines()) == 16
+
+
+def test_enum_streams_under_a_memory_cap(write):
+    # {R/3} at size 3 has 2**27 structures: the walk must stop at the
+    # budget after 1,000 of them, building no table of a symbol's values up
+    # front; the address-space cap turns a walk that does into a failure
+    # of this process alone
+    sig = write("sig.json", {"relations": {"R": 3}, "functions": {},
+                             "constants": []})
+    src = os.path.dirname(os.path.dirname(deplog.__file__))
+    env = dict(os.environ, DEPLOG_BUDGET="1000", PYTHONPATH=src)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "deplog.cli", "enum", "--sig", sig, "--size", "3"],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert len(proc.stdout.splitlines()) == 1000

@@ -2,7 +2,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import count_structures, enumerate_teams, is_class_leader, restrict
+from helpers import (
+    _canonical_code, count_structures, enumerate_teams, is_class_leader, restrict,
+)
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.structures import (
@@ -118,7 +120,8 @@ def test_enumerated_structures_equal_validated_ones():
             assert all(type(v) is int for v in m.constants.values())
 
 
-@pytest.mark.parametrize("sig,n", [
+# signatures mixing every symbol kind and arity 0, at sizes up to 4
+CLASS_CASES = [
     (Signature({"P": 1, "E": 2}, {"g": 1}, frozenset({"c"})), 2),
     (SIG_R, 3),
     (Signature({"P": 1, "Q": 1}), 4),
@@ -128,12 +131,24 @@ def test_enumerated_structures_equal_validated_ones():
     (Signature({}, {"F": 3}), 2),
     (Signature({}, {}, frozenset("cdef")), 4),
     (Signature({}, {}, frozenset()), 3),
-])
+]
+
+
+@pytest.mark.parametrize("sig,n", CLASS_CASES)
 def test_class_count_matches_brute_force(sig, n):
     # the count that decides where equiv_check takes the leader test
     # (Burnside's lemma) against the leaders found by trying every renaming
     assert _class_count(_symbols(sig), n) == sum(
         map(is_class_leader, enumerate_structures(sig, n)))
+
+
+@pytest.mark.parametrize("sig,n", CLASS_CASES)
+def test_enumeration_visits_codes_in_increasing_order(sig, n):
+    # the order the leader test relies on: a structure is the first of its
+    # class exactly when no renaming of its domain gives a smaller code
+    codes = [_canonical_code(m, range(n)) for m in enumerate_structures(sig, n)]
+    assert len(codes) == count_structures(sig, n)
+    assert all(a < b for a, b in zip(codes, codes[1:]))
 
 
 def test_enumeration_deterministic():

@@ -21,7 +21,7 @@ from .harness import (
 )
 from .structures import (
     Structure, Team, enumerate_structures, structure_from_json_dict,
-    structure_to_json_dict, team_from_json_dict, team_to_json_dict,
+    structure_to_json_dict, team_from_json_dict,
 )
 from .syntax import (
     And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, FALSE,

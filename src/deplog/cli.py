@@ -86,8 +86,8 @@ def _render(out) -> str:
 
 def _parse_any(text: str, sig: Signature | None):
     if _is_eso_text(text):
-        return parse_eso(text, sig) if sig else parse_eso_infer(text)[0]
-    return parse_formula(text, sig) if sig else parse_formula_infer(text)[0]
+        return parse_eso(text, sig)
+    return parse_formula(text, sig)
 
 
 # ---------------------------------------------------------------------------

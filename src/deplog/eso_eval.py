@@ -86,18 +86,11 @@ class _Symbols:
                 values[i] = getattr(struct, table)[name]
 
 
-def _var_slot(t: Var, scope: dict[str, int]) -> int:
-    try:
-        return scope[t.name]
-    except KeyError:
-        raise EvalError(f"unbound variable {t.name!r}") from None
-
-
 def _compile_term(t: Term, scope: dict[str, int], syms: _Symbols) -> _Value:
     """A term as a closure; function arguments index the flat table in
     lexicographic order, the first argument most significant."""
     if isinstance(t, Var):
-        return itemgetter(_var_slot(t, scope))
+        return itemgetter(scope[t.name])
     values = syms.values
     if isinstance(t, Const):
         k = syms.slot("constants", t.name)
@@ -129,7 +122,7 @@ def _compile_terms(ts: Sequence[Term], scope: dict[str, int],
                    syms: _Symbols) -> Callable[[Sequence[int]], tuple]:
     """A tuple of terms as one closure returning the tuple of values."""
     if all(isinstance(t, Var) for t in ts):
-        idx = [_var_slot(t, scope) for t in ts]
+        idx = [scope[t.name] for t in ts]
         if len(idx) > 1:
             return itemgetter(*idx)
         if idx:

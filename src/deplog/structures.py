@@ -7,16 +7,16 @@ values. Relations are frozensets of argument tuples.
 
 ``Structure(...)`` and ``structure_from_json_dict`` validate what they are
 given; enumeration builds its structures without those checks, since it
-only makes well-formed ones.  Enumeration visits a structure's code (a
-relation's flag per argument tuple, a function's table, a constant's
-value, symbol by symbol) in lexicographic order.  The equivalence checker
-walks the same enumeration but builds only the first structure of each
-isomorphism class: the one whose code no permutation of the domain makes
-smaller (the lex-leader test of Crawford, Ginsberg, Luks and Roy, KR 1996).
-It takes that test only at a size where it pays: the number of classes,
-counted by Burnside's lemma, times size! comparisons must be small beside
-the evaluations it saves, and the size! images must fit in the structure
-budget; elsewhere every structure is built.
+only makes well-formed ones.  Enumeration visits structures in increasing
+order of their code, one flat tuple: every relation's flag per argument
+tuple, then every function's table, then every constant's value.  The
+equivalence checker walks the same enumeration but builds only the first
+structure of each isomorphism class: the one whose code no permutation of
+the domain makes smaller (the lex-leader test of Crawford, Ginsberg, Luks
+and Roy, KR 1996).  It takes that test only at a size where it pays: the
+number of classes, counted by Burnside's lemma, times size! comparisons
+must be small beside the evaluations it saves, and the size! images must
+fit in the structure budget; elsewhere every structure is built.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .syntax import Signature
 __all__ = [
     "Structure", "Team", "enumerate_structures",
     "structure_to_json_dict", "structure_from_json_dict",
-    "team_to_json_dict", "team_from_json_dict",
+    "team_from_json_dict",
 ]
 
 
@@ -138,45 +138,45 @@ def _structure(sig: Signature, size: int, relations: dict, functions: dict,
     return struct
 
 
+def _getter(pos: list[int]):
+    """The entries of a sequence at ``pos``, as a tuple (``itemgetter``
+    returns a single entry bare)."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    return (lambda v, j=pos[0]: (v[j],)) if pos else (lambda v: ())
+
+
 def _leader_test(syms: list, size: int, tuples: dict):
-    """A test of a structure's code (one value per symbol of ``syms``, the
-    (kind, name, arity) list in enumeration order: a relation's flag per
-    argument tuple, a function's table, a constant's value) that is true
-    when no permutation of the domain maps the structure to a smaller code,
-    i.e. to one enumerated earlier.  ``tuples`` lists the argument tuples
-    of each arity."""
-    perms = itertools.islice(itertools.permutations(range(size)), 1, None)
+    """A test of a structure's code (see ``_walk``; ``syms`` is the
+    (kind, name, arity) list in enumeration order and ``tuples`` lists the
+    argument tuples of each arity) that is true when no permutation of the
+    domain maps the structure to a smaller code, i.e. to one enumerated
+    earlier.  The image of a code under a permutation p takes each
+    relation's flag at tuple t from the original's at p^-1(t), and each
+    value (a function's at t, a constant's) from the original's at p^-1(t)
+    renamed by p.  Flags come before values in the code, so an image is
+    one getter for the flags and, where there are values, one for the
+    values, which it renames by p."""
     index = {ar: {t: i for i, t in enumerate(ts)} for ar, ts in tuples.items()}
     images = []
-    for p in perms:
+    for p in itertools.islice(itertools.permutations(range(size)), 1, None):
         q = [0] * size
         for x, y in enumerate(p):
             q[y] = x
-        # the image's entry at tuple t is the original's at q(t)
-        moves = {}
-        for ar, ts in tuples.items():
-            pos = [index[ar][tuple(q[x] for x in t)] for t in ts]
-            moves[ar] = (itemgetter(*pos) if len(pos) > 1
-                         else lambda v, j=pos[0]: (v[j],))
-        row = []
+        flags, values, at = [], [], 0
         for kind, _, ar in syms:
-            if kind == "rel":
-                row.append(moves[ar])
-            elif kind == "fn":
-                row.append(lambda v, move=moves[ar], to=p.__getitem__:
-                           tuple(map(to, move(v))))
-            else:
-                row.append(p.__getitem__)
-        images.append(row)
+            (flags if kind == "rel" else values).extend(
+                at + index[ar][tuple(q[x] for x in t)] for t in tuples[ar])
+            at += len(tuples[ar])
+        moved = _getter(flags)
+        images.append(moved if not values else
+                      lambda c, f=moved, v=_getter(values), r=p.__getitem__:
+                      f(c) + tuple(map(r, v(c))))
 
-    def is_leader(code) -> bool:
-        for row in images:
-            for image, v in zip(row, code):
-                w = image(v)
-                if w != v:
-                    if w < v:
-                        return False
-                    break
+    def is_leader(code: tuple) -> bool:
+        for image in images:
+            if image(code) < code:
+                return False
         return True
 
     return is_leader
@@ -255,47 +255,39 @@ def _symbols(sig: Signature) -> list[tuple[str, str, int]]:
 def _walk(sig: Signature, size: int, budget: Budget | None,
           leaders_only: bool) -> Iterator[Structure | None]:
     """Every structure of the signature with domain {0..size-1}, in
-    enumeration order, spending one budget unit each.  With
+    enumeration order, spending one budget unit each.  A structure's code
+    is one flat tuple: each relation's flag per argument tuple, then each
+    function's table, then each constant's value (a constant is a nullary
+    table), symbols in ``_symbols`` order and argument tuples
+    lexicographically.  The codes come from one product over per-position
+    pools, the last position varying fastest, so they increase.  With
     ``leaders_only``, where the leader test pays (``_leader_test_pays``), a
     structure that is not the first of its isomorphism class comes out as
     None instead, and is never built."""
     syms = _symbols(sig)
-    tuples = {ar: list(itertools.product(range(size), repeat=ar))
-              for kind, _, ar in syms if kind != "const"}
+    tuples = {ar: list(itertools.product(range(size), repeat=ar)) for _, _, ar in syms}
     is_leader = (_leader_test(syms, size, tuples)
                  if leaders_only and _leader_test_pays(syms, size, budget) else None)
-    code: list = [None] * len(syms)
-
-    def values(kind: str, ar: int) -> Iterator:
-        """One symbol's values, lexicographically."""
-        if kind == "const":
-            return range(size)
-        return itertools.product((0, 1) if kind == "rel" else range(size),
-                                 repeat=size ** ar)
-
-    def build() -> Structure:
+    pools, cuts = [], []
+    for kind, name, ar in syms:
+        width = len(tuples[ar])
+        cuts.append((kind, name, tuples[ar], slice(len(pools), len(pools) + width)))
+        pools += [(0, 1) if kind == "rel" else range(size)] * width
+    for code in itertools.product(*pools):
+        if budget is not None:
+            budget.spend(1, "structure enumeration")
+        if is_leader is not None and not is_leader(code):
+            yield None
+            continue
         rels, fns, consts = {}, {}, {}
-        for (kind, name, ar), v in zip(syms, code):
+        for kind, name, ts, cut in cuts:
             if kind == "rel":
-                rels[name] = frozenset(itertools.compress(tuples[ar], v))
+                rels[name] = frozenset(itertools.compress(ts, code[cut]))
             elif kind == "fn":
-                fns[name] = v
+                fns[name] = code[cut]
             else:
-                consts[name] = v
-        return _structure(sig, size, rels, fns, consts)
-
-    def rec(i: int) -> Iterator[Structure | None]:
-        if i == len(syms):
-            if budget is not None:
-                budget.spend(1, "structure enumeration")
-            yield None if is_leader is not None and not is_leader(code) else build()
-            return
-        kind, _, ar = syms[i]
-        for v in values(kind, ar):
-            code[i] = v
-            yield from rec(i + 1)
-
-    return rec(0)
+                consts[name] = code[cut.start]
+        yield _structure(sig, size, rels, fns, consts)
 
 
 def enumerate_structures(sig: Signature, size: int,
@@ -359,10 +351,6 @@ def structure_from_json_dict(data, sig: Signature) -> Structure:
             raise ShapeError(f"function {name} must be a flat value table")
         fns[name] = tuple(table)
     return Structure(sig, size, rels, fns, dict(consts_in))
-
-
-def team_to_json_dict(team: Team) -> dict:
-    return {"vars": list(team.vars), "rows": sorted(list(r) for r in team.rows)}
 
 
 def team_from_json_dict(data) -> Team:

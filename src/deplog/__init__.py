@@ -11,9 +11,7 @@ from .budget import (
     Budget, DEFAULT_CHECK_BUDGET, DEFAULT_STRUCTURE_BUDGET,
     default_check_budget, default_structure_budget,
 )
-from .errors import (
-    BudgetExceededError, DeplogError, EvalError, ParseError, ShapeError,
-)
+from .errors import BudgetExceededError, DeplogError, ParseError, ShapeError
 from .eso_eval import eso_satisfies
 from .fragments import FragmentReport, classify_d, classify_eso
 from .harness import (

@@ -42,7 +42,7 @@ from .structures import (
     structure_to_json_dict, team_from_json_dict,
 )
 from .syntax import (
-    EsoSentence, Signature, fresh_var, parse_eso, parse_eso_infer,
+    EsoSentence, Signature, _is_int, fresh_var, parse_eso, parse_eso_infer,
     parse_formula, parse_formula_infer, prenex_split, render_eso,
     render_formula, symbols_of,
 )
@@ -50,8 +50,7 @@ from .team_eval import satisfies
 from .transforms import (
     NormalFormD, collapse_existential_to_fo, d_to_eso, eliminate_width1,
     eso_to_d, extract_dep_atoms, simplify_atom_terms, single_forall_reuse,
-    skolemize_normal_form, skolemize_prefix_existentials, snf_to_star,
-    star_normalize, to_normal_form, to_prenex,
+    skolemize_prefix_existentials, snf_to_star, star_normalize, to_prenex,
 )
 
 __all__ = ["main"]
@@ -85,9 +84,7 @@ def _render(out) -> str:
 
 
 def _parse_any(text: str, sig: Signature | None):
-    if _is_eso_text(text):
-        return parse_eso(text, sig)
-    return parse_formula(text, sig)
+    return (parse_eso if _is_eso_text(text) else parse_formula)(text, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +102,7 @@ def _sig_from_structure(raw, inferred: Signature) -> Signature:
     if not isinstance(raw, dict):
         raise ShapeError("structure JSON must be an object")
     size = raw.get("domain")
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+    if not _is_int(size) or size < 1:
         raise ShapeError("structure 'domain' must be a positive integer")
     rels_in, fns_in, consts_in = _json_tables(raw)
     rels: dict[str, int] = {}
@@ -132,13 +129,9 @@ def _sig_from_structure(raw, inferred: Signature) -> Signature:
 
 
 def _parse_against_structure(text: str, raw):
-    if _is_eso_text(text):
-        _, inferred = parse_eso_infer(text)
-        sig = _sig_from_structure(raw, inferred)
-        return parse_eso(text, sig), sig
-    _, inferred = parse_formula_infer(text)
-    sig = _sig_from_structure(raw, inferred)
-    return parse_formula(text, sig), sig
+    infer = parse_eso_infer if _is_eso_text(text) else parse_formula_infer
+    sig = _sig_from_structure(raw, infer(text)[1])
+    return _parse_any(text, sig), sig
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +148,23 @@ def _single_forall_pass(f):
     return single_forall_reuse(f, fresh_var(symbols_of(f), "x"))
 
 
-_D_PASSES = {
+_PASSES = {
     "prenex": to_prenex,
     "simplify-atoms": simplify_atom_terms,
     "extract": _extract_pass,
-    "skolemize": lambda f: skolemize_normal_form(to_normal_form(f)),
+    "skolemize": d_to_eso,
     "d2eso": d_to_eso,
-    "fo-collapse": collapse_existential_to_fo,
-    "width1": eliminate_width1,
-    "single-forall": _single_forall_pass,
-}
-
-_ESO_PASSES = {
     "star": star_normalize,
     "eso2d": eso_to_d,
     "snf": skolemize_prefix_existentials,
     "prop36": snf_to_star,
+    "fo-collapse": collapse_existential_to_fo,
+    "width1": eliminate_width1,
+    "single-forall": _single_forall_pass,
 }
-
-_PASS_ORDER = ["prenex", "simplify-atoms", "extract", "skolemize", "d2eso",
-               "star", "eso2d", "snf", "prop36", "fo-collapse", "width1",
-               "single-forall"]
+# the passes whose input is a function sentence
+_ESO_INPUT = frozenset({"star", "eso2d", "snf", "prop36"})
+_PASS_ORDER = list(_PASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +201,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    text = _read(args.input)
-    name = args.pass_name
-    if name in _ESO_PASSES:
-        out = _ESO_PASSES[name](parse_eso_infer(text)[0])
-    else:
-        out = _D_PASSES[name](parse_formula_infer(text)[0])
-    print(_render(out))
+    parse = parse_eso if args.pass_name in _ESO_INPUT else parse_formula
+    print(_render(_PASSES[args.pass_name](parse(_read(args.input)))))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    text = _read(args.input)
-    if _is_eso_text(text):
-        report = classify_eso(parse_eso_infer(text)[0])
-    else:
-        report = classify_d(parse_formula_infer(text)[0])
+    tree = _parse_any(_read(args.input), None)
+    report = classify_eso(tree) if isinstance(tree, EsoSentence) else classify_d(tree)
     print(json.dumps(report.to_dict()))
     return 0
 

@@ -27,17 +27,9 @@ class ShapeError(DeplogError):
 
     Covers signature mismatches, malformed JSON payloads, teams whose rows
     do not match their variable list, transform preconditions (e.g. a
-    sentence that is not in the expected normal form), and similar.
-    """
-
-
-class EvalError(DeplogError):
-    """Raised when an evaluator is asked to compile a tree it has no
-    semantics for, e.g. a node that is not a term or formula of the
-    language.
-
-    Input faults (undeclared symbols, free variables left unbound, team
-    rows outside the domain) are ShapeErrors, checked before compiling.
+    sentence that is not in the expected normal form), malformed trees (a
+    node that is not a term or formula of the language, met by the
+    renderer, the walks or the evaluators' compiler), and similar.
     """
 
 

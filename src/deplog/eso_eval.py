@@ -5,19 +5,22 @@ quantified function symbols (one flat lookup table each) makes the
 first-order part true. Tables are enumerated exhaustively in lexicographic
 order with early exit on the first witness; the total number of candidate
 interpretations is checked against the budget up front, so an infeasible
-instance fails loudly before any work is done.
+instance fails loudly before any work is done: the count's exponents are
+cut at the bit length of the budget's limit (or of 2**64), so it is exact
+wherever it fits and never too large to build.
 
 The classical evaluator here is the only one in the package, and it has
 no public entry of its own: the ESO plan runs it on the matrix, and the
 team evaluator on dependence-free subformulas, row by row (so satisfies
 on a one-row team is classical satisfaction by one assignment).  It
 compiles a formula once into closures over a slot-indexed environment (a
-list, or a team row tuple): each variable is resolved to its slot, each
-quantifier gets a slot of its own, and each relation, function and constant
-to a slot of a _Symbols table that is refilled per structure, so a compiled
-formula runs on another structure without being walked again.  Each caller
-charges its budget under its own context, one unit per node visited:
-"first-order evaluation" here and "row evaluation" there.
+list, or a team row tuple): each variable is resolved to its slot (by
+_scope, which the team evaluator shares), each quantifier gets a slot of
+its own, and each relation, function and constant to a slot of a _Symbols
+table that is refilled per structure, so a compiled formula runs on
+another structure without being walked again.  Each caller charges its
+budget under its own context, one unit per node visited: "first-order
+evaluation" here and "row evaluation" there.
 
 An ESO sentence is compiled the same way, once: the prefix into nested
 loops over its variables' slots and the matrix into one closure, with each
@@ -30,14 +33,14 @@ structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from operator import itemgetter
 from typing import Callable, Sequence
 
 from .budget import Budget
-from .errors import BudgetExceededError, EvalError
-from .structures import Structure
+from .errors import BudgetExceededError, ShapeError
+from .structures import Structure, _getter
 from .syntax import (
     And, App, Bool, Const, Equal, EsoSentence, Exists, Forall,
     Formula, Or, RelAtom, Signature, Term, Var, check_symbols,
@@ -56,6 +59,11 @@ def _no_spend(amount: int, context: str) -> None:
 
 def _spender(budget: Budget | None):
     return _no_spend if budget is None else budget.spend
+
+
+def _scope(vars: tuple[str, ...]) -> dict[str, int]:
+    # a rebound variable names its newest slot
+    return {v: i for i, v in enumerate(vars)}
 
 
 class _Symbols:
@@ -96,7 +104,7 @@ def _compile_term(t: Term, scope: dict[str, int], syms: _Symbols) -> _Value:
         k = syms.slot("constants", t.name)
         return lambda env: values[k]
     if not isinstance(t, App):
-        raise EvalError(f"not a term: {t!r}")
+        raise ShapeError(f"not a term: {t!r}")
     k = syms.slot("extra" if t.fn in syms.extra else "functions", t.fn)
     args = []
     for a in t.args:
@@ -122,13 +130,7 @@ def _compile_terms(ts: Sequence[Term], scope: dict[str, int],
                    syms: _Symbols) -> Callable[[Sequence[int]], tuple]:
     """A tuple of terms as one closure returning the tuple of values."""
     if all(isinstance(t, Var) for t in ts):
-        idx = [scope[t.name] for t in ts]
-        if len(idx) > 1:
-            return itemgetter(*idx)
-        if idx:
-            i, = idx
-            return lambda env: (env[i],)
-        return lambda env: ()
+        return _getter([scope[t.name] for t in ts])
     fns = [_compile_term(t, scope, syms) for t in ts]
     if len(fns) == 1:
         f0, = fns
@@ -201,10 +203,10 @@ def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
                 spend(1, context)
                 return loop(env)
         else:
-            raise EvalError(f"cannot evaluate {f!r}")
+            raise ShapeError(f"cannot evaluate {f!r}")
         return check
 
-    check = comp(f, {v: i for i, v in enumerate(vars)})
+    check = comp(f, _scope(vars))
     if width == len(vars):
         return check
     pad = (0,) * (width - len(vars))
@@ -228,6 +230,12 @@ def _eso_plan(sentence: EsoSentence, sig: Signature, budget: Budget | None
         check = _quantifier_loop(i, prefix[i][0] == "exists", check, values)
     spend = _spender(budget)
     env = [0] * len(prefix)
+    # candidate tables per domain size, n ** entries with the exponents cut
+    # at the bits of the limit (or of 2**64): exact up to there, past it a
+    # lower bound above the limit
+    bits = max(budget.limit if budget else 0, 2 ** 64).bit_length()
+    count = functools.cache(
+        lambda n: n ** min(sum(n ** min(a, bits) for _, a in fns), bits))
 
     def search(i: int, n: int) -> bool:
         if i == len(fns):
@@ -241,10 +249,9 @@ def _eso_plan(sentence: EsoSentence, sig: Signature, budget: Budget | None
 
     def run(struct: Structure) -> bool:
         n = struct.size
-        count = math.prod(n ** (n ** ar) for _, ar in fns)
-        if budget is not None and budget.would_exceed(count):
+        if budget is not None and budget.would_exceed(count(n)):
             raise BudgetExceededError("function table enumeration",
-                                      budget.spent + count, budget.limit)
+                                      budget.spent + count(n), budget.limit)
         syms.bind(struct)
         return search(0, n)
 

@@ -16,7 +16,8 @@ the domain makes smaller (the lex-leader test of Crawford, Ginsberg, Luks
 and Roy, KR 1996).  It takes that test only at a size where it pays: the
 number of classes, counted by Burnside's lemma, times size! comparisons
 must be small beside the evaluations it saves, and the size! images must
-fit in the structure budget; elsewhere every structure is built.
+fit in the structure budget (size! is multiplied out only that far);
+elsewhere every structure is built.
 """
 
 from __future__ import annotations
@@ -25,24 +26,18 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .budget import Budget
 from .errors import ShapeError
-from .syntax import Signature
+from .syntax import Signature, _is_int
 
 __all__ = [
     "Structure", "Team", "enumerate_structures",
     "structure_to_json_dict", "structure_from_json_dict",
     "team_from_json_dict",
 ]
-
-
-def _is_int(v) -> bool:
-    """An int that is not a bool (JSON true and false load as bools, which
-    Python counts as ints)."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass
@@ -139,8 +134,8 @@ def _structure(sig: Signature, size: int, relations: dict, functions: dict,
 
 
 def _getter(pos: list[int]):
-    """The entries of a sequence at ``pos``, as a tuple (``itemgetter``
-    returns a single entry bare)."""
+    """The entries of a sequence at ``pos`` as a tuple (``itemgetter``
+    returns one entry bare): leader-test images, compiled variable tuples."""
     if len(pos) > 1:
         return itemgetter(*pos)
     return (lambda v, j=pos[0]: (v[j],)) if pos else (lambda v: ())
@@ -223,7 +218,7 @@ def _partitions(n: int, top: int) -> Iterator[list[int]]:
             yield [k, *rest]
 
 
-def _leader_test_pays(syms: list, size: int, budget: Budget | None) -> bool:
+def _leader_test_pays(syms: list, size: int, budget: Budget) -> bool:
     """Whether the leader test is worth building at this size.  It builds
     the size! - 1 permutation images up front, which must fit in what the
     structure budget has left, and compares each leader with all of them:
@@ -232,9 +227,11 @@ def _leader_test_pays(syms: list, size: int, budget: Budget | None) -> bool:
     Small signatures at large sizes, whose structures have many
     automorphisms and so fall into many small classes, fail this, and
     every structure is evaluated."""
-    perms = math.factorial(size)
-    if size == 1 or (budget is not None and budget.would_exceed(perms)):
+    # size! only until it passes the room, which also bounds the count's size
+    if size == 1 or any(map(budget.would_exceed,
+                            itertools.accumulate(range(2, size + 1), mul))):
         return False
+    perms = math.factorial(size)
     count = math.prod((2 if kind == "rel" else size) ** size ** ar
                       for kind, _, ar in syms)
     # a class at least, so at least size! comparisons
@@ -261,9 +258,9 @@ def _walk(sig: Signature, size: int, budget: Budget | None,
     table), symbols in ``_symbols`` order and argument tuples
     lexicographically.  The codes come from one product over per-position
     pools, the last position varying fastest, so they increase.  With
-    ``leaders_only``, where the leader test pays (``_leader_test_pays``), a
-    structure that is not the first of its isomorphism class comes out as
-    None instead, and is never built."""
+    ``leaders_only`` (and a budget), where the leader test pays
+    (``_leader_test_pays``), a structure that is not the first of its
+    isomorphism class comes out as None instead, and is never built."""
     syms = _symbols(sig)
     tuples = {ar: list(itertools.product(range(size), repeat=ar)) for _, _, ar in syms}
     is_leader = (_leader_test(syms, size, tuples)
@@ -323,7 +320,7 @@ def structure_to_json_dict(struct: Structure) -> dict:
 def _json_tables(data: dict) -> list[dict]:
     """The relation, function and constant tables of a structure JSON
     object, each an object (absent means empty)."""
-    tables = [data.get(k) or {} for k in ("relations", "functions", "constants")]
+    tables = [data.get(k, {}) for k in ("relations", "functions", "constants")]
     if not all(isinstance(t, dict) for t in tables):
         raise ShapeError("'relations', 'functions' and 'constants' must be objects")
     return tables

@@ -187,6 +187,11 @@ _KEYWORDS = frozenset({"forall", "exists", "fn", "true", "false"})
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _is_int(v) -> bool:
+    """An int that is not a bool (JSON true and false load as bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_symbol_name(name: str) -> None:
     if not isinstance(name, str) or not _IDENT_RE.fullmatch(name) or name in _KEYWORDS:
         raise ShapeError(f"bad symbol name: {name!r}")
@@ -213,12 +218,11 @@ class Signature:
             raise ShapeError("signature symbol names must be pairwise distinct")
         for name in names:
             _check_symbol_name(name)
-        for rel, ar in self.relations.items():
-            if not isinstance(ar, int) or isinstance(ar, bool) or ar < 0:
-                raise ShapeError(f"bad arity for relation {rel!r}: {ar!r}")
-        for fn, ar in self.functions.items():
-            if not isinstance(ar, int) or isinstance(ar, bool) or ar < 0:
-                raise ShapeError(f"bad arity for function {fn!r}: {ar!r}")
+        for kind, table in (("relation", self.relations),
+                            ("function", self.functions)):
+            for name, ar in table.items():
+                if not _is_int(ar) or ar < 0:
+                    raise ShapeError(f"bad arity for {kind} {name!r}: {ar!r}")
 
     def all_names(self) -> frozenset[str]:
         return frozenset(self.relations) | frozenset(self.functions) | self.constants
@@ -237,9 +241,9 @@ class Signature:
         unknown = set(data) - {"relations", "functions", "constants"}
         if unknown:
             raise ShapeError(f"unknown signature keys: {sorted(unknown)}")
-        rels = data.get("relations") or {}
-        fns = data.get("functions") or {}
-        consts = data.get("constants") or []
+        rels = data.get("relations", {})
+        fns = data.get("functions", {})
+        consts = data.get("constants", [])
         if not isinstance(rels, dict) or not isinstance(fns, dict):
             raise ShapeError("'relations' and 'functions' must be objects")
         if not isinstance(consts, list) or not all(isinstance(c, str) for c in consts):
@@ -271,7 +275,7 @@ class EsoSentence:
             raise ShapeError("duplicate quantified function symbol")
         for n, a in self.functions:
             _check_symbol_name(n)
-            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+            if not _is_int(a) or a < 0:
                 raise ShapeError(f"bad arity for quantified function {n!r}: {a!r}")
         pvars = [v for _, v in self.prefix]
         if len(pvars) != len(set(pvars)):
@@ -409,12 +413,9 @@ class _Parser:
                     t.pos)
             var = self._take_name("variable").text
             self.bound.add(var)
-            prefix.append((Forall if t.text == "forall" else Exists, var))
+            prefix.append((t.text, var))
             self.expect(".")
-        f = self.disj()
-        for quantifier, var in reversed(prefix):
-            f = quantifier(var, f)
-        return f
+        return _wrap_prefix(prefix, self.disj())
 
     def disj(self) -> Formula:
         f = self.conj()
@@ -855,6 +856,14 @@ def prenex_split(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
               for g in iter_subformulas(f) if isinstance(g, (Exists, Forall))]
     return prefix, _rebuild(
         f, lambda g: g.body if isinstance(g, (Exists, Forall)) else g)
+
+
+def _wrap_prefix(prefix, matrix: Formula) -> Formula:
+    """The inverse of prenex_split: ``matrix`` under ``prefix``, first outermost."""
+    out = matrix
+    for kind, var in reversed(list(prefix)):
+        out = Exists(var, out) if kind == "exists" else Forall(var, out)
+    return out
 
 
 def fresh_var(used, hint: str = "z") -> str:

@@ -88,7 +88,7 @@ from typing import Callable, Iterator
 from .budget import Budget
 from .errors import ShapeError
 from .eso_eval import (
-    _Symbols, _compile_fo, _compile_term, _compile_terms, _spender,
+    _Symbols, _compile_fo, _compile_term, _compile_terms, _scope, _spender,
 )
 from .structures import Structure, Team
 from .syntax import (
@@ -112,11 +112,6 @@ _ROOT: frozenset[_Row] = frozenset({()})
 
 def _never(row: _Row) -> bool:
     return False
-
-
-def _scope(vars: tuple[str, ...]) -> dict[str, int]:
-    # a rebound variable names its newest column
-    return {v: i for i, v in enumerate(vars)}
 
 
 def _mark_dep_free(root: Formula) -> dict[int, bool]:

@@ -2,7 +2,8 @@
 
 Dependence-logic passes (Formula sentences):
 
-* to_prenex: hoist every quantifier into one leading prefix.
+* to_prenex: hoist every quantifier into one leading prefix (with
+  syntax's prenex_split and its inverse _wrap_prefix).
 * simplify_atom_terms: make every dependence-atom argument a plain
   variable, pairwise distinct within each atom.
 * extract_dep_atoms: split a quantifier-free body into fresh existential
@@ -54,10 +55,10 @@ from .errors import ShapeError
 from .syntax import (
     FALSE, TRUE, And, App, DepAtom, Equal, EsoSentence, Exists, Forall,
     Formula, Term, Var, _call_shapes, _distinct_var_tuple, _map_terms,
-    _rebuild, and_chain, contains_dep_atom, eso_symbols, free_vars,
-    fresh_var, function_patterns, is_quantifier_free, iter_subformulas,
-    iter_terms, or_chain, prenex_split, replace_terms, satisfies_star,
-    symbols_of,
+    _rebuild, _wrap_prefix, and_chain, contains_dep_atom, eso_symbols,
+    free_vars, fresh_var, function_patterns, is_quantifier_free,
+    iter_subformulas, iter_terms, or_chain, prenex_split, replace_terms,
+    satisfies_star, symbols_of,
 )
 
 __all__ = [
@@ -84,13 +85,6 @@ class _Names:
         name = fresh_var(self.used, f"{self.family}{self.count}")
         self.used.add(name)
         return name
-
-
-def _wrap_prefix(prefix, matrix: Formula) -> Formula:
-    out = matrix
-    for kind, var in reversed(list(prefix)):
-        out = Exists(var, out) if kind == "exists" else Forall(var, out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +145,10 @@ def simplify_atom_terms(f: Formula) -> Formula:
 
 def _check_atom_args(matrix: Formula) -> None:
     for sub in iter_subformulas(matrix):
-        if isinstance(sub, DepAtom):
-            names = [t.name for t in sub.terms if isinstance(t, Var)]
-            if len(names) != len(sub.terms) or len(set(names)) != len(names):
-                raise ShapeError(
-                    "dependence atom arguments must be pairwise-distinct "
-                    "variables; run the atom simplification pass first")
+        if isinstance(sub, DepAtom) and not _distinct_var_tuple(sub.terms):
+            raise ShapeError(
+                "dependence atom arguments must be pairwise-distinct "
+                "variables; run the atom simplification pass first")
 
 
 def _extract_core(matrix, used):
@@ -567,8 +559,7 @@ def snf_to_star(s: EsoSentence) -> EsoSentence:
                 [Equal(v, u, negated=True) for v, u in zip(vs, shape)]
                 + [Equal(App(n, vs[:a]), App(h, xs))]))
             matrix = replace_terms(matrix, {App(n, shape): App(h, xs)})
-        if a <= k:
-            matrix = replace_terms(matrix, {App(n, xs[:a]): App(n, vs[:a])})
+        matrix = replace_terms(matrix, {App(n, xs[:a]): App(n, vs[:a])})
     diagonal = or_chain(
         [Equal(x, v, negated=True) for x, v in zip(xs, vs)] + [matrix])
     new_prefix = tuple(s.prefix) + tuple(("forall", v.name) for v in vs)

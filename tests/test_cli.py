@@ -177,13 +177,24 @@ MALFORMED = {
     "sentence": FORMULA_MALFORMED,
     "open": FORMULA_MALFORMED,
     "structure": {**JSON_MALFORMED,
-                  "list_in_tuple": {"domain": 2, "relations": {"P": [[[0]]]}}},
+                  "list_in_tuple": {"domain": 2, "relations": {"P": [[[0]]]}},
+                  # a present table must be an object, even a falsy one
+                  **{f"{key}_{name}": {**GOOD_FILES["structure"], key: value}
+                     for key, name, value in (("constants", "empty_string", ""),
+                                              ("functions", "false", False),
+                                              ("functions", "zero", 0),
+                                              ("functions", "null", None))}},
     "team": {**JSON_MALFORMED,
              "list_in_row": {"vars": ["x"], "rows": [[[0]]]},
              "object_in_row": {"vars": ["x"], "rows": [[{}]]},
              "row_outside_domain": {"vars": ["x"], "rows": [[5]]}},
     "sig": {**JSON_MALFORMED,
-            "list_constant": {"relations": {"P": 1}, "constants": [["c"]]}},
+            "list_constant": {"relations": {"P": 1}, "constants": [["c"]]},
+            **{f"{key}_{name}": {**GOOD_FILES["sig"], key: value}
+               for key, name, value in (("constants", "empty_string", ""),
+                                        ("functions", "false", False),
+                                        ("functions", "zero", 0),
+                                        ("constants", "null", None))}},
 }
 CONTRACT_CASES = [(command, flag, case)
                   for command, args in FILE_ARGS.items()
@@ -531,3 +542,47 @@ def test_enum_streams_under_a_memory_cap(write):
         env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 4
     assert len(proc.stdout.splitlines()) == 1000
+
+
+def _cli_under_cpu_cap(*argv):
+    """deplog in a process of its own, with the default budgets, under a
+    10 s CPU cap that turns a runaway computation into a failure of that
+    process alone."""
+    src = os.path.dirname(os.path.dirname(deplog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("DEPLOG_BUDGET", None)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+    return subprocess.run([sys.executable, "-m", "deplog.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["check", "equiv"])
+@pytest.mark.parametrize("arity", [64, 20])
+def test_huge_table_count_refused_up_front(write, command, arity):
+    # 2^(2^arity) candidate tables at size 2, refused without building
+    # that count: f/64's ran past 20 s, and f/20's has too many digits to
+    # print in the error line
+    f = write("f.dl", f"exists fn f/{arity}. forall x. P(x)")
+    argv = {
+        "check": ["--formula", f, "--structure",
+                  write("m.json", GOOD_FILES["structure"])],
+        "equiv": ["--left", f, "--right", write("r.dl", "forall x. P(x)"),
+                  "--sig", write("sig.json", GOOD_FILES["sig"]), "--max-size", "2"],
+    }[command]
+    proc = _cli_under_cpu_cap(command, *argv)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_leader_test_gate_is_cheap_at_large_sizes(write):
+    # one structure per size over the empty signature: the gate multiplies
+    # size! only until it passes the structure budget's room, where building
+    # 20000! in full at every size ran past 30 s
+    f = write("t.dl", "true")
+    proc = _cli_under_cpu_cap("equiv", "--left", f, "--right", f,
+                              "--sig", write("sig.json", {}), "--max-size", "20000")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["structures_checked"] == 20000

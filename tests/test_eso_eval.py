@@ -9,9 +9,11 @@ from helpers import oracle_eso, oracle_fo
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.eso_eval import eso_satisfies
-from deplog.harness import corpus_item
+from deplog.harness import corpus_item, sentence_value
 from deplog.structures import Structure, Team, enumerate_structures
-from deplog.syntax import And, Signature, parse_eso, parse_formula
+from deplog.syntax import (
+    And, EsoSentence, RelAtom, Signature, parse_eso, parse_formula,
+)
 from deplog.team_eval import satisfies
 
 SIG0 = Signature({}, {}, frozenset())
@@ -127,6 +129,39 @@ def test_budget_rejects_up_front():
     with pytest.raises(BudgetExceededError):
         eso_satisfies(bare(3), s, b)  # 3^9 candidate tables
     assert b.spent == 0  # nothing was burned before the refusal
+
+
+@pytest.mark.parametrize("text,struct,spent", [
+    # 3^9 tables: a count that fits is reported exactly
+    ("exists fn f/2. forall x. f(x,x) = x", bare(3), 3**9),
+    # 2^(2^64) and 2^(2^20) tables: the refusal builds the count only up
+    # to 65 table entries, the bits of 2^64, and reports that lower bound
+    # (2^(2^20) has 315,653 digits, past what Python converts to a string)
+    ("exists fn f/64. forall x. P(x)", pstruct(2, [(0,)]), 2**65),
+    ("exists fn f/20. forall x. P(x)", pstruct(2, [(0,)]), 2**65),
+    # nor does it build the number of entries, 3^(10^8)
+    ("exists fn f/100000000. forall x. P(x)", pstruct(3, [(0,)]), 3**65),
+])
+def test_budget_rejects_huge_count_up_front(text, struct, spent):
+    s = parse_eso(text, struct.sig)
+    b = Budget(10)
+    with pytest.raises(BudgetExceededError) as e:
+        eso_satisfies(struct, s, b)
+    assert b.spent == 0
+    assert e.value.spent == spent
+    assert str(e.value).endswith(f"spent >= {spent})")
+
+
+def test_malformed_tree_is_a_shape_error():
+    # a hand-built atom whose argument is not a term reaches the compiler
+    # behind every evaluator entry
+    bad = RelAtom("P", (5,))
+    m = pstruct(2, [(0,)])
+    for call in (lambda: satisfies(m, Team((), [()]), bad),
+                 lambda: sentence_value(m, bad),
+                 lambda: eso_satisfies(m, EsoSentence((), (), bad))):
+        with pytest.raises(ShapeError, match="not a term: 5"):
+            call()
 
 
 def test_oracle_agreement_on_corpus_eso():

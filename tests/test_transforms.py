@@ -7,7 +7,7 @@ import pytest
 from helpers import enumerate_teams, oracle_satisfies, oracle_value
 from deplog.cli import _PASS_ORDER, main as cli_main
 from deplog.errors import ShapeError
-from deplog.harness import corpus, corpus_item, sentence_value
+from deplog.harness import corpus, corpus_item, equiv_check, sentence_value
 from deplog.structures import enumerate_structures
 from deplog.syntax import (
     And, DepAtom, Equal, EsoSentence, Exists, Forall, Or, RelAtom, Signature,
@@ -726,3 +726,30 @@ def test_translate_long_input(tmp_path, capsys, pass_name):
     if pass_name == "d2eso":
         # one quantified function per dependence atom
         assert out.count("exists fn ") == 500
+
+
+# ---------------------------------------------------------------------------
+# every corpus translation that decides one domain size past the acceptance
+# criteria (criterion 3 checks d_to_eso at sizes 2-3, criterion 4 eso_to_d
+# at size 2), with the default budgets: a pair that runs out of budget
+# fails here.  phi2_closed and exist_or at 4, width3 and even_R at 3 do
+# not decide yet; henkin and zero_slice at 3 are beyond any walk.
+# ---------------------------------------------------------------------------
+
+FRONTIER = (
+    *[(name, 4) for name in ("phi1_closed", "henkin_eq", "const_eq",
+                             "global_pick", "exist_neg", "exist_const",
+                             "const_choice", "exist_pair", "spine")],
+    ("term_atom", 3),
+    *[(name, 3) for name in ("eso_id", "eso_const", "eso_choice",
+                             "eso_square", "eso_coherent", "mixed_choice")],
+)
+
+
+@pytest.mark.parametrize("name,size", FRONTIER)
+def test_translation_one_size_past_the_criteria(name, size):
+    item = corpus_item(name)
+    left = item.parsed()
+    right = d_to_eso(left) if item.kind == "D" else eso_to_d(left)
+    v = equiv_check(left, right, item.sig, size)
+    assert (v.outcome, v.max_size) == ("equivalent", size)

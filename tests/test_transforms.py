@@ -1,6 +1,7 @@
 """Rewriting passes: pinned outputs, syntactic postconditions, and
 semantic preservation cross-checked against the independent oracles."""
 import hashlib
+import random
 
 import pytest
 
@@ -693,6 +694,93 @@ def test_translate_bytes_pinned_per_pass(tmp_path, capsys):
             h.update(f"{code}\0{captured.out}\0{captured.err}\0".encode())
         got[pass_name] = h.hexdigest()
     assert got == PASS_DIGESTS
+
+
+def _shape_sentence(rng: random.Random) -> str:
+    """A function sentence with nested, repeated and existential call
+    shapes: f, g and k over 2-4 variables, terms up to three deep."""
+    arity = {"f": rng.randint(1, 2), "g": rng.randint(1, 2), "k": rng.randint(0, 1)}
+    names = rng.sample(["x", "y", "w", "v"], rng.randint(2, 4))
+
+    def term(depth: int) -> str:
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(names)
+        fn = rng.choice(sorted(arity))
+        return f"{fn}({','.join(term(depth - 1) for _ in range(arity[fn]))})"
+
+    def atom() -> str:
+        a = rng.choice([lambda: f"P({term(3)})", lambda: f"E({term(3)},{term(3)})",
+                        lambda: f"{term(3)} = {term(3)}"])()
+        return "~" + a if rng.random() < 0.2 else a
+
+    body = atom()
+    for _ in range(rng.randint(1, 4)):
+        body = f"({body} {rng.choice('&|')} {atom()})"
+    return ("".join(f"exists fn {n}/{a}. " for n, a in arity.items())
+            + "".join(f"{rng.choice(['forall', 'forall', 'exists'])} {v}. "
+                      for v in names) + body)
+
+
+# call shapes where the order of the rewrites decides the bytes, then
+# seeded random ones
+SHAPE_SENTENCES = [
+    # a function nested in itself with a bad shape, two and three deep
+    "exists fn f/2. forall x. forall y. P(f(f(x,x),y))",
+    "exists fn f/2. forall x. forall y. P(f(f(f(x,x),y),f(y,y)))",
+    # an inner bad shape that also stands alone before its outer one
+    "exists fn f/2. forall x. forall y. (P(f(x,x)) & E(f(f(x,x),y),x))",
+    "exists fn f/2. forall x. exists y. (f(y,y) = x | P(f(x,f(y,y))))",
+    # shapes over existentials, and shapes overlapping the kept one
+    "exists fn f/2. exists fn g/2. forall x. exists y. forall w. "
+    "(E(f(x,y),f(x,w)) & E(f(w,x),g(y,x)) & (g(x,w) = g(w,x) | P(g(w,y))))",
+    "exists fn f/2. exists fn g/1. forall x. forall y. forall w. "
+    "(E(f(x,y),f(y,w)) & P(f(w,x)) & E(g(y),g(x)))",
+    "exists fn f/1. exists fn g/2. exists y. forall x. forall w. "
+    "(E(f(y),f(x)) & P(g(y,x)) & E(g(x,w),g(w,x)))",
+    # functions inside each other's arguments
+    "exists fn f/2. exists fn g/1. forall x. forall y. "
+    "(P(f(g(x),x)) & E(g(f(x,x)),g(f(y,x))))",
+    "exists fn f/1. exists fn g/2. forall x. forall y. "
+    "(g(f(x),f(y)) = f(g(y,x)) | P(g(x,g(x,y))))",
+    # twins (both outer and inner in a composition) for two functions
+    "exists fn f/1. exists fn g/1. forall x. (P(f(g(x))) & P(g(f(x))) & E(f(x),g(x)))",
+    "exists fn f/2. exists fn g/1. forall x. forall y. "
+    "(E(f(g(x),y),g(f(x,y))) & P(f(y,g(x))) & E(g(x),f(x,y)))",
+    # several composed shapes per function
+    "exists fn f/2. exists fn g/1. exists fn k/1. forall x. forall y. "
+    "(E(f(g(x),y),f(y,k(x))) & P(f(k(x),g(x))) & E(g(x),k(x)))",
+    # fresh names that collide with the input's
+    "exists fn f/1. exists fn f_1/1. exists fn h1/1. forall x. forall z1. forall v1. "
+    "(E(f(f(x)),f_1(z1)) & h1(f(v1)) = f(z1))",
+] + [_shape_sentence(random.Random(seed)) for seed in range(28)]
+
+
+def _prop36(s):
+    return snf_to_star(skolemize_prefix_existentials(s))
+
+
+# sha256 per pass of its rendered outputs (or "error: " and the message)
+# on every sentence of SHAPE_SENTENCES, in order
+SHAPE_DIGESTS = {
+    "star": "9db75485d67e236c030156799b2d685ab85c2fb5334ae1e1572564da4be9aa98",
+    "eso2d": "8ddecc78702e5aa2d3363a2b3a638788b97491080267d38ab3eb45e3784da5e6",
+    "snf": "6b856ddf229dd5d8c24d6f8ad0a00fbda73f1af94f157c88b085d82ec4efb9ea",
+    "snf+prop36": "28c755fda4c7e313db5c37bb5e3f3c88771e1612c7b4650771264aec8ca3423c",
+}
+
+
+@pytest.mark.parametrize("pass_name,run", [
+    ("star", star_normalize), ("eso2d", eso_to_d),
+    ("snf", skolemize_prefix_existentials), ("snf+prop36", _prop36)])
+def test_call_shape_bytes_pinned(pass_name, run):
+    h = hashlib.sha256()
+    for text in SHAPE_SENTENCES:
+        try:
+            out = render(run(parse_eso_infer(text)[0]))
+        except ShapeError as e:
+            out = f"error: {e}"
+        h.update(f"{out}\0".encode())
+    assert h.hexdigest() == SHAPE_DIGESTS[pass_name]
 
 
 # every pass on a chain of 1,500 conjuncts (2,000 atoms), longer than the

@@ -906,25 +906,10 @@ def check_symbols(f: Formula, sig: Signature,
                     f"function {t.fn!r} has arity {want}, got {len(t.args)} arguments")
 
 
-def _map_terms(f: Formula, fix) -> Formula:
-    """Rebuild ``f`` with ``fix`` applied to every argument term of every
-    atom."""
-    def atom(g: Formula) -> Formula:
-        if isinstance(g, RelAtom):
-            return RelAtom(g.rel, tuple(fix(a) for a in g.args), g.negated)
-        if isinstance(g, Equal):
-            return Equal(fix(g.left), fix(g.right), g.negated)
-        if isinstance(g, DepAtom):
-            return DepAtom(tuple(fix(t) for t in g.terms), g.negated)
-        return g
-
-    return _rebuild(f, atom)
-
-
 def replace_terms(f: Formula, mapping: dict[Term, Term]) -> Formula:
     """Replace every occurrence of each key of ``mapping`` (nested ones too)
-    by its value, in one pass; a replaced occurrence is not searched
-    further."""
+    by its value, in one pass over the atoms' argument terms; a replaced
+    occurrence is not searched further."""
     def swap(t: Term) -> Term:
         if t in mapping:
             return mapping[t]
@@ -932,4 +917,13 @@ def replace_terms(f: Formula, mapping: dict[Term, Term]) -> Formula:
             return App(t.fn, tuple(swap(a) for a in t.args))
         return t
 
-    return _map_terms(f, swap)
+    def atom(g: Formula) -> Formula:
+        if isinstance(g, RelAtom):
+            return RelAtom(g.rel, tuple(map(swap, g.args)), g.negated)
+        if isinstance(g, Equal):
+            return Equal(swap(g.left), swap(g.right), g.negated)
+        if isinstance(g, DepAtom):
+            return DepAtom(tuple(map(swap, g.terms)), g.negated)
+        return g
+
+    return _rebuild(f, atom)

@@ -34,11 +34,17 @@ Function-sentence passes (EsoSentence):
 * deskolemize_functions / eso_to_d: replace each function by an
   existential constrained by a dependence atom over the call shape.
 
-Each substitution is one pass over the formula.  The Skolem and de-Skolem
-passes, eliminate_width1 and star_normalize's split build one mapping
-each: no image contains a replaced term.  star_normalize's flattening and
-snf_to_star replace one call shape at a time, because each step looks for
-the next shape in the rewritten matrix.
+Each substitution is one pass over the formula, and each stage
+substitutes once.  The Skolem and de-Skolem passes and eliminate_width1
+build one mapping each; star_normalize builds one per stage (its first
+stage one per function, since a function's guards can hold the next
+function's shapes), and snf_to_star one for its composed shapes.  A
+mapping's keys are the shapes as the stage finds them: fresh names never
+occur in the input, so no two keys can become equal, and the outermost
+match wins, so one top-down substitution equals replacing the shapes one
+at a time.  The exception is snf_to_star's canonical forms, which rewrite
+one target at a time: a target's arguments move into helper equalities,
+where they can hold the next target.
 
 Fresh names come from numbered families (z1, z2, ... for guard variables,
 y1, ... for extracted existentials, f1/g1/h1 ... for functions, and so
@@ -54,11 +60,11 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .syntax import (
     FALSE, TRUE, And, App, DepAtom, Equal, EsoSentence, Exists, Forall,
-    Formula, Term, Var, _call_shapes, _distinct_var_tuple, _map_terms,
-    _rebuild, _wrap_prefix, and_chain, contains_dep_atom, eso_symbols,
-    free_vars, fresh_var, function_patterns, is_quantifier_free,
-    iter_subformulas, iter_terms, or_chain, prenex_split, replace_terms,
-    satisfies_star, symbols_of,
+    Formula, Term, Var, _call_shapes, _distinct_var_tuple, _rebuild,
+    _wrap_prefix, and_chain, contains_dep_atom, eso_symbols, free_vars,
+    fresh_var, function_patterns, is_quantifier_free, iter_subformulas,
+    iter_terms, or_chain, prenex_split, replace_terms, satisfies_star,
+    symbols_of,
 )
 
 __all__ = [
@@ -344,34 +350,37 @@ def star_normalize(s: EsoSentence) -> EsoSentence:
     fn_names = [n for n, _ in s.functions]
     arities = dict(s.functions)
 
-    def flatten(fn: str, args: tuple[Term, ...]) -> None:
+    def flatten(shapes: list[App]) -> None:
+        """Move each application onto fresh universals behind its guard,
+        the latest guard outermost, then substitute them all at once, in
+        the guards too (an argument can hold another moved shape)."""
         nonlocal matrix
-        fresh = tuple(Var(znames.new()) for _ in args)
-        prefix.extend(("forall", v.name) for v in fresh)
-        rewritten = replace_terms(matrix, {App(fn, args): App(fn, fresh)})
-        mismatches = [Equal(z, t, negated=True) for z, t in zip(fresh, args)]
-        matrix = or_chain(mismatches + [rewritten])
+        moves = {}
+        for t in shapes:
+            fresh = tuple(Var(znames.new()) for _ in t.args)
+            prefix.extend(("forall", v.name) for v in fresh)
+            moves[t] = App(t.fn, fresh)
+            matrix = or_chain([Equal(z, a, negated=True)
+                               for z, a in zip(fresh, t.args)] + [matrix])
+        if moves:
+            matrix = replace_terms(matrix, moves)
 
+    # one function at a time: its guards can hold the next one's shapes
     for fn in fn_names:
-        while True:
-            bad = next((t for t in _call_shapes(matrix, [fn])[fn]
-                        if not _distinct_var_tuple(t)), None)
-            if bad is None:
-                break
-            flatten(fn, bad)
+        flatten([App(fn, args) for args in _call_shapes(matrix, [fn])[fn]
+                 if not _distinct_var_tuple(args)])
 
     universals = {v for kind, v in prefix if kind == "forall"}
-    for fn in fn_names:
-        kept: set[str] | None = None
-        for args in _call_shapes(matrix, [fn])[fn]:
+    moved: list[App] = []
+    for fn, shapes in _call_shapes(matrix, fn_names).items():
+        kept: set[str] = set()
+        for i, args in enumerate(shapes):
             names = {a.name for a in args}
-            if names <= universals and (kept is None or not names & kept):
-                if kept is None:
-                    kept = names
-            else:
-                flatten(fn, args)
-                if kept is None:
-                    kept = set()  # a fresh shape overlaps nothing
+            if not names <= universals or names & kept:
+                moved.append(App(fn, args))
+            elif i == 0:
+                kept = names
+    flatten(moved)
 
     guards: list[Formula] = []
     functions = list(s.functions)
@@ -445,8 +454,9 @@ def snf_to_star(s: EsoSentence) -> EsoSentence:
     shared block of fresh universals v1, ..., vL, where L is the widest
     such function: each composed shape u gets the guard
     ~(v1 = u1) | ... | ~(va = ua) | f(v1, ..., va) = h'(x1, ..., xk)
-    pinning a fresh helper h' to the composed value, composed occurrences
-    are replaced by their helper, simple occurrences move onto the fresh
+    pinning a fresh helper h' to the composed value (an argument g(...)
+    whose g has composed shapes of its own is read there through a helper
+    defined equal to g), composed occurrences are replaced by their helper, simple occurrences move onto the fresh
     block, and the matrix is only required on the diagonal:
     ~(x1 = v1) | ... | matrix'.  The output keeps the k original
     universals plus the L fresh ones, so at most 2k in total.
@@ -492,74 +502,48 @@ def snf_to_star(s: EsoSentence) -> EsoSentence:
                 return False
         return len(set(keys)) == len(keys)
 
+    def helper(arity: int) -> str:
+        h = hnames.new()
+        functions.append((h, arity))
+        arities[h] = arity
+        return h
+
     while True:
         target = next((t for t in iter_terms(matrix)
                        if quantified(t) and not simple(t) and not composed(t)),
                       None)
         if target is None:
             break
-        helpers = []
-        equalities = []
-        for arg in target.args:
-            h = hnames.new()
-            functions.append((h, k))
-            arities[h] = k
-            helpers.append(App(h, xs))
-            equalities.append(Equal(App(h, xs), arg))
+        helpers = [App(helper(k), xs) for _ in target.args]
         matrix = replace_terms(matrix, {target: App(target.fn, tuple(helpers))})
-        matrix = and_chain([matrix] + equalities)
+        matrix = and_chain([matrix] + [Equal(h, arg)
+                                       for h, arg in zip(helpers, target.args)])
 
-    # no symbol may stay on both sides of a composition
-    outer: set[str] = set()
-    inner: set[str] = set()
-    for t in iter_terms(matrix):
-        if quantified(t) and not simple(t):
-            outer.add(t.fn)
-            inner.update(a.fn for a in t.args if isinstance(a, App))
-    for g in [n for n, _ in list(functions) if n in outer & inner]:
-        h = hnames.new()
-        a = arities[g]
-        functions.append((h, a))
-        arities[h] = a
+    shapes: dict[str, list[App]] = {}
+    for t in dict.fromkeys(t for t in iter_terms(matrix)
+                           if quantified(t) and not simple(t)):
+        shapes.setdefault(t.fn, []).append(t)
+    # no symbol may stay on both sides of a composition: where a function
+    # with composed shapes is another's argument, the guards read it
+    # through a helper equal to it, since its own occurrences move onto vs
+    inner = {u.fn for ts in shapes.values() for t in ts for u in t.args
+             if isinstance(u, App)}
+    both = [(g, a) for g, a in functions if g in shapes and g in inner]
+    twin = {App(g, xs[:a]): App(helper(a), xs[:a]) for g, a in both}
+    matrix = and_chain([matrix] + [Equal(g, h) for g, h in twin.items()])
 
-        def fix(t: Term, _g=g, _h=h) -> Term:
-            if not isinstance(t, App):
-                return t
-            args = tuple(fix(x, _g, _h) for x in t.args)
-            if t.fn in arities:
-                args = tuple(App(_h, x.args)
-                             if isinstance(x, App) and x.fn == _g else x
-                             for x in args)
-            return App(t.fn, args)
-
-        matrix = _map_terms(matrix, fix)
-        matrix = And(matrix, Equal(App(g, xs[:a]), App(h, xs[:a])))
-
-    rewritten: list[str] = []
-    shapes: dict[str, list[tuple[Term, ...]]] = {}
-    calls = _call_shapes(matrix, arities)
-    for n, _ in functions:
-        comp = [t for t in calls[n] if t != xs[:arities[n]]]
-        if comp:
-            rewritten.append(n)
-            shapes[n] = comp
-    if not rewritten:
-        return EsoSentence(tuple(functions), s.prefix, matrix)
-
-    width = max(arities[n] for n in rewritten)
+    width = max(arities[n] for n in shapes)
     vs = tuple(Var(vnames.new()) for _ in range(width))
     guards: list[Formula] = []
-    for n in rewritten:
-        a = arities[n]
-        for shape in shapes[n]:
-            h = hnames.new()
-            functions.append((h, k))
-            arities[h] = k
+    moves: dict[Term, Term] = {}
+    for n, a in [(n, a) for n, a in functions if n in shapes]:
+        for t in shapes[n]:
+            moves[t] = App(helper(k), xs)
             guards.append(or_chain(
-                [Equal(v, u, negated=True) for v, u in zip(vs, shape)]
-                + [Equal(App(n, vs[:a]), App(h, xs))]))
-            matrix = replace_terms(matrix, {App(n, shape): App(h, xs)})
-        matrix = replace_terms(matrix, {App(n, xs[:a]): App(n, vs[:a])})
+                [Equal(v, twin.get(u, u), negated=True) for v, u in zip(vs, t.args)]
+                + [Equal(App(n, vs[:a]), moves[t])]))
+        moves[App(n, xs[:a])] = App(n, vs[:a])
+    matrix = replace_terms(matrix, moves)
     diagonal = or_chain(
         [Equal(x, v, negated=True) for x, v in zip(xs, vs)] + [matrix])
     new_prefix = tuple(s.prefix) + tuple(("forall", v.name) for v in vs)

@@ -30,7 +30,7 @@ from operator import itemgetter, mul
 from typing import Iterator
 
 from .budget import Budget
-from .errors import ShapeError
+from .errors import BudgetExceededError, ShapeError
 from .syntax import Signature, _is_int
 
 __all__ = [
@@ -260,8 +260,17 @@ def _walk(sig: Signature, size: int, budget: Budget | None,
     pools, the last position varying fastest, so they increase.  With
     ``leaders_only`` (and a budget), where the leader test pays
     (``_leader_test_pays``), a structure that is not the first of its
-    isomorphism class comes out as None instead, and is never built."""
+    isomorphism class comes out as None instead, and is never built.
+    With a budget, a symbol with more argument tuples than the limit is
+    refused before the first structure: its code alone is longer than the
+    budget, and there are at least 2^tuples structures (``size ** ar`` is
+    built with the exponent cut at the limit's bit length)."""
     syms = _symbols(sig)
+    if budget is not None:
+        bits = budget.limit.bit_length()
+        if any(size ** min(ar, bits) > budget.limit for _, _, ar in syms):
+            raise BudgetExceededError("structure enumeration",
+                                      budget.spent + 2 ** bits, budget.limit)
     tuples = {ar: list(itertools.product(range(size), repeat=ar)) for _, _, ar in syms}
     is_leader = (_leader_test(syms, size, tuples)
                  if leaders_only and _leader_test_pays(syms, size, budget) else None)

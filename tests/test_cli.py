@@ -544,6 +544,32 @@ def test_enum_streams_under_a_memory_cap(write):
     assert len(proc.stdout.splitlines()) == 1000
 
 
+@pytest.mark.parametrize("command", ["equiv", "enum"])
+def test_wide_symbol_refused_under_a_memory_cap(write, command):
+    # a 64-ary f or a 40-ary R has more argument tuples at size 2 than the
+    # structure budget: the walk is refused before it lists them, which ran
+    # out of memory; the address-space cap turns a walk that lists them
+    # into a failure of this process alone
+    if command == "equiv":
+        f = write("f.dl", f"forall x. f({','.join(['x'] * 64)}) = x")
+        argv = ["equiv", "--left", f, "--right", f, "--max-size", "2",
+                "--sig", write("sig.json", {"functions": {"f": 64}})]
+    else:
+        argv = ["enum", "--size", "2",
+                "--sig", write("sig.json", {"relations": {"R": 40}})]
+    src = os.path.dirname(os.path.dirname(deplog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("DEPLOG_BUDGET", None)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "deplog.cli", *argv], env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def _cli_under_cpu_cap(*argv):
     """deplog in a process of its own, with the default budgets, under a
     10 s CPU cap that turns a runaway computation into a failure of that

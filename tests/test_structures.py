@@ -163,6 +163,19 @@ def test_enumeration_budget():
         list(gen)
 
 
+def test_enumeration_refuses_a_code_longer_than_the_budget():
+    # {R/3} at size 2 has 8 argument tuples, each a flag of the code, so
+    # 2^8 structures: a budget of 7 refuses the walk before the first
+    gen = enumerate_structures(Signature({"R": 3}, {}, frozenset()), 2, Budget(7))
+    with pytest.raises(BudgetExceededError):
+        next(gen)
+    # {R/2}'s 4 tuples fit a budget of 4, which stops the walk at the fifth
+    gen = enumerate_structures(SIG_R, 2, Budget(4))
+    assert len([next(gen) for _ in range(4)]) == 4
+    with pytest.raises(BudgetExceededError):
+        next(gen)
+
+
 def test_enumerate_teams():
     teams = list(enumerate_teams(("x",), 2))
     assert len(teams) == 4  # subsets of two rows

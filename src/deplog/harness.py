@@ -158,10 +158,6 @@ class CorpusItem:
     team_vars: tuple[str, ...] = ()
     note: str = ""
 
-    @property
-    def is_sentence(self) -> bool:
-        return not self.team_vars
-
     def formula(self) -> Formula:
         if self.kind != "D":
             raise ShapeError(f"corpus item {self.name!r} is a function sentence")

@@ -407,8 +407,6 @@ def test_corpus_kinds_and_parses():
 def test_corpus_team_schema():
     phi1 = corpus_item("phi1")
     assert phi1.team_vars == ("x", "y", "u", "v")
-    assert not phi1.is_sentence
-    assert corpus_item("spine").is_sentence
 
 
 def test_corpus_kind_mismatch_errors():

@@ -456,8 +456,9 @@ def snf_to_star(s: EsoSentence) -> EsoSentence:
     ~(v1 = u1) | ... | ~(va = ua) | f(v1, ..., va) = h'(x1, ..., xk)
     pinning a fresh helper h' to the composed value (an argument g(...)
     whose g has composed shapes of its own is read there through a helper
-    defined equal to g), composed occurrences are replaced by their helper, simple occurrences move onto the fresh
-    block, and the matrix is only required on the diagonal:
+    defined equal to g), composed occurrences are replaced by their
+    helper, simple occurrences move onto the fresh block, and the matrix
+    is only required on the diagonal:
     ~(x1 = v1) | ... | matrix'.  The output keeps the k original
     universals plus the L fresh ones, so at most 2k in total.
 

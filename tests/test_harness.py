@@ -1,20 +1,25 @@
 """Equivalence oracle and corpus: verdict shapes, counterexample
 minimality and determinism, budget behavior, corpus integrity."""
+import itertools
+
 import pytest
 
 from helpers import count_structures, is_class_leader
 from deplog import harness, structures
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
+from deplog.eso_eval import eso_satisfies
 from deplog.harness import (
     CorpusItem, Verdict, corpus, corpus_item, equiv_check, sentence_value,
 )
-from deplog.structures import enumerate_structures, structure_to_json_dict
+from deplog.structures import (
+    Structure, Team, enumerate_structures, structure_to_json_dict,
+)
 from deplog.syntax import (
     Signature, parse_eso, parse_eso_infer, parse_formula, parse_formula_infer,
     render_eso, render_formula,
 )
-from deplog.team_eval import sentence_truth
+from deplog.team_eval import satisfies, sentence_truth
 from deplog.transforms import d_to_eso, eso_to_d
 
 SIG_E = Signature({"E": 2})
@@ -373,11 +378,53 @@ def test_env_var_overrides_defaults(monkeypatch):
     assert default_structure_budget().limit == DEFAULT_STRUCTURE_BUDGET
 
 
-def test_env_var_reaches_equiv_check(monkeypatch):
+def _full_e(n: int) -> Structure:
+    return Structure(SIG_E, n, {"E": frozenset(itertools.product(range(n), repeat=2))},
+                     {}, {})
+
+
+def _phi1_team() -> Team:
+    return Team(("x", "y", "u", "v"), [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1)])
+
+
+_SPINE = corpus_item("spine")
+_CHOICE = corpus_item("eso_choice")
+_PHI1 = corpus_item("phi1")
+
+# every public entry that takes a budget, called without one (the export
+# test checks that none is missing)
+DEFAULT_BUDGET_CALLS = [
+    pytest.param("equiv_check",
+                 lambda: equiv_check(_SPINE.formula(), _SPINE.formula(), SIG_E, 2),
+                 id="equiv_check"),
+    pytest.param("sentence_truth",
+                 lambda: sentence_truth(_full_e(3), _SPINE.formula()),
+                 id="sentence_truth"),
+    pytest.param("sentence_value",
+                 lambda: sentence_value(_full_e(3), _SPINE.formula()),
+                 id="sentence_value-D"),
+    pytest.param("eso_satisfies",
+                 lambda: eso_satisfies(_full_e(3), _CHOICE.sentence()),
+                 id="eso_satisfies"),
+    pytest.param("sentence_value",
+                 lambda: sentence_value(_full_e(3), _CHOICE.sentence()),
+                 id="sentence_value-ESO"),
+    pytest.param("satisfies",
+                 lambda: satisfies(Structure(Signature(), 2, {}, {}, {}),
+                                   _phi1_team(), _PHI1.formula()),
+                 id="satisfies"),
+    pytest.param("enumerate_structures",
+                 lambda: list(enumerate_structures(SIG_E, 2)),
+                 id="enumerate_structures"),
+]
+
+
+@pytest.mark.parametrize("entry,call", DEFAULT_BUDGET_CALLS)
+def test_env_var_reaches_equiv_check(monkeypatch, entry, call):
+    # an omitted budget is the module default, which DEPLOG_BUDGET lowers
     monkeypatch.setenv("DEPLOG_BUDGET", "5")
-    item = corpus_item("spine")
     with pytest.raises(BudgetExceededError):
-        equiv_check(item.formula(), item.formula(), item.sig, 2)
+        call()
 
 
 # ---------------------------------------------------------------------------

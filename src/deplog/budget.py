@@ -3,14 +3,15 @@
 Every potentially exponential loop (candidate teams, candidate function
 tables, structure enumeration) spends from a Budget and aborts with
 BudgetExceededError when the limit is hit, so runaway instances fail loudly
-instead of hanging.
+instead of hanging.  A public entry given no budget makes a default one
+below, whose limit DEPLOG_BUDGET overrides.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ShapeError
 
 DEFAULT_CHECK_BUDGET = 10**7
 DEFAULT_STRUCTURE_BUDGET = 10**6
@@ -24,8 +25,8 @@ class Budget:
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int):
-        if limit <= 0:
-            raise ValueError("budget limit must be positive")
+        if limit < 1:
+            raise ShapeError("budget must be at least 1")
         self.limit = limit
         self.spent = 0
 

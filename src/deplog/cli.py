@@ -33,7 +33,6 @@ import json
 import re
 import sys
 
-from .budget import default_check_budget, default_structure_budget
 from .errors import BudgetExceededError, DeplogError, ParseError, ShapeError
 from .fragments import classify_d, classify_eso
 from .harness import corpus, corpus_item, equiv_check, sentence_value
@@ -181,7 +180,7 @@ def _cmd_check(args) -> int:
     raw = _load_json(args.structure)
     sentence, sig = _parse_against_structure(_read(args.formula), raw)
     struct = structure_from_json_dict(raw, sig)
-    value = sentence_value(struct, sentence, default_check_budget())
+    value = sentence_value(struct, sentence)
     print("true" if value else "false")
     return 0 if value else 1
 
@@ -195,7 +194,7 @@ def _cmd_eval(args) -> int:
     formula, sig = _parse_against_structure(text, raw)
     struct = structure_from_json_dict(raw, sig)
     team = team_from_json_dict(_load_json(args.team))
-    value = satisfies(struct, team, formula, default_check_budget())
+    value = satisfies(struct, team, formula)
     print("true" if value else "false")
     return 0 if value else 1
 
@@ -241,8 +240,7 @@ def _cmd_corpus(args) -> int:
 
 def _cmd_enum(args) -> int:
     sig = Signature.from_json_dict(_load_json(args.sig))
-    for struct in enumerate_structures(sig, args.size,
-                                       default_structure_budget()):
+    for struct in enumerate_structures(sig, args.size):
         print(json.dumps(structure_to_json_dict(struct)))
     return 0
 

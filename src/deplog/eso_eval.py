@@ -38,7 +38,7 @@ import itertools
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from .budget import Budget
+from .budget import Budget, default_check_budget
 from .errors import BudgetExceededError, ShapeError
 from .structures import Structure, _getter
 from .syntax import (
@@ -51,14 +51,6 @@ __all__ = ["eso_satisfies"]
 # a compiled formula or term, called on a slot-indexed environment
 _Check = Callable[[Sequence[int]], bool]
 _Value = Callable[[Sequence[int]], int]
-
-
-def _no_spend(amount: int, context: str) -> None:
-    pass
-
-
-def _spender(budget: Budget | None):
-    return _no_spend if budget is None else budget.spend
 
 
 def _scope(vars: tuple[str, ...]) -> dict[str, int]:
@@ -142,11 +134,11 @@ def _compile_terms(ts: Sequence[Term], scope: dict[str, int],
 
 
 def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
-                budget: Budget | None, context: str) -> _Check:
+                budget: Budget, context: str) -> _Check:
     """A dependence-free formula as a closure over an environment holding
     the values of ``vars`` in order (a list or a tuple).  Every node visited
     spends one unit of ``budget`` under ``context``."""
-    spend = _spender(budget)
+    spend = budget.spend
     values = syms.values
     width = len(vars)
 
@@ -218,6 +210,7 @@ def _eso_plan(sentence: EsoSentence, sig: Signature, budget: Budget | None
     """The sentence checked against the signature and compiled once; the
     result decides it, by table search, on any structure of the
     signature."""
+    budget = budget or default_check_budget()
     fns = sentence.functions
     check_symbols(sentence.matrix, sig, extra_fns=dict(fns))
     syms = _Symbols(name for name, _ in fns)
@@ -228,12 +221,12 @@ def _eso_plan(sentence: EsoSentence, sig: Signature, budget: Budget | None
     values = syms.values
     for i in reversed(range(len(prefix))):
         check = _quantifier_loop(i, prefix[i][0] == "exists", check, values)
-    spend = _spender(budget)
+    spend = budget.spend
     env = [0] * len(prefix)
     # candidate tables per domain size, n ** entries with the exponents cut
     # at the bits of the limit (or of 2**64): exact up to there, past it a
     # lower bound above the limit
-    bits = max(budget.limit if budget else 0, 2 ** 64).bit_length()
+    bits = max(budget.limit, 2 ** 64).bit_length()
     count = functools.cache(
         lambda n: n ** min(sum(n ** min(a, bits) for _, a in fns), bits))
 
@@ -249,7 +242,7 @@ def _eso_plan(sentence: EsoSentence, sig: Signature, budget: Budget | None
 
     def run(struct: Structure) -> bool:
         n = struct.size
-        if budget is not None and budget.would_exceed(count(n)):
+        if budget.would_exceed(count(n)):
             raise BudgetExceededError("function table enumeration",
                                       budget.spent + count(n), budget.limit)
         syms.bind(struct)
@@ -272,5 +265,6 @@ def _quantifier_loop(i: int, want: bool, body: _Check, values: list) -> _Check:
 
 def eso_satisfies(struct: Structure, sentence: EsoSentence,
                   budget: Budget | None = None) -> bool:
-    """Truth of an ESO sentence by exhaustive function-table search."""
+    """Truth of an ESO sentence by exhaustive function-table search.
+    Spends from ``budget``, the default check budget when None."""
     return _eso_plan(sentence, struct.sig, budget)(struct)

@@ -49,7 +49,8 @@ def _plan(s, sig: Signature, budget: Budget | None):
 
 
 def sentence_value(struct: Structure, s, budget: Budget | None = None) -> bool:
-    """Truth of a sentence in one structure, picking the semantics by kind."""
+    """Truth of a sentence in one structure, picking the semantics by kind.
+    Spends from ``budget``, the default check budget when None."""
     return _plan(s, struct.sig, budget)(struct)
 
 
@@ -105,8 +106,6 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     """
     if max_n < 1:
         raise ShapeError("max_n must be at least 1")
-    if budget is not None and budget < 1:
-        raise ShapeError("budget must be at least 1")
     sbudget = Budget(budget) if budget is not None else default_structure_budget()
     cbudget = Budget(budget) if budget is not None else default_check_budget()
     start = time.perf_counter()

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import itemgetter, mul
 from typing import Iterator
 
-from .budget import Budget
+from .budget import Budget, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
 from .syntax import Signature, _is_int
 
@@ -249,7 +249,7 @@ def _symbols(sig: Signature) -> list[tuple[str, str, int]]:
             + [("const", name, 0) for name in sorted(sig.constants)])
 
 
-def _walk(sig: Signature, size: int, budget: Budget | None,
+def _walk(sig: Signature, size: int, budget: Budget,
           leaders_only: bool) -> Iterator[Structure | None]:
     """Every structure of the signature with domain {0..size-1}, in
     enumeration order, spending one budget unit each.  A structure's code
@@ -258,19 +258,18 @@ def _walk(sig: Signature, size: int, budget: Budget | None,
     table), symbols in ``_symbols`` order and argument tuples
     lexicographically.  The codes come from one product over per-position
     pools, the last position varying fastest, so they increase.  With
-    ``leaders_only`` (and a budget), where the leader test pays
-    (``_leader_test_pays``), a structure that is not the first of its
-    isomorphism class comes out as None instead, and is never built.
-    With a budget, a symbol with more argument tuples than the limit is
-    refused before the first structure: its code alone is longer than the
-    budget, and there are at least 2^tuples structures (``size ** ar`` is
-    built with the exponent cut at the limit's bit length)."""
+    ``leaders_only``, where the leader test pays (``_leader_test_pays``),
+    a structure that is not the first of its isomorphism class comes out
+    as None instead, and is never built.  A symbol with more argument
+    tuples than the limit is refused before the first structure: its code
+    alone is longer than the budget, and there are at least 2^tuples
+    structures (``size ** ar`` is built with the exponent cut at the
+    limit's bit length)."""
     syms = _symbols(sig)
-    if budget is not None:
-        bits = budget.limit.bit_length()
-        if any(size ** min(ar, bits) > budget.limit for _, _, ar in syms):
-            raise BudgetExceededError("structure enumeration",
-                                      budget.spent + 2 ** bits, budget.limit)
+    bits = budget.limit.bit_length()
+    if any(size ** min(ar, bits) > budget.limit for _, _, ar in syms):
+        raise BudgetExceededError("structure enumeration",
+                                  budget.spent + 2 ** bits, budget.limit)
     tuples = {ar: list(itertools.product(range(size), repeat=ar)) for _, _, ar in syms}
     is_leader = (_leader_test(syms, size, tuples)
                  if leaders_only and _leader_test_pays(syms, size, budget) else None)
@@ -280,8 +279,7 @@ def _walk(sig: Signature, size: int, budget: Budget | None,
         cuts.append((kind, name, tuples[ar], slice(len(pools), len(pools) + width)))
         pools += [(0, 1) if kind == "rel" else range(size)] * width
     for code in itertools.product(*pools):
-        if budget is not None:
-            budget.spend(1, "structure enumeration")
+        budget.spend(1, "structure enumeration")
         if is_leader is not None and not is_leader(code):
             yield None
             continue
@@ -303,11 +301,13 @@ def enumerate_structures(sig: Signature, size: int,
     Symbols are filled in sorted-name order (relations, then functions, then
     constants), the later symbols varying fastest; a relation runs through
     its flag per argument tuple and a function through its table, each
-    lexicographically.  Spends one budget unit per structure.
+    lexicographically.  Spends one unit per structure from ``budget``, the
+    default structure budget when None.
     """
     if size < 1:
         raise ShapeError("domain size must be at least 1")
-    return _walk(sig, size, budget, leaders_only=False)
+    return _walk(sig, size, budget or default_structure_budget(),
+                 leaders_only=False)
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,8 @@ _COMPOUND = (And, Or, Exists, Forall)
 
 
 def and_chain(parts: list[Formula]) -> Formula:
-    """Left-fold a nonempty list into a conjunction (single item unchanged)."""
+    """Left-fold a list into a conjunction (single item unchanged, empty
+    list TRUE)."""
     if not parts:
         return TRUE
     out = parts[0]

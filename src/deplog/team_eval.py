@@ -85,11 +85,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .budget import Budget
+from .budget import Budget, default_check_budget
 from .errors import ShapeError
-from .eso_eval import (
-    _Symbols, _compile_fo, _compile_term, _compile_terms, _scope, _spender,
-)
+from .eso_eval import _Symbols, _compile_fo, _compile_term, _compile_terms, _scope
 from .structures import Structure, Team
 from .syntax import (
     And, DepAtom, Exists, Forall, Formula, Or, Signature, Var, check_symbols,
@@ -135,11 +133,10 @@ class _TeamPlan:
     """A formula compiled once for teams over the given variables; calling
     the plan with a structure and a team's rows decides satisfaction."""
 
-    def __init__(self, root: Formula, vars: tuple[str, ...],
-                 budget: Budget | None):
+    def __init__(self, root: Formula, vars: tuple[str, ...], budget: Budget):
         self.syms = _Symbols()
         self.budget = budget
-        self.spend = _spender(budget)
+        self.spend = budget.spend
         # the table entries the checks added, in order: (table, key)
         self.trail: list[tuple[dict, tuple]] = []
         self.dep_free = _mark_dep_free(root)
@@ -387,12 +384,13 @@ def _plan(formula: Formula, vars: tuple[str, ...], sig: Signature,
         raise ShapeError(f"team does not bind free variables {sorted(loose)}"
                          if vars else
                          f"not a sentence: free variables {sorted(loose)}")
-    return _TeamPlan(formula, vars, budget)
+    return _TeamPlan(formula, vars, budget or default_check_budget())
 
 
 def satisfies(struct: Structure, team: Team, formula: Formula,
               budget: Budget | None = None) -> bool:
-    """Does the team satisfy the formula in the structure (team semantics)?"""
+    """Does the team satisfy the formula in the structure (team semantics)?
+    Spends from ``budget``, the default check budget when None."""
     plan = _plan(formula, team.vars, struct.sig, budget)
     for r in team.rows:
         if not all(0 <= v < struct.size for v in r):
@@ -402,5 +400,6 @@ def satisfies(struct: Structure, team: Team, formula: Formula,
 
 def sentence_truth(struct: Structure, formula: Formula,
                    budget: Budget | None = None) -> bool:
-    """Truth of a sentence: satisfaction by the team of the empty assignment."""
+    """Truth of a sentence, satisfaction by the team of the empty assignment;
+    spends from ``budget``, the default check budget when None."""
     return _plan(formula, (), struct.sig, budget)(struct)

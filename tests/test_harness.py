@@ -357,7 +357,7 @@ def test_budget_counter_mechanics():
     with pytest.raises(BudgetExceededError) as exc:
         b.spend(5, context="table search")
     assert "table search" in str(exc.value)
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError):
         Budget(0)
 
 

@@ -37,10 +37,12 @@ class BudgetExceededError(DeplogError):
     """Raised when a work budget runs out mid-computation.
 
     The check that raised is abandoned; callers surface this distinctly
-    (never as a silent pass or fail).
+    (never as a silent pass or fail).  ``context`` names the work that ran
+    out, such as "existential extension" or "structure enumeration".
     """
 
-    def __init__(self, message: str, spent: int, limit: int):
+    def __init__(self, context: str, spent: int, limit: int):
+        self.context = context
         self.spent = spent
         self.limit = limit
-        super().__init__(f"{message} (budget {limit} exhausted, spent >= {spent})")
+        super().__init__(f"{context} (budget {limit} exhausted, spent >= {spent})")

@@ -102,7 +102,8 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     apply (10^6 structures, 10^7 check steps, both overridable through
     DEPLOG_BUDGET).  A ``budget``
     below 1 is a ShapeError.  Running out raises BudgetExceededError
-    naming the domain size reached, never a silent pass.
+    naming the domain size reached and the work that ran out, never a
+    silent pass.
     """
     if max_n < 1:
         raise ShapeError("max_n must be at least 1")
@@ -132,7 +133,8 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     except BudgetExceededError as e:
         raise BudgetExceededError(
             f"equivalence check at domain size {size} "
-            f"({checked} structures fully checked)", e.spent, e.limit) from None
+            f"({checked} structures fully checked): {e.context}",
+            e.spent, e.limit) from None
     return Verdict(outcome="equivalent", max_size=max_n,
                    structures_checked=checked,
                    wall_time=time.perf_counter() - start)

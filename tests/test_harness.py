@@ -263,6 +263,25 @@ def test_budget_error_names_domain_size():
     assert "budget" in msg
 
 
+@pytest.mark.parametrize("sig,text,budget,layer", [
+    # the check budget runs out in the team side, choosing spine's y
+    (SIG_E, None, 200, "existential extension"),
+    # a 40-ary relation has more argument tuples at size 2 than the default
+    # structure budget, so the walk is refused before it starts
+    (Signature({"R": 40}), "forall x. x = x", None, "structure enumeration"),
+])
+def test_budget_error_names_the_layer(sig, text, budget, layer, monkeypatch):
+    monkeypatch.delenv("DEPLOG_BUDGET", raising=False)
+    if text is None:
+        left = corpus_item("spine").formula()
+        right = d_to_eso(left)
+    else:
+        left = right = parse_formula(text, sig)
+    with pytest.raises(BudgetExceededError) as exc:
+        equiv_check(left, right, sig, 3, budget=budget)
+    assert f"): {layer} (budget" in str(exc.value)
+
+
 def test_budget_does_not_change_verdicts():
     item = corpus_item("const_eq")
     small = equiv_check(item.formula(), item.formula(), item.sig, 2,

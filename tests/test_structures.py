@@ -33,6 +33,15 @@ def test_structure_validates_against_signature():
         Structure(SIG_P, 0, {"P": frozenset()}, {}, {})  # empty domain
 
 
+@pytest.mark.parametrize("functions,constants", [
+    ({"f": (0, 1)}, {}),   # a function the signature lacks
+    ({}, {"c": 0}),        # a constant the signature lacks
+])
+def test_structure_rejects_symbols_outside_the_signature(functions, constants):
+    with pytest.raises(ShapeError):
+        Structure(SIG_P, 2, {"P": frozenset()}, functions, constants)
+
+
 def test_structure_rejects_bool_elements():
     # JSON true/false load as bools, which Python counts as the ints 1 and 0
     sig = Signature({"R": 2}, {"f": 1}, frozenset({"c"}))

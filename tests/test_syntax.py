@@ -12,10 +12,11 @@ from deplog.fragments import classify_d
 from deplog.harness import corpus
 from deplog.syntax import (
     And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, FALSE,
-    Forall, Or, RelAtom, Signature, TRUE, Var, and_chain, free_vars,
-    fresh_var, function_patterns, is_quantifier_free, or_chain, parse_eso,
-    parse_eso_infer, parse_formula, parse_formula_infer, prenex_split,
-    render_eso, render_formula, render_term, replace_terms, satisfies_star,
+    Forall, Or, RelAtom, Signature, TRUE, Var, and_chain, check_symbols,
+    contains_dep_atom, free_vars, fresh_var, function_patterns,
+    is_quantifier_free, iter_terms, or_chain, parse_eso, parse_eso_infer,
+    parse_formula, parse_formula_infer, prenex_split, render_eso,
+    render_formula, render_term, replace_terms, satisfies_star,
     single_quantification, symbols_of,
 )
 
@@ -197,6 +198,20 @@ def test_role_resolution_table():
     assert parse_formula("P(c, x)", SIG) == RelAtom("P", (Const("c"), Var("x")))
     s = parse_eso("exists fn f/1. forall x. P(f(c), x)", SIG)
     assert s.matrix == RelAtom("P", (App("f", (Const("c"),)), Var("x")))
+
+
+@pytest.mark.parametrize("f", [
+    RelAtom("R", (x(),)),                                   # undeclared relation
+    RelAtom("P", (x(),)),                                   # relation arity
+    RelAtom("Q", (Const("d"),)),                            # undeclared constant
+    RelAtom("Q", (App("h", (x(),)),)),                      # undeclared function
+    Equal(App("g", (x(), x())), x()),                       # function arity
+    Equal(App("f", ()), x()),                               # extra function arity
+])
+def test_check_symbols_rejects(f):
+    with pytest.raises(ShapeError):
+        check_symbols(f, SIG, extra_fns={"f": 1})
+    check_symbols(RelAtom("Q", (App("f", (x(),)),)), SIG, extra_fns={"f": 1})
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +402,106 @@ def test_eso_render_round_trip(fns, body):
 def test_free_vars_binder_law(f, v):
     assert free_vars(Exists(v, f)) == free_vars(f) - {v}
     assert free_vars(Forall(v, f)) == free_vars(f) - {v}
+
+
+# ---------------------------------------------------------------------------
+# well-formed ESO sentences: what the constructor accepts
+# ---------------------------------------------------------------------------
+
+_BAD_NAMES = {"fn", "true", "2f"}
+_fo_atoms = (
+    st.tuples(_terms, _terms, _neg).map(lambda t: RelAtom("P", (t[0], t[1]), t[2]))
+    | st.tuples(_terms, _neg).map(lambda t: RelAtom("Q", (t[0],), t[1]))
+    | st.tuples(_terms, _terms, _neg).map(lambda t: Equal(t[0], t[1], t[2]))
+    | st.sampled_from([TRUE, FALSE])
+)
+_matrices = st.recursive(
+    _fo_atoms,
+    lambda inner: (st.tuples(inner, inner).map(lambda p: And(*p))
+                   | st.tuples(inner, inner).map(lambda p: Or(*p))),
+    max_leaves=6)
+# a term where a formula belongs
+_not_formulas = st.tuples(_matrices, st.just(x())).map(lambda p: And(*p))
+# mostly well-formed parts, so that a fair share of the draws is accepted
+_good_fns = st.lists(st.sampled_from([("f", 0), ("f", 2), ("g", 1), ("h", 1)]),
+                     max_size=2, unique_by=lambda p: p[0])
+_eso_fns = st.one_of(
+    _good_fns, _good_fns, _good_fns,
+    st.lists(st.tuples(st.sampled_from(["f", "g", "x", "fn", "2f"]),
+                       st.sampled_from([0, 1, 2, -1, True])), max_size=3))
+_good_prefixes = st.lists(st.tuples(st.sampled_from(["forall", "exists"]), _vars),
+                          max_size=3, unique_by=lambda p: p[1])
+_eso_prefixes = st.one_of(
+    _good_prefixes, _good_prefixes, _good_prefixes,
+    st.lists(st.tuples(st.sampled_from(["forall", "exists", "some"]),
+                       st.sampled_from(["x", "y", "z", "true"])), max_size=3))
+
+
+def _eso_malformed(fns, prefix, matrix) -> bool:
+    """The oracle: the rule for an ESO sentence, from the public queries."""
+    names = [n for n, _ in fns]
+    pvars = [v for _, v in prefix]
+    arities = dict(fns)
+    try:
+        loose = free_vars(matrix) - set(pvars)
+    except ShapeError:  # the matrix holds something that is not a formula
+        return True
+    return bool(
+        len(set(names)) != len(names)
+        or any(n in _BAD_NAMES or isinstance(a, bool) or a < 0 for n, a in fns)
+        or len(set(pvars)) != len(pvars)
+        or any(k not in ("forall", "exists") or v in _BAD_NAMES
+               for k, v in prefix)
+        or set(names) & set(pvars)
+        or not is_quantifier_free(matrix)
+        or contains_dep_atom(matrix)
+        or loose
+        or any(isinstance(t, App) and t.fn in arities
+               and len(t.args) != arities[t.fn] for t in iter_terms(matrix)))
+
+
+@given(_eso_fns, _eso_prefixes,
+       st.one_of(_matrices, _matrices, _matrices, _formulas, _not_formulas),
+       st.sampled_from([True, True, True, False]))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_eso_sentence_accepts_exactly_the_well_formed(fns, prefix, body, close):
+    if close:  # quantify the body's free variables, so that some draws pass
+        try:
+            prefix = prefix + [("forall", v) for v in sorted(free_vars(body))
+                               if v not in {u for _, u in prefix}]
+        except ShapeError:
+            pass
+    if _eso_malformed(fns, prefix, body):
+        with pytest.raises(ShapeError):
+            EsoSentence(tuple(fns), tuple(prefix), body)
+    else:
+        s = EsoSentence(tuple(fns), tuple(prefix), body)
+        assert (s.functions, s.prefix, s.matrix) == (tuple(fns), tuple(prefix), body)
+
+
+_P_XY = RelAtom("P", (x(), Var("y")))
+_FORALL_XY = (("forall", "x"), ("forall", "y"))
+
+
+@pytest.mark.parametrize("fns,prefix,matrix", [
+    ((("f", 1), ("f", 1)), _FORALL_XY, _P_XY),                  # function twice
+    ((("f", -1),), _FORALL_XY, _P_XY),                          # bad arity
+    ((("f", True),), _FORALL_XY, _P_XY),                        # bool arity
+    ((("fn", 1),), _FORALL_XY, _P_XY),                          # bad name
+    ((), (("forall", "x"), ("exists", "x")), RelAtom("Q", (x(),))),  # x twice
+    ((), (("some", "x"), ("forall", "y")), _P_XY),              # bad kind
+    ((), (("forall", "x"), ("forall", "true")), RelAtom("Q", (x(),))),  # name
+    ((("x", 0),), _FORALL_XY, _P_XY),                           # collision
+    ((), _FORALL_XY, And(_P_XY, DepAtom((x(), Var("y"))))),     # dep atom
+    ((), _FORALL_XY, Or(_P_XY, Forall("z", RelAtom("Q", (Var("z"),))))),
+    ((), (("forall", "x"),), _P_XY),                            # y unquantified
+    ((("g", 2),), _FORALL_XY, RelAtom("Q", (App("g", (x(),)),))),  # wrong arity
+    ((), _FORALL_XY, And(_P_XY, x())),                          # not a formula
+    ((), _FORALL_XY, "P(x,y)"),                                 # not a formula
+])
+def test_eso_sentence_rejects(fns, prefix, matrix):
+    with pytest.raises(ShapeError):
+        EsoSentence(fns, prefix, matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from deplog.errors import ShapeError
 from deplog.harness import corpus, corpus_item, equiv_check, sentence_value
 from deplog.structures import enumerate_structures
 from deplog.syntax import (
-    And, DepAtom, Equal, EsoSentence, Exists, Forall, Or, RelAtom, Signature,
+    And, App, DepAtom, Equal, EsoSentence, Exists, Forall, Or, RelAtom, Signature,
     Var, contains_dep_atom, free_vars, function_patterns, is_quantifier_free,
     iter_subformulas, parse_eso, parse_eso_infer, parse_formula,
     parse_formula_infer, render_eso, render_formula, satisfies_star,
@@ -227,6 +227,33 @@ def test_normal_form_shape():
     assert is_quantifier_free(nf.matrix)
     assert_sentence_equiv(f, nf.to_formula(), corpus_item("phi1_closed").sig,
                           max_n=2)
+
+
+_X, _Y = Var("x"), Var("y")
+_NF_PREFIX = (("forall", "x"), ("exists", "u"))
+_NF_BIND = (DepAtom((_X, _Y)),)
+_P_XY = RelAtom("P", (_X, _Y))
+
+
+@pytest.mark.parametrize("prefix,bindings,matrix", [
+    ((("some", "x"),), _NF_BIND, _P_XY),                        # bad kind
+    ((("forall", "x"), ("exists", "x")), _NF_BIND, _P_XY),      # x twice
+    (_NF_PREFIX, (_P_XY,), _P_XY),                              # not an atom
+    (_NF_PREFIX, (DepAtom((_X, _Y), negated=True),), _P_XY),    # negated
+    (_NF_PREFIX, (DepAtom(()),), _P_XY),                        # empty
+    (_NF_PREFIX, (DepAtom((App("g", (_X,)), _Y)),), _P_XY),     # not a variable
+    (_NF_PREFIX, (DepAtom((_X, _X)),), _P_XY),                  # repeated
+    (_NF_PREFIX, (DepAtom((Var("w"), _Y)),), _P_XY),            # w not in prefix
+    (_NF_PREFIX, (DepAtom((_X, Var("u"))),), _P_XY),            # u not fresh
+    (_NF_PREFIX, _NF_BIND * 2, _P_XY),                          # y bound twice
+    (_NF_PREFIX, _NF_BIND, And(_P_XY, Exists("z", RelAtom("Q", (Var("z"),))))),
+    (_NF_PREFIX, _NF_BIND, Or(_P_XY, DepAtom((_X, _Y)))),       # dependence atom
+    (_NF_PREFIX, _NF_BIND, RelAtom("P", (_X, Var("w")))),       # w unquantified
+    (_NF_PREFIX, _NF_BIND, And(_P_XY, _X)),                     # not a formula
+])
+def test_normal_form_rejects(prefix, bindings, matrix):
+    with pytest.raises(ShapeError):
+        NormalFormD(prefix, bindings, matrix)
 
 
 def test_skolemize_direct_normal_form():

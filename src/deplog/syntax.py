@@ -256,12 +256,49 @@ class Signature:
 # ESO sentences
 # ---------------------------------------------------------------------------
 
+def _check_prenex(prefix, matrix: Formula, bound, arities) -> None:
+    """The prenex-sentence rule of EsoSentence and transforms.NormalFormD.
+    Raise ShapeError unless ``prefix`` quantifies well-named variables once
+    each, none a function of ``arities`` (name -> arity), and ``matrix``,
+    walked once, is a quantifier-free, dependence-free formula over them
+    and ``bound`` that applies each such function to its arity."""
+    scope: set[str] = set()
+    for kind, v in prefix:
+        if kind not in ("forall", "exists"):
+            raise ShapeError(f"bad quantifier kind {kind!r}")
+        _check_symbol_name(v)
+        if v in scope or v in arities:
+            raise ShapeError(f"{v!r} is quantified twice")
+        scope.add(v)
+    scope.update(bound)
+    todo = [matrix]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (And, Or)):
+            todo += g.right, g.left
+        elif isinstance(g, (Exists, Forall)):
+            raise ShapeError(f"the matrix quantifies {g.var!r}; it must be quantifier free")
+        elif isinstance(g, DepAtom):
+            raise ShapeError(f"dependence atom {_render_atom(g)} in the matrix")
+        elif not isinstance(g, _ATOMS):
+            raise ShapeError(f"not a formula: {g!r}")
+        else:
+            for t in _atom_terms(g):
+                for u in _iter_term_nodes(t):
+                    if isinstance(u, Var) and u.name not in scope:
+                        raise ShapeError(f"variable {u.name!r} is not quantified")
+                    if isinstance(u, App) and len(u.args) != arities.get(u.fn, len(u.args)):
+                        raise ShapeError(f"{u.fn} declared with arity {arities[u.fn]} "
+                                         f"but applied to {len(u.args)} arguments")
+
+
 @dataclass(frozen=True)
 class EsoSentence:
     """Existentially quantified function symbols, a first-order quantifier
     prefix, and a quantifier-free matrix.
 
     The matrix is classical first-order: dependence atoms are rejected.
+    The constructor checks the function symbols and _check_prenex the rest.
     """
 
     functions: tuple[tuple[str, int], ...]
@@ -271,34 +308,15 @@ class EsoSentence:
     def __post_init__(self):
         object.__setattr__(self, "functions", tuple((n, a) for n, a in self.functions))
         object.__setattr__(self, "prefix", tuple((k, v) for k, v in self.prefix))
-        fn_names = [n for n, _ in self.functions]
-        if len(fn_names) != len(set(fn_names)):
-            raise ShapeError("duplicate quantified function symbol")
+        arities: dict[str, int] = {}
         for n, a in self.functions:
             _check_symbol_name(n)
+            if n in arities:
+                raise ShapeError(f"function {n!r} quantified twice")
             if not _is_int(a) or a < 0:
                 raise ShapeError(f"bad arity for quantified function {n!r}: {a!r}")
-        pvars = [v for _, v in self.prefix]
-        if len(pvars) != len(set(pvars)):
-            raise ShapeError("duplicate variable in quantifier prefix")
-        for k, v in self.prefix:
-            if k not in ("forall", "exists"):
-                raise ShapeError(f"bad quantifier kind {k!r}")
-            _check_symbol_name(v)
-        if set(pvars) & set(fn_names):
-            raise ShapeError("quantified function name collides with a prefix variable")
-        if not is_quantifier_free(self.matrix):
-            raise ShapeError("ESO matrix must be quantifier-free")
-        if contains_dep_atom(self.matrix):
-            raise ShapeError("dependence atoms are not ESO syntax")
-        loose = free_vars(self.matrix) - set(pvars)
-        if loose:
-            raise ShapeError(f"ESO matrix uses unquantified variables: {sorted(loose)}")
-        arities = dict(self.functions)
-        for t in iter_terms(self.matrix):
-            if isinstance(t, App) and t.fn in arities and len(t.args) != arities[t.fn]:
-                raise ShapeError(
-                    f"{t.fn} declared with arity {arities[t.fn]} but applied to {len(t.args)} arguments")
+            arities[n] = a
+        _check_prenex(self.prefix, self.matrix, (), arities)
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +869,10 @@ def prenex_split(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
     loose = free_vars(f)
     if loose:
         raise ShapeError(f"not a sentence: free variables {sorted(loose)}")
-    if not single_quantification(f):
-        raise ShapeError("a variable is quantified more than once; rename apart first")
     prefix = [("forall" if isinstance(g, Forall) else "exists", g.var)
               for g in iter_subformulas(f) if isinstance(g, (Exists, Forall))]
+    if len({v for _, v in prefix}) != len(prefix):
+        raise ShapeError("a variable is quantified more than once; rename apart first")
     return prefix, _rebuild(
         f, lambda g: g.body if isinstance(g, (Exists, Forall)) else g)
 

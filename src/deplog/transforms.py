@@ -60,11 +60,10 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .syntax import (
     FALSE, TRUE, And, App, DepAtom, Equal, EsoSentence, Exists, Forall,
-    Formula, Term, Var, _call_shapes, _distinct_var_tuple, _rebuild,
-    _wrap_prefix, and_chain, contains_dep_atom, eso_symbols, free_vars,
-    fresh_var, function_patterns, is_quantifier_free, iter_subformulas,
-    iter_terms, or_chain, prenex_split, replace_terms, satisfies_star,
-    symbols_of,
+    Formula, Term, Var, _call_shapes, _check_prenex, _distinct_var_tuple,
+    _rebuild, _wrap_prefix, and_chain, eso_symbols, free_vars, fresh_var,
+    function_patterns, is_quantifier_free, iter_subformulas, iter_terms,
+    or_chain, prenex_split, replace_terms, satisfies_star, symbols_of,
 )
 
 __all__ = [
@@ -127,9 +126,7 @@ def _simplify_core(prefix, matrix, used):
             args.append(Var(z))
         return DepAtom(tuple(args), g.negated)
 
-    new_matrix = _rebuild(matrix, repair)
-    if equalities:
-        new_matrix = and_chain(equalities + [new_matrix])
+    new_matrix = and_chain(equalities + [_rebuild(matrix, repair)])
     return list(prefix) + [("exists", z) for z in order], new_matrix
 
 
@@ -221,12 +218,7 @@ class NormalFormD:
     matrix: Formula
 
     def __post_init__(self):
-        if any(kind not in ("forall", "exists") for kind, _ in self.prefix):
-            raise ShapeError("prefix kinds must be 'forall' or 'exists'")
-        prefix_vars = [v for _, v in self.prefix]
-        if len(set(prefix_vars)) != len(prefix_vars):
-            raise ShapeError("prefix variables must be distinct")
-        pool = set(prefix_vars)
+        pool = {v for _, v in self.prefix}
         bound: list[str] = []
         for b in self.bindings:
             if not isinstance(b, DepAtom) or b.negated or not b.terms:
@@ -243,10 +235,7 @@ class NormalFormD:
                 raise ShapeError("bound variables must be fresh and carry "
                                  "exactly one binding each")
             bound.append(names[-1])
-        if not is_quantifier_free(self.matrix) or contains_dep_atom(self.matrix):
-            raise ShapeError("matrix must be quantifier free and dependence free")
-        if not free_vars(self.matrix) <= pool | set(bound):
-            raise ShapeError("matrix may only use prefix and bound variables")
+        _check_prenex(self.prefix, self.matrix, bound, {})
 
     @property
     def bound_vars(self) -> tuple[str, ...]:
@@ -254,10 +243,7 @@ class NormalFormD:
 
     def to_formula(self) -> Formula:
         prefix = list(self.prefix) + [("exists", y) for y in self.bound_vars]
-        body = self.matrix
-        if self.bindings:
-            body = and_chain(list(self.bindings) + [body])
-        return _wrap_prefix(prefix, body)
+        return _wrap_prefix(prefix, and_chain(list(self.bindings) + [self.matrix]))
 
 
 def to_normal_form(f: Formula) -> NormalFormD:
@@ -407,7 +393,8 @@ def deskolemize_functions(s: EsoSentence) -> Formula:
     first).  A function f used as f(z1, ..., zm) becomes an existential y
     quantified after the first-order prefix and constrained by
     =(z1, ..., zm, y); functions with no occurrence are dropped, since any
-    witness works for them.
+    witness works for them.  The result is built as a NormalFormD, which
+    checks it with syntax._check_prenex.
     """
     if not satisfies_star(s):
         raise ShapeError("every function needs a single distinct-variable "
@@ -424,11 +411,8 @@ def deskolemize_functions(s: EsoSentence) -> Formula:
         y = Var(names.new())
         bindings.append(DepAtom(pattern + (y,)))
         deskolem[App(fn, pattern)] = y
-    matrix = replace_terms(s.matrix, deskolem)
-    prefix = list(s.prefix) + [("exists", b.terms[-1].name) for b in bindings]
-    if bindings:
-        matrix = and_chain(list(bindings) + [matrix])
-    return _wrap_prefix(prefix, matrix)
+    return NormalFormD(s.prefix, tuple(bindings),
+                       replace_terms(s.matrix, deskolem)).to_formula()
 
 
 def eso_to_d(s: EsoSentence) -> Formula:
@@ -491,8 +475,6 @@ def snf_to_star(s: EsoSentence) -> EsoSentence:
         return quantified(t) and t.args == xs[:len(t.args)]
 
     def composed(t: Term) -> bool:
-        if not quantified(t) or not t.args:
-            return False
         keys = []
         for a in t.args:
             if isinstance(a, Var):

@@ -93,10 +93,12 @@ def _parse_any(text: str, sig: Signature | None):
 def _sig_from_structure(raw, inferred: Signature) -> Signature:
     """Symbol roles from a structure file, arities from its tables.
 
-    An empty relation or a one-element-domain function table does not pin
-    its arity, so the formula's own usage decides those; symbols the
-    structure omits keep their inferred shape and fail later with a clear
-    message when the structure is validated.
+    An empty relation, a one-element-domain function table or a table
+    whose length is no power of the domain size does not pin its arity,
+    so the formula's own usage decides those (a bad table then fails with
+    its expected length); symbols the structure omits keep their inferred
+    shape and fail later with a clear message when the structure is
+    validated.
     """
     if not isinstance(raw, dict):
         raise ShapeError("structure JSON must be an object")
@@ -113,12 +115,8 @@ def _sig_from_structure(raw, inferred: Signature) -> Signature:
     fns: dict[str, int] = {}
     for name, table in fns_in.items():
         rows = len(table) if isinstance(table, list) else 0
-        arity = inferred.functions.get(name, 1)
-        if size > 1 and rows > 0:
-            arity = 0
-            while size ** arity < rows:
-                arity += 1
-        fns[name] = arity
+        exact = [a for a in range(rows.bit_length()) if size > 1 and size ** a == rows]
+        fns[name] = exact[0] if exact else inferred.functions.get(name, 1)
     consts = frozenset(consts_in)
     for name, ar in inferred.relations.items():
         rels.setdefault(name, ar)

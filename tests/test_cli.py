@@ -270,6 +270,19 @@ def test_check_function_table_from_structure(write, capsys):
     assert main(["check", "--formula", f, "--structure", m]) == 0
 
 
+def test_check_and_eval_blame_a_bad_function_table(write, capsys):
+    # 3 entries on a 2-element domain fit no arity: the formula's g/1 stands
+    m = write("m.json", {"domain": 2, "functions": {"g": [0, 1, 1]}})
+    t = write("t.json", {"vars": ["x"], "rows": [[0]]})
+    want = "error: function g/1 needs a table of length 2, got 3\n"
+    assert main(["check", "--formula", write("f.dl", "forall x. g(x) = x"),
+                 "--structure", m]) == 2
+    assert capsys.readouterr().err == want
+    assert main(["eval", "--formula", write("o.dl", "g(x) = x"),
+                 "--structure", m, "--team", t]) == 2
+    assert capsys.readouterr().err == want
+
+
 @pytest.mark.parametrize("key", ["relations", "functions", "constants"])
 def test_check_and_eval_non_object_table_exit_2(write, capsys, key):
     f = write("f.dl", "=(x,y)")

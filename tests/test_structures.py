@@ -98,7 +98,7 @@ def test_structure_counts():
     Signature({"P": 1}, {"f": 1}, frozenset({"c"})),
     Signature({"P": 1, "E": 2}, {}, frozenset()),
 ]), st.integers(1, 2))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_enumeration_count_and_distinctness(sig, n):
     structs = list(enumerate_structures(sig, n))
     assert len(structs) == count_structures(sig, n)

@@ -95,10 +95,9 @@ def _sig_from_structure(raw, inferred: Signature) -> Signature:
 
     An empty relation, a one-element-domain function table or a table
     whose length is no power of the domain size does not pin its arity,
-    so the formula's own usage decides those (a bad table then fails with
-    its expected length); symbols the structure omits keep their inferred
-    shape and fail later with a clear message when the structure is
-    validated.
+    so the formula's own usage decides it.  A bad table then fails with
+    its expected length when the structure is validated, as symbols the
+    structure omits do, which keep their inferred shape.
     """
     if not isinstance(raw, dict):
         raise ShapeError("structure JSON must be an object")

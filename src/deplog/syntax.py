@@ -30,8 +30,9 @@ signature is inferred and each name keeps one role and one arity;
 constants only come from explicit signatures.
 
 Walks: two iterative walks serve the queries and rewrites here:
-iter_subformulas in pre-order and _rebuild bottom-up.  They, free_vars and
-rendering run on explicit stacks, so no walk recurses on formula depth.
+iter_subformulas in pre-order and _rebuild bottom-up.  They, free_vars,
+_check_prenex and rendering run on explicit stacks, so no walk recurses on
+formula depth.
 The parser still recurses once per level of parenthesis nesting and
 reports a ParseError past about 240 levels.
 """

@@ -30,9 +30,8 @@ signature is inferred and each name keeps one role and one arity;
 constants only come from explicit signatures.
 
 Walks: two iterative walks serve the queries and rewrites here:
-iter_subformulas in pre-order and _rebuild bottom-up.  They, free_vars,
-_check_prenex and rendering run on explicit stacks, so no walk recurses on
-formula depth.
+iter_subformulas in pre-order and _rebuild bottom-up.  Every formula walk
+runs on an explicit stack, so none recurses on formula depth.
 The parser still recurses once per level of parenthesis nesting and
 reports a ParseError past about 240 levels.
 """
@@ -299,7 +298,7 @@ class EsoSentence:
     prefix, and a quantifier-free matrix.
 
     The matrix is classical first-order: dependence atoms are rejected.
-    The constructor checks the function symbols and _check_prenex the rest.
+    The constructor checks the function symbols, and _check_prenex the rest.
     """
 
     functions: tuple[tuple[str, int], ...]

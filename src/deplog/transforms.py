@@ -211,6 +211,8 @@ class NormalFormD:
     free and dependence free.  ``to_formula`` rebuilds
 
         prefix . exists y1 ... exists yn . (bindings & matrix)
+
+    syntax._check_prenex, which EsoSentence shares, checks all but the bindings.
     """
 
     prefix: tuple[tuple[str, str], ...]

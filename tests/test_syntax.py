@@ -4,6 +4,11 @@ Concrete expected strings and ASTs are frozen literals; the round-trip
 law parse(render(f)) == f is checked both on fixed cases and on randomly
 generated formulas.
 """
+import hashlib
+import json
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -212,6 +217,52 @@ def test_check_symbols_rejects(f):
     with pytest.raises(ShapeError):
         check_symbols(f, SIG, extra_fns={"f": 1})
     check_symbols(RelAtom("Q", (App("f", (x(),)),)), SIG, extra_fns={"f": 1})
+
+
+_MUTATION_TOKENS = ["(", ")", "~", "&", "|", "forall", "exists", "fn", ".",
+                    ",", "=", "/", "2", "true"]
+
+
+def _mutants(text, rng, count):
+    """``count`` texts, each the tokens of ``text`` after one or two
+    random deletions, insertions or swaps, joined by spaces."""
+    toks = re.findall(r"[A-Za-z_]\w*|\d+|\S", text)
+    pool = _MUTATION_TOKENS + sorted({t for t in toks if t[0].isalpha()} | {"x", "P", "f"})
+    for _ in range(count):
+        out = list(toks)
+        for _ in range(rng.randint(1, 2)):
+            i, j = rng.randrange(len(out)), rng.randrange(len(out))
+            op = rng.randrange(3)
+            if op == 0 and len(out) > 1:
+                del out[i]
+            elif op == 1:
+                out.insert(i, rng.choice(pool))
+            else:
+                out[i], out[j] = out[j], out[i]
+        yield " ".join(out)
+
+
+def _outcome(parse, render, text) -> str:
+    """The rendering and the inferred signature, or the error line."""
+    try:
+        tree, sig = parse(text)
+    except (ParseError, ShapeError) as e:
+        return f"{type(e).__name__}: {e}"
+    return f"{render(tree)} {json.dumps(sig.to_json_dict(), sort_keys=True)}"
+
+
+def test_parse_outcomes_pinned():
+    # 3,000 token-level mutations of the corpus texts, each parsed both
+    # ways; the digest pins every tree, signature, message and position
+    rng = random.Random(2020)
+    digest = hashlib.sha256()
+    for item in corpus():
+        for text in _mutants(item.text, rng, 125):
+            for parse, render in ((parse_formula_infer, render_formula),
+                                  (parse_eso_infer, render_eso)):
+                digest.update(_outcome(parse, render, text).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "c387850994ec3ef16ee8273a9ad029924c8aa5de8bb0b93f2b6bf3def1c6de6d")
 
 
 # ---------------------------------------------------------------------------

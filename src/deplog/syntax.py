@@ -31,9 +31,9 @@ constants only come from explicit signatures.
 
 Walks: two iterative walks serve the queries and rewrites here:
 iter_subformulas in pre-order and _rebuild bottom-up.  Every formula walk
-runs on an explicit stack, so none recurses on formula depth.
-The parser still recurses once per level of parenthesis nesting and
-reports a ParseError past about 240 levels.
+runs on an explicit stack, so none recurses on formula depth, and the
+parser reads the formula grammar in one loop: only its function
+applications recurse, and it reports a ParseError past about 490 levels.
 """
 
 from __future__ import annotations
@@ -346,9 +346,7 @@ def _tokenize(text: str) -> list[_Tok]:
             bad = pos + (len(rest) - len(rest.lstrip()))
             raise ParseError(f"unexpected character {text[bad]!r}", bad)
         kind = m.lastgroup
-        assert kind is not None
-        word = m.group(kind)
-        toks.append(_Tok(kind, word, m.end() - len(word)))
+        toks.append(_Tok(kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return toks
 
@@ -358,9 +356,10 @@ def _tokenize(text: str) -> list[_Tok]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    """Recursive descent, syntax only.  Records symbol use for _resolve:
-    relation and function arities in order of first use, bare names and
-    quantified names."""
+    """Syntax only: one loop reads the formula grammar, and only function
+    applications recurse.  Records symbol use for _resolve: relation and
+    function arities in order of first use, bare names, quantified names
+    and whether a dependence atom occurs."""
 
     def __init__(self, text: str):
         self.text = text
@@ -370,6 +369,7 @@ class _Parser:
         self.fns: dict[str, int] = {}
         self.bare: set[str] = set()
         self.bound: set[str] = set()
+        self.dep = False
 
     # -- token plumbing ----------------------------------------------------
 
@@ -378,32 +378,22 @@ class _Parser:
         return self.toks[j] if j < len(self.toks) else None
 
     def take(self) -> _Tok:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", len(self.text))
+        """The next token, which the caller has seen to exist."""
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
-    def at_punct(self, ch: str, ahead: int = 0) -> bool:
+    def at(self, text: str, ahead: int = 0) -> bool:
+        """Whether token ``ahead`` reads ``text``; no two token kinds share one."""
         t = self.peek(ahead)
-        return t is not None and t.kind == "punct" and t.text == ch
-
-    def at_word(self, word: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t is not None and t.kind == "ident" and t.text == word
+        return t is not None and t.text == text
 
     def expect(self, ch: str) -> _Tok:
         t = self.peek()
         if t is None:
             raise ParseError(f"expected {ch!r}", len(self.text))
-        if t.kind != "punct" or t.text != ch:
+        if t.text != ch:
             raise ParseError(f"expected {ch!r}, found {t.text!r}", t.pos)
         return self.take()
-
-    def finish(self) -> None:
-        t = self.peek()
-        if t is not None:
-            raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
 
     def _take_name(self, role: str) -> _Tok:
         t = self.peek()
@@ -423,91 +413,91 @@ class _Parser:
     # -- grammar -------------------------------------------------------------
 
     def formula(self) -> Formula:
-        prefix = []
-        while self.at_word("forall") or self.at_word("exists"):
+        """One loop over the grammar above.  Each formula still open keeps a
+        frame: its quantifier prefix, its finished disjuncts and the
+        conjuncts of the current disjunct; ``stack`` holds the frames that
+        enclose an open "(".  A closed frame folds left, "&" before "|"."""
+        stack: list = []
+        prefix, disjuncts, conjuncts = [], [], []
+        while True:
+            # a quantifier prefix only starts a formula
+            while not (disjuncts or conjuncts) and (self.at("forall") or self.at("exists")):
+                t = self.take()
+                if t.text == "exists" and self.at("fn"):
+                    raise ParseError(
+                        "function quantifiers are only allowed at the front of an ESO sentence",
+                        t.pos)
+                var = self._take_name("variable").text
+                self.bound.add(var)
+                prefix.append((t.text, var))
+                self.expect(".")
+            if self.at("("):
+                self.take()
+                stack.append((prefix, disjuncts, conjuncts))
+                prefix, disjuncts, conjuncts = [], [], []
+                continue
+            conjuncts.append(self.atom())
+            while not self.at("&"):
+                if self.at("|"):
+                    disjuncts.append(and_chain(conjuncts))
+                    conjuncts = []
+                    break
+                f = _wrap_prefix(prefix, or_chain(disjuncts + [and_chain(conjuncts)]))
+                if not stack:
+                    return f
+                self.expect(")")
+                prefix, disjuncts, conjuncts = stack.pop()
+                conjuncts.append(f)
+            self.take()
+
+    def atom(self) -> Formula:
+        """An atom, negated when it follows "~"."""
+        negated = self.at("~")
+        if negated:
             t = self.take()
-            if t.text == "exists" and self.at_word("fn"):
-                raise ParseError(
-                    "function quantifiers are only allowed at the front of an ESO sentence",
-                    t.pos)
-            var = self._take_name("variable").text
-            self.bound.add(var)
-            prefix.append((t.text, var))
-            self.expect(".")
-        return _wrap_prefix(prefix, self.disj())
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.at_punct("|"):
-            self.take()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unit()
-        while self.at_punct("&"):
-            self.take()
-            f = And(f, self.unit())
-        return f
-
-    def unit(self) -> Formula:
-        if self.at_punct("("):
-            self.take()
-            f = self.formula()
-            self.expect(")")
-            return f
-        if self.at_punct("~"):
-            t = self.take()
-            if self.at_punct("("):
+            if self.at("("):
                 raise ParseError(
                     "negation may only be applied to atoms (push it inward first)", t.pos)
-            return self.atom(negated=True)
-        return self.atom(negated=False)
-
-    def atom(self, negated: bool) -> Formula:
         t = self.peek()
         if t is None:
             raise ParseError("expected an atom", len(self.text))
-        if t.kind == "punct" and t.text == "=":
+        if t.text == "=":
             self.take()
+            self.dep = True
             return DepAtom(self.args(), negated)
-        if t.kind == "ident" and t.text == "true":
+        if t.text in ("true", "false"):
             self.take()
-            return FALSE if negated else TRUE
-        if t.kind == "ident" and t.text == "false":
-            self.take()
-            return TRUE if negated else FALSE
+            return TRUE if (t.text == "true") != negated else FALSE
         if t.kind == "ident":
             if t.text in _KEYWORDS:
                 raise ParseError(f"keyword {t.text!r} cannot start an atom", t.pos)
-            if self.at_punct("(", 1):
+            if self.at("(", 1):
                 name_tok = self.take()
                 args = self.args()
                 # "R(x,y)" is a relation atom unless continued by "=",
                 # in which case it was a function term: "f(x) = y"
-                if self.at_punct("="):
-                    self._applied(self.fns, name_tok, len(args))
-                    self.take()  # "="
-                    right = self.term()
-                    return Equal(App(name_tok.text, args), right, negated)
-                self._applied(self.rels, name_tok, len(args))
-                return RelAtom(name_tok.text, args, negated)
-            left = self.term()
-            eq = self.peek()
-            if eq is None or eq.kind != "punct" or eq.text != "=":
-                raise ParseError("expected '=' after a term", eq.pos if eq else len(self.text))
-            self.take()
-            right = self.term()
-            return Equal(left, right, negated)
+                if not self.at("="):
+                    self._applied(self.rels, name_tok, len(args))
+                    return RelAtom(name_tok.text, args, negated)
+                self._applied(self.fns, name_tok, len(args))
+                left = App(name_tok.text, args)
+            else:
+                left = self.term()
+                if not self.at("="):
+                    eq = self.peek()
+                    raise ParseError("expected '=' after a term",
+                                     eq.pos if eq else len(self.text))
+            self.take()  # "="
+            return Equal(left, self.term(), negated)
         raise ParseError(f"unexpected token {t.text!r} in atom", t.pos)
 
     def args(self) -> tuple[Term, ...]:
         """A parenthesized, possibly empty, list of terms."""
         self.expect("(")
         out: list[Term] = []
-        if not self.at_punct(")"):
+        if not self.at(")"):
             out.append(self.term())
-            while self.at_punct(","):
+            while self.at(","):
                 self.take()
                 out.append(self.term())
         self.expect(")")
@@ -515,7 +505,7 @@ class _Parser:
 
     def term(self) -> Term:
         t = self._take_name("term")
-        if not self.at_punct("("):
+        if not self.at("("):
             self.bare.add(t.text)
             return Var(t.text)
         args = self.args()
@@ -581,22 +571,24 @@ def parse_formula_infer(text: str) -> tuple[Formula, Signature]:
 def _parse(p: _Parser, sig: Signature | None,
            bound_fns: dict[str, int]) -> tuple[Formula, Signature]:
     """Parse the rest of the input as one formula and resolve its symbols.
-    Nesting deeper than the parser's recursion allows (about 240
-    parentheses) is a ParseError."""
+    Only function applications recurse in the parser; nesting them deeper
+    than the recursion limit allows (about 490 levels) is a ParseError."""
     try:
         f = p.formula()
     except RecursionError:
         t = p.peek()
         raise ParseError("formula nested too deeply",
                          t.pos if t else len(p.text)) from None
-    p.finish()
+    t = p.peek()
+    if t is not None:
+        raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
     return _resolve(p, f, sig, bound_fns)
 
 
 def _parse_eso_with(text: str, sig: Signature | None) -> tuple[EsoSentence, Signature]:
     p = _Parser(text)
     fns: dict[str, int] = {}
-    while p.at_word("exists") and p.at_word("fn", 1):
+    while p.at("exists") and p.at("fn", 1):
         p.take()
         p.take()
         name_tok = p._take_name("function")
@@ -612,7 +604,7 @@ def _parse_eso_with(text: str, sig: Signature | None) -> tuple[EsoSentence, Sign
         fns[name_tok.text] = int(ar_tok.text)
     # resolved before prenex_split: a constant is a free Var until then
     f, sig = _parse(p, sig, fns)
-    if contains_dep_atom(f):
+    if p.dep:
         raise ParseError("dependence atoms are not allowed in an ESO sentence")
     prefix, matrix = prenex_split(f)
     return EsoSentence(tuple(fns.items()), tuple(prefix), matrix), sig

@@ -77,11 +77,16 @@ def test_non_utf8_input_exits_2(tmp_path, write, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# function applications are the one place the parser still recurses
+DEEP_APPS = "P(" + "f(" * 1500 + "x" + ")" * 1501
+
+
 def test_parse_deep_nesting_exits_2(write, capsys):
-    f = write("deep.dl", "(" * 1500 + "P(x)" + ")" * 1500)
+    f = write("deep.dl", DEEP_APPS)
     assert main(["parse", f]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "nested too deeply" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -170,7 +175,7 @@ OTHER_ARGS = {"translate": ["--pass", "prenex"], "equiv": ["--max-size", "1"],
 # then per kind
 ANY_MALFORMED = {"missing": None, "not_utf8": b"\xff\xfe{}", "empty": ""}
 FORMULA_MALFORMED = {"unbalanced": "forall x. (P(x)",
-                     "deep_parens": "(" * 1500 + "P(x)" + ")" * 1500}
+                     "deep_parens": DEEP_APPS}
 JSON_MALFORMED = {"not_json": "{", "deep_json": "[" * 100_000,
                   "not_an_object": []}
 MALFORMED = {

@@ -12,6 +12,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deplog.cli import main
 from deplog.errors import ParseError, ShapeError
 from deplog.fragments import classify_d
 from deplog.harness import corpus
@@ -98,12 +99,13 @@ def test_parse_reports_position():
 
 
 def test_parse_nesting_overflow_is_parse_error():
-    deep = "(" * 1500 + "Q(x)" + ")" * 1500
+    # the parser recurses once per function application, not per parenthesis
+    deep = "Q(" + "g(" * 1500 + "x" + ")" * 1501
     for parse in (lambda: parse_formula(deep, SIG),
                   lambda: parse_formula_infer(deep),
                   lambda: parse_eso("exists fn f/1. forall x. " + deep, SIG),
                   lambda: parse_eso_infer("exists fn f/1. forall x. " + deep)):
-        with pytest.raises(ParseError, match="nested too deeply"):
+        with pytest.raises(ParseError, match=r"nested too deeply \(at position \d+\)"):
             parse()
     # nesting within the limit still parses
     assert parse_formula("(" * 100 + "Q(x)" + ")" * 100, SIG) == RelAtom("Q", (x(),))
@@ -583,6 +585,23 @@ def test_long_chain_walks(chain, op):
     assert symbols_of(f) == {"x", "y", "P"}
     report = classify_d(f)
     assert (report.forall_count, report.max_dep_width) == (1, 2)
+
+
+def test_deep_parentheses_parse(tmp_path, capsys):
+    deep = "(" * 10_000 + "Q(x) | Q(g(x))" + ")" * 10_000
+    want = Or(RelAtom("Q", (x(),)), RelAtom("Q", (App("g", (x(),)),)))
+    f, sig = parse_formula_infer(deep)
+    assert f == parse_formula(deep, SIG) == want
+    assert parse_formula(render_formula(f), sig) == f
+    text = "exists fn f/1. forall x. " + deep
+    s, sig = parse_eso_infer(text)
+    assert s == parse_eso(text, SIG) == EsoSentence((("f", 1),), (("forall", "x"),), want)
+    assert parse_eso(render_eso(s), sig) == s
+    path = tmp_path / "deep.dl"
+    path.write_text("forall x. " + deep)
+    for argv in (["parse", str(path)], ["translate", "--pass", "prenex", "--input", str(path)]):
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("forall x. (Q(x) | Q(g(x)))\n", "")
 
 
 def test_long_prefix_walks():

@@ -256,12 +256,21 @@ class Signature:
 # ESO sentences
 # ---------------------------------------------------------------------------
 
+def _pairs(entries, what: str) -> tuple:
+    """``entries`` as a tuple of pairs; ShapeError at one that is not a pair."""
+    out = tuple(entries)
+    for e in out:
+        if not isinstance(e, (tuple, list)) or len(e) != 2:
+            raise ShapeError(f"{what} entry {e!r} is not a pair")
+    return tuple((a, b) for a, b in out)
+
+
 def _check_prenex(prefix, matrix: Formula, bound, arities) -> None:
     """The prenex-sentence rule of EsoSentence and transforms.NormalFormD.
     Raise ShapeError unless ``prefix`` quantifies well-named variables once
     each, none a function of ``arities`` (name -> arity), and ``matrix``,
-    walked once, is a quantifier-free, dependence-free formula over them
-    and ``bound`` that applies each such function to its arity."""
+    walked once, is a quantifier-free, dependence-free formula of terms over
+    them and ``bound`` that applies each such function to its arity."""
     scope: set[str] = set()
     for kind, v in prefix:
         if kind not in ("forall", "exists"):
@@ -271,25 +280,22 @@ def _check_prenex(prefix, matrix: Formula, bound, arities) -> None:
             raise ShapeError(f"{v!r} is quantified twice")
         scope.add(v)
     scope.update(bound)
-    todo = [matrix]
-    while todo:
-        g = todo.pop()
-        if isinstance(g, (And, Or)):
-            todo += g.right, g.left
-        elif isinstance(g, (Exists, Forall)):
+    for g in iter_subformulas(matrix):
+        if isinstance(g, (Exists, Forall)):
             raise ShapeError(f"the matrix quantifies {g.var!r}; it must be quantifier free")
-        elif isinstance(g, DepAtom):
+        if isinstance(g, DepAtom):
             raise ShapeError(f"dependence atom {_render_atom(g)} in the matrix")
-        elif not isinstance(g, _ATOMS):
+        if not isinstance(g, (And, Or, *_ATOMS)):
             raise ShapeError(f"not a formula: {g!r}")
-        else:
-            for t in _atom_terms(g):
-                for u in _iter_term_nodes(t):
-                    if isinstance(u, Var) and u.name not in scope:
-                        raise ShapeError(f"variable {u.name!r} is not quantified")
-                    if isinstance(u, App) and len(u.args) != arities.get(u.fn, len(u.args)):
-                        raise ShapeError(f"{u.fn} declared with arity {arities[u.fn]} "
-                                         f"but applied to {len(u.args)} arguments")
+        for t in _atom_terms(g):
+            for u in _iter_term_nodes(t):
+                if isinstance(u, Var) and u.name not in scope:
+                    raise ShapeError(f"variable {u.name!r} is not quantified")
+                if isinstance(u, App) and len(u.args) != arities.get(u.fn, len(u.args)):
+                    raise ShapeError(f"{u.fn} declared with arity {arities[u.fn]} "
+                                     f"but applied to {len(u.args)} arguments")
+                if not isinstance(u, (Var, Const, App)):
+                    raise ShapeError(f"not a term: {u!r}")
 
 
 @dataclass(frozen=True)
@@ -306,8 +312,8 @@ class EsoSentence:
     matrix: Formula
 
     def __post_init__(self):
-        object.__setattr__(self, "functions", tuple((n, a) for n, a in self.functions))
-        object.__setattr__(self, "prefix", tuple((k, v) for k, v in self.prefix))
+        object.__setattr__(self, "functions", _pairs(self.functions, "function"))
+        object.__setattr__(self, "prefix", _pairs(self.prefix, "prefix"))
         arities: dict[str, int] = {}
         for n, a in self.functions:
             _check_symbol_name(n)

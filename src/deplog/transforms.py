@@ -61,7 +61,7 @@ from .errors import ShapeError
 from .syntax import (
     FALSE, TRUE, And, App, DepAtom, Equal, EsoSentence, Exists, Forall,
     Formula, Term, Var, _call_shapes, _check_prenex, _distinct_var_tuple,
-    _rebuild, _wrap_prefix, and_chain, eso_symbols, free_vars, fresh_var,
+    _pairs, _rebuild, _wrap_prefix, and_chain, eso_symbols, free_vars, fresh_var,
     function_patterns, is_quantifier_free, iter_subformulas, iter_terms,
     or_chain, prenex_split, replace_terms, satisfies_star, symbols_of,
 )
@@ -220,7 +220,7 @@ class NormalFormD:
     matrix: Formula
 
     def __post_init__(self):
-        pool = {v for _, v in self.prefix}
+        pool = {v for _, v in _pairs(self.prefix, "prefix")}
         bound: list[str] = []
         for b in self.bindings:
             if not isinstance(b, DepAtom) or b.negated or not b.terms:

@@ -551,6 +551,9 @@ _FORALL_XY = (("forall", "x"), ("forall", "y"))
     ((("g", 2),), _FORALL_XY, RelAtom("Q", (App("g", (x(),)),))),  # wrong arity
     ((), _FORALL_XY, And(_P_XY, x())),                          # not a formula
     ((), _FORALL_XY, "P(x,y)"),                                 # not a formula
+    ((), (("forall",),), TRUE),                                 # prefix entry
+    ((("f",),), (), TRUE),                                      # function entry
+    ((), (), RelAtom("P", ("x",))),                             # not a term
 ])
 def test_eso_sentence_rejects(fns, prefix, matrix):
     with pytest.raises(ShapeError):

@@ -12,7 +12,7 @@ from deplog.harness import corpus, corpus_item, equiv_check, sentence_value
 from deplog.structures import enumerate_structures
 from deplog.syntax import (
     And, App, DepAtom, Equal, EsoSentence, Exists, Forall, Or, RelAtom, Signature,
-    Var, contains_dep_atom, free_vars, function_patterns, is_quantifier_free,
+    TRUE, Var, contains_dep_atom, free_vars, function_patterns, is_quantifier_free,
     iter_subformulas, parse_eso, parse_eso_infer, parse_formula,
     parse_formula_infer, render_eso, render_formula, satisfies_star,
     single_quantification,
@@ -250,6 +250,8 @@ _P_XY = RelAtom("P", (_X, _Y))
     (_NF_PREFIX, _NF_BIND, Or(_P_XY, DepAtom((_X, _Y)))),       # dependence atom
     (_NF_PREFIX, _NF_BIND, RelAtom("P", (_X, Var("w")))),       # w unquantified
     (_NF_PREFIX, _NF_BIND, And(_P_XY, _X)),                     # not a formula
+    ((("forall",),), (), TRUE),                                 # prefix entry
+    (_NF_PREFIX, _NF_BIND, RelAtom("P", ("x",))),               # not a term
 ])
 def test_normal_form_rejects(prefix, bindings, matrix):
     with pytest.raises(ShapeError):

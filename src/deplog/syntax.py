@@ -419,7 +419,7 @@ class _Parser:
     # -- grammar -------------------------------------------------------------
 
     def formula(self) -> Formula:
-        """One loop over the grammar above.  Each formula still open keeps a
+        """One loop over the module's grammar.  Each formula still open keeps a
         frame: its quantifier prefix, its finished disjuncts and the
         conjuncts of the current disjunct; ``stack`` holds the frames that
         enclose an open "(".  A closed frame folds left, "&" before "|"."""

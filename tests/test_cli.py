@@ -77,7 +77,7 @@ def test_non_utf8_input_exits_2(tmp_path, write, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# function applications are the one place the parser still recurses
+# the parser recurses only on function applications, so these nest too deeply
 DEEP_APPS = "P(" + "f(" * 1500 + "x" + ")" * 1501
 
 

@@ -273,11 +273,12 @@ def _walk(sig: Signature, size: int, budget: Budget,
     tuples = {ar: list(itertools.product(range(size), repeat=ar)) for _, _, ar in syms}
     is_leader = (_leader_test(syms, size, tuples)
                  if leaders_only and _leader_test_pays(syms, size, budget) else None)
+    values = tuple(range(size))  # product copies a range per position, not a tuple
     pools, cuts = [], []
     for kind, name, ar in syms:
         width = len(tuples[ar])
         cuts.append((kind, name, tuples[ar], slice(len(pools), len(pools) + width)))
-        pools += [(0, 1) if kind == "rel" else range(size)] * width
+        pools += [(0, 1) if kind == "rel" else values] * width
     for code in itertools.product(*pools):
         budget.spend(1, "structure enumeration")
         if is_leader is not None and not is_leader(code):

@@ -18,7 +18,7 @@ The empty team satisfies every formula.
 The search is exhaustive but takes verdict-preserving shortcuts. Formulas
 without dependence atoms are evaluated row by row (satisfaction of such
 formulas only depends on the individual rows), by the classical evaluator
-of eso_eval. Any other formula is decided by one depth-first search that
+of fo_eval. Any other formula is decided by one depth-first search that
 pushes each row of the team down the formula: a universal extends the row
 by every domain value, a conjunction sends it to every conjunct, and the
 two choice points send it on one way of several: a disjunction to one
@@ -87,7 +87,7 @@ from typing import Callable, Iterator
 
 from .budget import Budget, default_check_budget
 from .errors import ShapeError
-from .eso_eval import _Symbols, _compile_fo, _compile_term, _compile_terms, _scope
+from .fo_eval import _Symbols, _compile_fo, _compile_term, _compile_terms, _scope
 from .structures import Structure, Team
 from .syntax import (
     And, DepAtom, Exists, Forall, Formula, Or, Signature, Var, check_symbols,

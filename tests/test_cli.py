@@ -562,6 +562,33 @@ def test_enum_streams_under_a_memory_cap(write):
     assert len(proc.stdout.splitlines()) == 1000
 
 
+def test_enum_wide_pool_under_a_memory_cap(write):
+    # {f/1} at size 6,000 has 6,000 value positions of 6,000 values each:
+    # the walk must share one pool among them, where a copy per position
+    # (36M entries) ran out of memory before the first structure; the
+    # address-space cap turns a walk that copies into a failure of this
+    # process alone
+    sig = write("sig.json", {"functions": {"f": 1}})
+    src = os.path.dirname(os.path.dirname(deplog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("DEPLOG_BUDGET", None)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deplog.cli", "enum", "--sig", sig, "--size", "6000"],
+        env=env, preexec_fn=cap, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    try:
+        first = proc.stdout.readline()
+    finally:
+        proc.kill()
+        _, err = proc.communicate(timeout=120)
+    assert first, err
+    assert json.loads(first)["functions"]["f"] == [0] * 6000
+
+
 @pytest.mark.parametrize("command", ["equiv", "enum"])
 def test_wide_symbol_refused_under_a_memory_cap(write, command):
     # a 64-ary f or a 40-ary R has more argument tuples at size 2 than the

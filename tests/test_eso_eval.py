@@ -152,6 +152,19 @@ def test_budget_rejects_huge_count_up_front(text, struct, spent):
     assert str(e.value).endswith(f"spent >= {spent})")
 
 
+def test_work_ledger():
+    # the exact work of the table search, by context: one unit per candidate
+    # tried, and the matrix spends under the plan's context, as the team
+    # evaluator's row checks spend under theirs (test_team_eval's ledger)
+    from test_team_eval import Ledger
+    even_r = corpus_item("even_R")
+    ledger = Ledger()
+    assert eso_satisfies(list(enumerate_structures(even_r.sig, 2))[5],
+                         even_r.sentence(), ledger)
+    assert ledger.tally == {"function table candidate": 70,
+                            "first-order evaluation": 676}
+
+
 def test_malformed_tree_is_a_shape_error():
     # a hand-built atom whose argument is not a term reaches the compiler
     # behind every evaluator entry

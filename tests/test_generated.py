@@ -1,9 +1,12 @@
-"""Generated formulas against the independent oracles in helpers.py.
+"""Generated formulas against the independent oracles in helpers.py, and
+generated sentences against the translations' guarantees.
 
 Each test draws formulas and structures with hypothesis, derandomized so a
-run is repeatable, and compares the package's evaluator with its oracle.
-An example whose evaluation runs out of budget is discarded and counted;
-it never counts as a pass, and each test asserts how many were compared.
+run is repeatable, and compares the package's evaluator with its oracle,
+or a translation's output with its input (fragment bounds, and
+equivalence at sizes up to 2).  An example whose evaluation runs out of
+budget is discarded and counted; it never counts as a pass, and each test
+asserts how many were compared.
 """
 import itertools
 
@@ -14,12 +17,15 @@ from helpers import oracle_eso, oracle_fo, oracle_satisfies
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError
 from deplog.eso_eval import eso_satisfies
+from deplog.fragments import classify_d, classify_eso
+from deplog.harness import equiv_check
 from deplog.structures import Structure, Team
 from deplog.syntax import (
     And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, Forall, Or,
     RelAtom, Signature, Var, free_vars,
 )
 from deplog.team_eval import satisfies
+from deplog.transforms import d_to_eso, snf_to_star
 
 VARS = ("x", "y", "z")
 SIG_FO = Signature({"P": 1, "E": 2}, {"g": 1, "h": 2}, frozenset({"c"}))
@@ -164,3 +170,84 @@ def test_generated_eso_agrees_with_oracle():
     # fewer examples: the oracle builds every table as a dict
     tally = _run(check, 200)
     assert tally["checked"] >= 150, tally
+
+
+def _equivalent_at_2(left, right, budget):
+    """True when equiv_check finds the two sentences equivalent at sizes up
+    to 2 over SIG_PE, None when it runs out of budget."""
+    try:
+        verdict = equiv_check(left, right, SIG_PE, 2, budget=budget)
+    except BudgetExceededError:
+        return None
+    return verdict.outcome == "equivalent"
+
+
+@st.composite
+def _d_sentences(draw):
+    """Prenex sentences over 1-4 distinct variables whose body has at most
+    4 leaves: P, E, = and dependence atoms of width 0-3, either sign."""
+    pvars = ("x", "y", "z", "u")[:draw(st.integers(1, 4))]
+    term = st.sampled_from([Var(v) for v in pvars])
+    dep = st.builds(DepAtom, st.lists(term, max_size=3).map(tuple), st.booleans())
+    f = draw(st.recursive(
+        st.one_of(_atoms(term), dep),
+        lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+        max_leaves=4))
+    for v in reversed(pvars):
+        f = draw(st.sampled_from([Exists, Forall]))(v, f)
+    return f
+
+
+def test_generated_d_to_eso_keeps_fragment_and_truth():
+    # D(k-forall) to ESO_f(k-forall) and D(k-dep) to ESO_f(k-ary): an atom of
+    # width w becomes a function of arity at most w - 1
+    def check(data):
+        f = data.draw(_d_sentences())
+        s = d_to_eso(f)
+        d, e = classify_d(f), classify_eso(s)
+        assert e.forall_count <= d.forall_count, (f, s)
+        assert e.max_arity <= max(d.max_dep_width - 1, 0), (f, s)
+        assert e.star and e.exists_star, (f, s)
+        same = _equivalent_at_2(f, s, 2 * 10**5)
+        if same is None:
+            return "discarded"
+        assert same, (f, s)
+        return "checked"
+
+    tally = _run(check, 200)
+    assert tally["checked"] >= 150, tally
+
+
+@st.composite
+def _snf_sentences(draw):
+    """Sentences with a universal prefix of k = 1-3 variables and 1-2
+    quantified functions of arity at most min(k, 2), applied nested."""
+    pvars = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    fns = tuple((f"f{i}", draw(st.integers(0, min(len(pvars), 2))))
+                for i in range(draw(st.integers(1, 2))))
+    term = st.recursive(
+        st.sampled_from([Var(v) for v in pvars]),
+        lambda sub: st.one_of([st.builds(App, st.just(name), st.tuples(*[sub] * ar))
+                               for name, ar in fns]),
+        max_leaves=3)
+    matrix = draw(st.recursive(
+        _atoms(term),
+        lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+        max_leaves=3))
+    return EsoSentence(fns, tuple(("forall", v) for v in pvars), matrix)
+
+
+def test_generated_snf_to_star_keeps_2k_bound_and_truth():
+    def check(data):
+        s = data.draw(_snf_sentences())
+        out = snf_to_star(s)
+        k, got = classify_eso(s).forall_count, classify_eso(out)
+        assert got.star and got.forall_count <= 2 * k, (s, out)
+        same = _equivalent_at_2(s, out, 3 * 10**5)
+        if same is None:
+            return "discarded"
+        assert same, (s, out)
+        return "checked"
+
+    tally = _run(check, 150)
+    assert tally["checked"] >= 90, tally

@@ -124,10 +124,12 @@ def _sig_from_structure(raw, inferred: Signature) -> Signature:
     return Signature(rels, fns, consts)
 
 
-def _parse_against_structure(text: str, raw):
+def _parse_against_structure(text: str, path: str):
+    """The formula and the structure at ``path``, over the signature they settle."""
+    raw = _load_json(path)
     infer = parse_eso_infer if _is_eso_text(text) else parse_formula_infer
     sig = _sig_from_structure(raw, infer(text)[1])
-    return _parse_any(text, sig), sig
+    return _parse_any(text, sig), structure_from_json_dict(raw, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +176,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    raw = _load_json(args.structure)
-    sentence, sig = _parse_against_structure(_read(args.formula), raw)
-    struct = structure_from_json_dict(raw, sig)
+    sentence, struct = _parse_against_structure(_read(args.formula), args.structure)
     value = sentence_value(struct, sentence)
     print("true" if value else "false")
     return 0 if value else 1
@@ -187,9 +187,7 @@ def _cmd_eval(args) -> int:
     if _is_eso_text(text):
         raise ShapeError("eval works on dependence-logic formulas; "
                          "use check for function sentences")
-    raw = _load_json(args.structure)
-    formula, sig = _parse_against_structure(text, raw)
-    struct = structure_from_json_dict(raw, sig)
+    formula, struct = _parse_against_structure(text, args.structure)
     team = team_from_json_dict(_load_json(args.team))
     value = satisfies(struct, team, formula)
     print("true" if value else "false")
@@ -313,15 +311,12 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except DeplogError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as e:
+    except (DeplogError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the evaluator compilers recurse once per link of an &/| chain,
-        # and a pass can nest a term deeper than the recursion limit
+        # the evaluator compilers recurse once per &/| chain link and, like
+        # replace_terms and term equality, once per level a pass nests a term
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
 

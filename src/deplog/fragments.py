@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .syntax import (
-    DepAtom, EsoSentence, Forall, Formula, free_vars, iter_subformulas,
-    satisfies_star, single_quantification,
+    DepAtom, EsoSentence, Forall, Formula, _json_record, free_vars,
+    iter_subformulas, satisfies_star, single_quantification,
 )
 
 __all__ = ["FragmentReport", "classify_d", "classify_eso"]
@@ -63,18 +63,11 @@ class FragmentReport:
     exists_star: bool | None = None
 
     def to_dict(self) -> dict:
-        """JSON-ready dict carrying only the fields of this kind."""
-        out: dict = {"kind": self.kind, "forall_count": self.forall_count}
-        if self.kind == "D":
-            out["single_quantification"] = self.single_quantification
-            out["max_dep_width"] = self.max_dep_width
-        else:
-            out["max_arity"] = self.max_arity
-            out["snf"] = self.snf
-            out["star"] = self.star
-            out["exists_star"] = self.exists_star
-        out["memberships"] = list(self.memberships)
-        out["upper_bound"] = self.upper_bound
+        """JSON-ready dict carrying only the fields of this kind, with
+        ``memberships`` and ``upper_bound`` last."""
+        out = _json_record(self)
+        out["memberships"] = list(out.pop("memberships"))
+        out["upper_bound"] = out.pop("upper_bound")
         return out
 
 

@@ -30,7 +30,9 @@ from .budget import Budget, default_check_budget, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
 from .eso_eval import _eso_plan
 from .structures import Structure, _walk, structure_to_json_dict
-from .syntax import EsoSentence, Formula, Signature, parse_eso, parse_formula
+from .syntax import (
+    EsoSentence, Formula, Signature, _json_record, parse_eso, parse_formula,
+)
 from .team_eval import _plan as _team_plan
 
 __all__ = [
@@ -74,17 +76,7 @@ class Verdict:
     right_verdict: bool | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "outcome": self.outcome,
-            "max_size": self.max_size,
-            "structures_checked": self.structures_checked,
-            "wall_time": self.wall_time,
-        }
-        if self.outcome == "counterexample":
-            out["structure"] = self.structure
-            out["left_verdict"] = self.left_verdict
-            out["right_verdict"] = self.right_verdict
-        return out
+        return _json_record(self)
 
 
 def equiv_check(left, right, sig: Signature, max_n: int,

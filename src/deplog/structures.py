@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .budget import Budget, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
-from .syntax import Signature, _is_int
+from .syntax import Signature, _is_int, _json_object
 
 __all__ = [
     "Structure", "Team", "enumerate_structures",
@@ -54,12 +54,12 @@ class Structure:
         if not _is_int(self.size) or self.size < 1:
             raise ShapeError(f"domain size must be a positive integer, got {self.size!r}")
         n = self.size
-        if set(self.relations) != set(self.sig.relations):
-            raise ShapeError("relation interpretations do not match the signature")
-        if set(self.functions) != set(self.sig.functions):
-            raise ShapeError("function interpretations do not match the signature")
-        if set(self.constants) != set(self.sig.constants):
-            raise ShapeError("constant interpretations do not match the signature")
+        for kind, given, declared in (
+                ("relation", self.relations, self.sig.relations),
+                ("function", self.functions, self.sig.functions),
+                ("constant", self.constants, self.sig.constants)):
+            if set(given) != set(declared):
+                raise ShapeError(f"{kind} interpretations do not match the signature")
         normalized_rels = {}
         for name, tuples in self.relations.items():
             ar = self.sig.relations[name]
@@ -264,12 +264,16 @@ def _walk(sig: Signature, size: int, budget: Budget,
     tuples than the limit is refused before the first structure: its code
     alone is longer than the budget, and there are at least 2^tuples
     structures (``size ** ar`` is built with the exponent cut at the
-    limit's bit length)."""
+    limit's bit length).  So is a size past the limit for a function or
+    constant, whose values alone give at least ``size`` structures."""
     syms = _symbols(sig)
     bits = budget.limit.bit_length()
     if any(size ** min(ar, bits) > budget.limit for _, _, ar in syms):
         raise BudgetExceededError("structure enumeration",
                                   budget.spent + 2 ** bits, budget.limit)
+    if size > budget.limit and any(kind != "rel" for kind, _, _ in syms):
+        raise BudgetExceededError("structure enumeration",
+                                  budget.spent + size, budget.limit)
     tuples = {ar: list(itertools.product(range(size), repeat=ar)) for _, _, ar in syms}
     is_leader = (_leader_test(syms, size, tuples)
                  if leaders_only and _leader_test_pays(syms, size, budget) else None)
@@ -336,41 +340,33 @@ def _json_tables(data: dict) -> list[dict]:
     return tables
 
 
+def _int_rows(rows) -> bool:
+    """Whether ``rows`` (a relation's tuples, a team's rows) is a list of
+    lists of integers."""
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and all(map(_is_int, r)) for r in rows)
+
+
 def structure_from_json_dict(data, sig: Signature) -> Structure:
-    if not isinstance(data, dict):
-        raise ShapeError("structure JSON must be an object")
-    unknown = set(data) - {"domain", "relations", "functions", "constants"}
-    if unknown:
-        raise ShapeError(f"unknown structure keys: {sorted(unknown)}")
+    _json_object(data, "structure", ("domain", "relations", "functions", "constants"))
     if "domain" not in data:
         raise ShapeError("structure JSON needs a 'domain' size")
-    size = data["domain"]
-    rels_in, fns_in, consts_in = _json_tables(data)
-    rels = {}
-    for name, tuples in rels_in.items():
-        if not isinstance(tuples, list) or not all(
-                isinstance(t, list) and all(map(_is_int, t)) for t in tuples):
+    rels, fns, consts = _json_tables(data)
+    for name, tuples in rels.items():
+        if not _int_rows(tuples):
             raise ShapeError(f"relation {name} must be a list of integer tuples")
-        rels[name] = frozenset(tuple(t) for t in tuples)
-    fns = {}
-    for name, table in fns_in.items():
+    for name, table in fns.items():
         if not isinstance(table, list):
             raise ShapeError(f"function {name} must be a flat value table")
-        fns[name] = tuple(table)
-    return Structure(sig, size, rels, fns, dict(consts_in))
+    return Structure(sig, data["domain"], rels, fns, dict(consts))
 
 
 def team_from_json_dict(data) -> Team:
-    if not isinstance(data, dict):
-        raise ShapeError("team JSON must be an object")
-    unknown = set(data) - {"vars", "rows"}
-    if unknown:
-        raise ShapeError(f"unknown team keys: {sorted(unknown)}")
+    _json_object(data, "team", ("vars", "rows"))
     vars_in = data.get("vars")
     rows_in = data.get("rows")
     if not isinstance(vars_in, list) or not all(isinstance(v, str) for v in vars_in):
         raise ShapeError("'vars' must be a list of variable names")
-    if not isinstance(rows_in, list) or not all(
-            isinstance(r, list) and all(map(_is_int, r)) for r in rows_in):
+    if not _int_rows(rows_in):
         raise ShapeError("'rows' must be a list of integer rows")
     return Team(vars_in, rows_in)

@@ -31,15 +31,17 @@ constants only come from explicit signatures.
 
 Walks: two iterative walks serve the queries and rewrites here:
 iter_subformulas in pre-order and _rebuild bottom-up.  Every formula walk
-runs on an explicit stack, so none recurses on formula depth, and the
-parser reads the formula grammar in one loop: only its function
-applications recurse, and it reports a ParseError past about 490 levels.
+runs on an explicit stack, so none recurses on formula depth, nor does
+render_term on term depth, and the parser reads the formula grammar in
+one loop: only its function applications recurse, and it reports a
+ParseError past about 490 levels.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterator, NamedTuple, Union
 
 from .errors import ParseError, ShapeError
@@ -163,21 +165,11 @@ _COMPOUND = (And, Or, Exists, Forall)
 def and_chain(parts: list[Formula]) -> Formula:
     """Left-fold a list into a conjunction (single item unchanged, empty
     list TRUE)."""
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts) if parts else TRUE
 
 
 def or_chain(parts: list[Formula]) -> Formula:
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, parts) if parts else FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +183,21 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 def _is_int(v) -> bool:
     """An int that is not a bool (JSON true and false load as bools)."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _json_object(data, what: str, keys: tuple[str, ...]) -> None:
+    """Reject ``data`` unless it is a ``what`` JSON object within ``keys``."""
+    if not isinstance(data, dict):
+        raise ShapeError(f"{what} JSON must be an object")
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ShapeError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _json_record(record) -> dict:
+    """A dataclass record as a JSON object: its fields in order, less
+    those that are None."""
+    return {name: v for name, v in vars(record).items() if v is not None}
 
 
 def _check_symbol_name(name: str) -> None:
@@ -237,11 +244,7 @@ class Signature:
 
     @classmethod
     def from_json_dict(cls, data) -> "Signature":
-        if not isinstance(data, dict):
-            raise ShapeError("signature JSON must be an object")
-        unknown = set(data) - {"relations", "functions", "constants"}
-        if unknown:
-            raise ShapeError(f"unknown signature keys: {sorted(unknown)}")
+        _json_object(data, "signature", ("relations", "functions", "constants"))
         rels = data.get("relations", {})
         fns = data.get("functions", {})
         consts = data.get("constants", [])
@@ -249,7 +252,7 @@ class Signature:
             raise ShapeError("'relations' and 'functions' must be objects")
         if not isinstance(consts, list) or not all(isinstance(c, str) for c in consts):
             raise ShapeError("'constants' must be a list of names")
-        return cls(dict(rels), dict(fns), frozenset(consts))
+        return cls(rels, fns, consts)
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +637,31 @@ def parse_eso_infer(text: str) -> tuple[EsoSentence, Signature]:
 # ---------------------------------------------------------------------------
 
 def render_term(t: Term) -> str:
+    """A term's text, rendered on an explicit stack of (arguments, next
+    index) pairs, so that nesting depth costs no recursion."""
     if isinstance(t, (Var, Const)):
         return t.name
-    if isinstance(t, App):
-        return f"{t.fn}({','.join(render_term(a) for a in t.args)})"
-    raise ShapeError(f"not a term: {t!r}")
+    if not isinstance(t, App):
+        raise ShapeError(f"not a term: {t!r}")
+    out = [t.fn, "("]
+    todo = [(t.args, 0)]
+    while todo:
+        args, i = todo.pop()
+        if i == len(args):
+            out.append(")")
+            continue
+        if i:
+            out.append(",")
+        todo.append((args, i + 1))
+        a = args[i]
+        if isinstance(a, (Var, Const)):
+            out.append(a.name)
+        elif isinstance(a, App):
+            out += a.fn, "("
+            todo.append((a.args, 0))
+        else:
+            raise ShapeError(f"not a term: {a!r}")
+    return "".join(out)
 
 
 def _render_atom(f: Formula) -> str:

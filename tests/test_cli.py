@@ -9,6 +9,9 @@ import pytest
 
 import deplog
 from deplog.cli import main
+from deplog.errors import ShapeError
+from deplog.structures import structure_from_json_dict, team_from_json_dict
+from deplog.syntax import Signature
 
 SPINE = "forall x. exists y. (=(x,y) & E(x,y))"
 CYCLE2 = {"domain": 2, "relations": {"E": [[0, 1], [1, 0]]}}
@@ -302,6 +305,39 @@ def test_check_and_eval_non_object_table_exit_2(write, capsys, key):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+GOOD_OBJECTS = {"signature": {"relations": {"E": 2}}, "structure": NO_EDGES,
+                "team": {"vars": ["x", "y"], "rows": []}}
+READERS = {"signature": Signature.from_json_dict,
+           "structure": lambda data: structure_from_json_dict(data, Signature({"E": 2})),
+           "team": team_from_json_dict}
+
+
+@pytest.mark.parametrize("bad", ["not_an_object", "unknown_keys"])
+@pytest.mark.parametrize("reader", [*READERS, "check --structure",
+                                    "eval --structure", "eval --team"])
+def test_json_object_and_key_errors(write, capsys, reader, bad):
+    # the three library readers and the CLI files name the object they
+    # expected and every key they do not know, sorted
+    what = reader.rpartition("--")[2]
+    if bad == "not_an_object":
+        data, message = [], f"{what} JSON must be an object"
+    else:
+        data = {**GOOD_OBJECTS[what], "zap": 1, "bog": 2}
+        message = f"unknown {what} keys: ['bog', 'zap']"
+    if reader in READERS:
+        with pytest.raises(ShapeError) as exc:
+            READERS[reader](data)
+        assert str(exc.value) == message
+        return
+    command, flag = reader.split()
+    argv = [command, "--formula", write("f.dl", SPINE if command == "check" else "=(x,y)")]
+    for arg in ("--structure", "--team")[:1 if command == "check" else 2]:
+        kind = arg[2:]
+        argv += [arg, write(f"{kind}.json", data if arg == flag else GOOD_OBJECTS[kind])]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("table", [{"relations": {"E": [[0, True]]}},
                                    {"relations": {"E": [[0, [1]]]}},
                                    {"functions": {"g": [1, False]}},
@@ -587,6 +623,29 @@ def test_enum_wide_pool_under_a_memory_cap(write):
         _, err = proc.communicate(timeout=120)
     assert first, err
     assert json.loads(first)["functions"]["f"] == [0] * 6000
+
+
+def test_enum_constant_past_the_budget_under_a_memory_cap(write):
+    # {c} at size 10^8 has 10^8 structures, past the default structure
+    # budget of 10^6: the walk must be refused before it builds a pool of
+    # 10^8 values, which ran out of memory; the address-space cap turns a
+    # walk that builds it into a failure of this process alone
+    sig = write("sig.json", {"constants": ["c"]})
+    src = os.path.dirname(os.path.dirname(deplog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("DEPLOG_BUDGET", None)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "deplog.cli", "enum", "--sig", sig,
+         "--size", str(10 ** 8)],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: structure enumeration")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["equiv", "enum"])

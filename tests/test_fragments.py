@@ -161,7 +161,8 @@ def test_bound_eso_floor_is_linear():
 def test_to_dict_d_keys():
     r = classify_d(corpus_item("henkin").formula())
     d = r.to_dict()
-    assert {"forall_count", "max_dep_width", "memberships", "upper_bound"} <= set(d)
+    assert list(d) == ["kind", "forall_count", "single_quantification",
+                       "max_dep_width", "memberships", "upper_bound"]
     assert d["memberships"] == list(r.memberships)
     assert isinstance(d["memberships"], list)
 
@@ -169,8 +170,8 @@ def test_to_dict_d_keys():
 def test_to_dict_eso_keys():
     r = classify_eso(corpus_item("even_R").sentence())
     d = r.to_dict()
-    assert {"forall_count", "max_arity", "snf", "star", "memberships",
-            "upper_bound"} <= set(d)
+    assert list(d) == ["kind", "forall_count", "max_arity", "snf", "star",
+                       "exists_star", "memberships", "upper_bound"]
 
 
 def test_reports_stable_under_render_reparse():

@@ -331,7 +331,7 @@ def test_verdict_to_dict_equivalent_shape():
     item = corpus_item("const_eq")
     v = equiv_check(item.formula(), item.formula(), item.sig, 2)
     d = v.to_dict()
-    assert set(d) == {"outcome", "max_size", "structures_checked", "wall_time"}
+    assert list(d) == ["outcome", "max_size", "structures_checked", "wall_time"]
     assert d["outcome"] == "equivalent"
     assert isinstance(d["wall_time"], float)
 
@@ -340,8 +340,8 @@ def test_verdict_to_dict_counterexample_shape():
     left = parse_formula("P(c)", SIG_PC)
     right = parse_formula("~P(c)", SIG_PC)
     d = equiv_check(left, right, SIG_PC, 1).to_dict()
-    assert set(d) == {"outcome", "max_size", "structures_checked", "wall_time",
-                      "structure", "left_verdict", "right_verdict"}
+    assert list(d) == ["outcome", "max_size", "structures_checked", "wall_time",
+                       "structure", "left_verdict", "right_verdict"]
     assert isinstance(d["structure"], dict)
 
 

@@ -183,6 +183,14 @@ def test_enumeration_refuses_a_code_longer_than_the_budget():
     assert len([next(gen) for _ in range(4)]) == 4
     with pytest.raises(BudgetExceededError):
         next(gen)
+    # {c} has one value position, so size 5 gives 5 structures, which fit
+    # a budget of 5; at size 6 the values alone pass it, and the walk is
+    # refused before the first, with at least 6 structures named
+    sig_c = Signature({}, {}, frozenset({"c"}))
+    assert len(list(enumerate_structures(sig_c, 5, Budget(5)))) == 5
+    with pytest.raises(BudgetExceededError) as exc:
+        next(enumerate_structures(sig_c, 6, Budget(5)))
+    assert exc.value.spent == 6
 
 
 def test_enumerate_teams():

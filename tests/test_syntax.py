@@ -286,6 +286,25 @@ def test_render_henkin_sentence_exact():
 def test_render_term():
     assert render_term(App("g", (App("g", (Var("x"),)),))) == "g(g(x))"
     assert render_term(Const("c")) == "c"
+    assert render_term(App("f", (Var("x"), App("g", ()), Const("c")))) == "f(x,g(),c)"
+    with pytest.raises(ShapeError, match="not a term: 'x'"):
+        render_term(App("f", (Var("y"), "x")))
+
+
+def test_render_deep_application(tmp_path, capsys):
+    # 400 nested applications are within the parser's depth, and rendering
+    # them takes no recursion: the text comes back unchanged (compared as
+    # text, since term equality recurses per level), and the CLI succeeds
+    text = "forall x. P(" + "f(" * 400 + "x" + ")" * 401
+    rendered = render_formula(parse_formula(text))
+    assert rendered == text
+    assert render_formula(parse_formula(rendered)) == text
+    path = tmp_path / "deep.dl"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["parse", str(path)],
+                 ["translate", "--pass", "prenex", "--input", str(path)]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text + "\n"
 
 
 def test_render_parenthesizes_only_when_needed():

@@ -98,6 +98,19 @@ def test_parse_reports_position():
     assert "position" in str(e.value)
 
 
+@pytest.mark.parametrize("head,parse", [("", parse_formula),
+                                        ("exists fn f/1. forall x. ", parse_eso)])
+def test_lexer_stops_at_the_first_unexpected_character(head, parse):
+    for body, bad, at in (("P(x) $ Q(x)", "$", 5), ("P(é) $", "é", 2),
+                          ("P(x) & \x00Q(x)", "\x00", 7)):
+        with pytest.raises(ParseError) as e:
+            parse(head + body)
+        assert str(e.value) == (f"unexpected character {bad!r} "
+                                f"(at position {len(head) + at})")
+    # whitespace, Unicode spaces too, is skipped anywhere, the end included
+    assert parse(head + "P(x) & Q(x) \n\t　") == parse(head + "P(x) & Q(x)")
+
+
 def test_parse_nesting_overflow_is_parse_error():
     # the parser recurses once per function application, not per parenthesis
     deep = "Q(" + "g(" * 1500 + "x" + ")" * 1501

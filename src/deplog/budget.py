@@ -13,6 +13,11 @@ import os
 
 from .errors import BudgetExceededError, ShapeError
 
+__all__ = [
+    "Budget", "DEFAULT_CHECK_BUDGET", "DEFAULT_STRUCTURE_BUDGET",
+    "default_check_budget", "default_structure_budget",
+]
+
 DEFAULT_CHECK_BUDGET = 10**7
 DEFAULT_STRUCTURE_BUDGET = 10**6
 

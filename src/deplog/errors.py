@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["BudgetExceededError", "DeplogError", "ParseError", "ShapeError"]
+
 
 class DeplogError(Exception):
     """Base class for all errors raised by this package."""

@@ -338,25 +338,18 @@ class _Tok(NamedTuple):
     pos: int
 
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<punct>[()=,.~&|/]))")
+# an identifier, an arity, a punctuation mark, or any other non-space
+# character, which is an error; whitespace before each is skipped
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<ident>{_IDENT_RE.pattern})|(?P<num>\d+)"
+                       r"|(?P<punct>[()=,.~&|/])|(?P<bad>\S))")
 
 
 def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:]
-            if rest.isspace():
-                break
-            bad = pos + (len(rest) - len(rest.lstrip()))
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        kind = m.lastgroup
-        toks.append(_Tok(kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    toks = [_Tok(kind := m.lastgroup, m[kind], m.start(kind))
+            for m in _TOKEN_RE.finditer(text)]
+    for t in toks:
+        if t.kind == "bad":
+            raise ParseError(f"unexpected character {t.text!r}", t.pos)
     return toks
 
 

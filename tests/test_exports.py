@@ -10,8 +10,8 @@ import pytest
 import deplog
 
 # every layer module but cli, whose one public name is its entry point
-LAYERS = ("syntax", "transforms", "fragments", "structures", "fo_eval",
-          "team_eval", "eso_eval", "harness")
+LAYERS = ("errors", "budget", "syntax", "transforms", "fragments", "structures",
+          "fo_eval", "team_eval", "eso_eval", "harness")
 
 
 @pytest.mark.parametrize("layer", LAYERS)

@@ -340,7 +340,7 @@ class _Tok(NamedTuple):
 
 # an identifier, an arity, a punctuation mark, or any other non-space
 # character, which is an error; whitespace before each is skipped
-_TOKEN_RE = re.compile(rf"\s*(?:(?P<ident>{_IDENT_RE.pattern})|(?P<num>\d+)"
+_TOKEN_RE = re.compile(rf"\s*(?:(?P<ident>{_IDENT_RE.pattern})|(?P<num>[0-9]+)"
                        r"|(?P<punct>[()=,.~&|/])|(?P<bad>\S))")
 
 

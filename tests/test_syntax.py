@@ -156,6 +156,15 @@ def test_parse_eso_zero_ary():
     assert s.matrix == RelAtom("P", (Var("x"), App("c", ())))
 
 
+def test_parse_eso_arity_is_ascii_digits():
+    # an arity is written in ASCII digits, as identifiers are: another
+    # Unicode decimal digit (here ARABIC-INDIC THREE) is a bad character
+    assert parse_eso("exists fn f/3. forall x. f(x,x,x) = x").functions == (("f", 3),)
+    with pytest.raises(ParseError) as e:
+        parse_eso("exists fn f/\u0663. forall x. f(x,x,x) = x")
+    assert str(e.value) == "unexpected character '\u0663' (at position 12)"
+
+
 def test_parse_eso_rejects_dep_atom():
     with pytest.raises(ParseError):
         parse_eso("exists fn f/1. forall x. =(x, f(x))",

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceededError, ShapeError
+from .errors import BudgetExceededError
+from .syntax import _check_count
 
 __all__ = [
     "Budget", "DEFAULT_CHECK_BUDGET", "DEFAULT_STRUCTURE_BUDGET",
@@ -30,8 +31,7 @@ class Budget:
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int):
-        if limit < 1:
-            raise ShapeError("budget must be at least 1")
+        _check_count(limit, "budget")
         self.limit = limit
         self.spent = 0
 

@@ -31,7 +31,8 @@ from .errors import BudgetExceededError, ShapeError
 from .eso_eval import _eso_plan
 from .structures import Structure, _walk, structure_to_json_dict
 from .syntax import (
-    EsoSentence, Formula, Signature, _json_record, parse_eso, parse_formula,
+    EsoSentence, Formula, Signature, _check_count, _json_record, parse_eso,
+    parse_formula,
 )
 from .team_eval import _plan as _team_plan
 
@@ -92,13 +93,12 @@ def equiv_check(left, right, sig: Signature, max_n: int,
     both the number of structures enumerated and the semantic-check work
     (spent on the evaluated structures); left unset, the module defaults
     apply (10^6 structures, 10^7 check steps, both overridable through
-    DEPLOG_BUDGET).  A ``budget``
-    below 1 is a ShapeError.  Running out raises BudgetExceededError
+    DEPLOG_BUDGET).  A ``max_n`` or ``budget`` that is not an integer of
+    at least 1 is a ShapeError.  Running out raises BudgetExceededError
     naming the domain size reached and the work that ran out, never a
     silent pass.
     """
-    if max_n < 1:
-        raise ShapeError("max_n must be at least 1")
+    _check_count(max_n, "max_n")
     sbudget = Budget(budget) if budget is not None else default_structure_budget()
     cbudget = Budget(budget) if budget is not None else default_check_budget()
     start = time.perf_counter()

@@ -31,7 +31,7 @@ from typing import Iterator
 
 from .budget import Budget, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
-from .syntax import Signature, _is_int, _json_object
+from .syntax import Signature, _check_count, _is_int, _json_object
 
 __all__ = [
     "Structure", "Team", "enumerate_structures",
@@ -63,11 +63,11 @@ class Structure:
         normalized_rels = {}
         for name, tuples in self.relations.items():
             ar = self.sig.relations[name]
-            fs = frozenset(tuple(t) for t in tuples)
-            for t in fs:
+            ts = [tuple(t) for t in tuples]
+            for t in ts:  # before hashing, which a list value would fail
                 if len(t) != ar or not all(_is_int(v) and 0 <= v < n for v in t):
                     raise ShapeError(f"bad tuple {t!r} for relation {name}/{ar}")
-            normalized_rels[name] = fs
+            normalized_rels[name] = frozenset(ts)
         self.relations = normalized_rels
         normalized_fns = {}
         for name, table in self.functions.items():
@@ -103,7 +103,11 @@ class Team:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "rows", frozenset(tuple(r) for r in self.rows))
+        rows = [tuple(r) for r in self.rows]
+        for r in rows:  # before hashing, which a list value would fail
+            if not all(map(_is_int, r)):
+                raise ShapeError(f"row {r!r} holds a value that is not an integer")
+        object.__setattr__(self, "rows", frozenset(rows))
         if len(set(self.vars)) != len(self.vars):
             raise ShapeError("team variables must be distinct")
         width = len(self.vars)
@@ -309,8 +313,7 @@ def enumerate_structures(sig: Signature, size: int,
     lexicographically.  Spends one unit per structure from ``budget``, the
     default structure budget when None.
     """
-    if size < 1:
-        raise ShapeError("domain size must be at least 1")
+    _check_count(size, "domain size")
     return _walk(sig, size, budget or default_structure_budget(),
                  leaders_only=False)
 

@@ -185,6 +185,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _check_count(value, what: str) -> None:
+    """Reject ``value`` unless it is an int, not a bool, of at least 1."""
+    if not _is_int(value):
+        raise ShapeError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise ShapeError(f"{what} must be at least 1")
+
+
 def _json_object(data, what: str, keys: tuple[str, ...]) -> None:
     """Reject ``data`` unless it is a ``what`` JSON object within ``keys``."""
     if not isinstance(data, dict):
@@ -288,8 +296,6 @@ def _check_prenex(prefix, matrix: Formula, bound, arities) -> None:
             raise ShapeError(f"the matrix quantifies {g.var!r}; it must be quantifier free")
         if isinstance(g, DepAtom):
             raise ShapeError(f"dependence atom {_render_atom(g)} in the matrix")
-        if not isinstance(g, (And, Or, *_ATOMS)):
-            raise ShapeError(f"not a formula: {g!r}")
         for t in _atom_terms(g):
             for u in _iter_term_nodes(t):
                 if isinstance(u, Var) and u.name not in scope:
@@ -297,8 +303,6 @@ def _check_prenex(prefix, matrix: Formula, bound, arities) -> None:
                 if isinstance(u, App) and len(u.args) != arities.get(u.fn, len(u.args)):
                     raise ShapeError(f"{u.fn} declared with arity {arities[u.fn]} "
                                      f"but applied to {len(u.args)} arguments")
-                if not isinstance(u, (Var, Const, App)):
-                    raise ShapeError(f"not a term: {u!r}")
 
 
 @dataclass(frozen=True)
@@ -660,14 +664,14 @@ def render_term(t: Term) -> str:
 def _render_atom(f: Formula) -> str:
     if isinstance(f, Bool):
         return "true" if f.value else "false"
-    neg = "~" if f.negated else ""  # type: ignore[union-attr]
+    if not isinstance(f, (DepAtom, RelAtom, Equal)):
+        raise ShapeError(f"not an atom: {f!r}")
+    neg = "~" if f.negated else ""
     if isinstance(f, DepAtom):
         return f"{neg}=({','.join(render_term(t) for t in f.terms)})"
     if isinstance(f, RelAtom):
         return f"{neg}{f.rel}({','.join(render_term(a) for a in f.args)})"
-    if isinstance(f, Equal):
-        return f"{neg}{render_term(f.left)} = {render_term(f.right)}"
-    raise ShapeError(f"not an atom: {f!r}")
+    return f"{neg}{render_term(f.left)} = {render_term(f.right)}"
 
 
 def render_formula(f: Formula) -> str:
@@ -718,15 +722,18 @@ def _render(out: list[str], f: Formula, bare: tuple) -> str:
 
 def iter_subformulas(f: Formula) -> Iterator[Formula]:
     """Pre-order walk over all subformulas, including ``f`` itself; left
-    operands come before right ones."""
+    operands come before right ones.  ShapeError at a node that is not a
+    formula."""
     todo = [f]
     while todo:
         g = todo.pop()
-        yield g
         if isinstance(g, (And, Or)):
             todo += g.right, g.left
         elif isinstance(g, (Exists, Forall)):
             todo.append(g.body)
+        elif not isinstance(g, _ATOMS):
+            raise ShapeError(f"not a formula: {g!r}")
+        yield g
 
 
 def _rebuild(f: Formula, fix) -> Formula:
@@ -766,13 +773,16 @@ def _atom_terms(f: Formula) -> tuple[Term, ...]:
 
 
 def _iter_term_nodes(t: Term) -> Iterator[Term]:
-    """Pre-order walk over a term and its nested subterms."""
+    """Pre-order walk over a term and its nested subterms.  ShapeError at
+    a node that is not a term."""
     todo = [t]
     while todo:
         t = todo.pop()
-        yield t
         if isinstance(t, App):
             todo.extend(reversed(t.args))
+        elif not isinstance(t, (Var, Const)):
+            raise ShapeError(f"not a term: {t!r}")
+        yield t
 
 
 def iter_terms(f: Formula) -> Iterator[Term]:

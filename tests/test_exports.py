@@ -1,5 +1,6 @@
-"""The package namespace re-exports every layer module's public names, and
-the two evaluators import nothing from each other."""
+"""The package namespace re-exports every layer module's public names, a
+malformed input to a public entry is a DeplogError, and the two evaluators
+import nothing from each other."""
 import ast
 import importlib
 import inspect
@@ -20,6 +21,60 @@ def test_layer_names_are_reexported(layer):
     missing = [name for name in module.__all__
                if getattr(deplog, name, None) is not getattr(module, name)]
     assert not missing, missing
+
+
+_SIG = deplog.Signature({"P": 1}, {"f": 1})
+_STRUCT = deplog.Structure(_SIG, 2, {"P": [[0]]}, {"f": [1, 0]}, {})
+_SENTENCE = deplog.parse_formula("forall x. P(x)", _SIG)
+_X = deplog.Var("x")
+# a node that is no formula at the root, an operand, an atom argument and
+# a function argument
+_BAD_TREES = {
+    "var": _X,
+    "none": deplog.And(None, deplog.TRUE),
+    "string-argument": deplog.Forall("x", deplog.And(
+        deplog.RelAtom("P", (_X,)), deplog.RelAtom("P", ("x",)))),
+    "int-argument": deplog.Forall("x", deplog.Or(deplog.TRUE, deplog.Equal(
+        _X, deplog.App("f", (deplog.App("f", (1,)),))))),
+}
+_TREE_ENTRIES = {
+    "render_formula": deplog.render_formula,
+    "free_vars": deplog.free_vars,
+    "to_prenex": deplog.to_prenex,
+    "d_to_eso": deplog.d_to_eso,
+    "classify_d": deplog.classify_d,
+    "satisfies": lambda f: deplog.satisfies(_STRUCT, deplog.Team((), [()]), f),
+    "sentence_value": lambda f: deplog.sentence_value(_STRUCT, f),
+    "equiv_check": lambda f: deplog.equiv_check(f, _SENTENCE, _SIG, 1),
+}
+MALFORMED_CALLS = [
+    *(pytest.param(lambda entry=entry, f=f: entry(f), id=f"{name}-{tree}")
+      for name, entry in _TREE_ENTRIES.items() for tree, f in _BAD_TREES.items()),
+    *(pytest.param(lambda rows=rows: deplog.satisfies(
+        _STRUCT, deplog.Team(("x",), rows), deplog.RelAtom("P", (_X,))), id=f"Team-{kind}")
+      for kind, rows in (("str", {("a",)}), ("bool", {(True,)}), ("list", [[[0]]]))),
+    pytest.param(lambda: deplog.Budget("5"), id="Budget-str"),
+    pytest.param(lambda: deplog.Budget(True), id="Budget-bool"),
+    pytest.param(lambda: list(deplog.enumerate_structures(_SIG, 2.0)),
+                 id="enumerate_structures-size"),
+    pytest.param(lambda: list(deplog.enumerate_structures(_SIG, 2, deplog.Budget(3.5))),
+                 id="enumerate_structures-budget"),
+    pytest.param(lambda: deplog.equiv_check(_SENTENCE, _SENTENCE, _SIG, 2.0),
+                 id="equiv_check-max_n"),
+    pytest.param(lambda: deplog.equiv_check(_SENTENCE, _SENTENCE, _SIG, 2, budget=2.5),
+                 id="equiv_check-budget"),
+]
+
+
+@pytest.mark.parametrize("call", MALFORMED_CALLS)
+def test_malformed_library_input_is_a_deplog_error(call):
+    # the library counterpart of the CLI's exit 2: any other exception fails
+    with pytest.raises(deplog.DeplogError):
+        call()
+
+
+def test_malformed_library_input_cases():
+    assert len(MALFORMED_CALLS) == 8 * 4 + 3 + 6
 
 
 def test_budgeted_entries_default_to_none_and_are_pinned():

@@ -298,6 +298,29 @@ def test_max_n_must_be_positive():
         equiv_check(f, f, Signature({"P": 1}), 0)
 
 
+def test_counts_must_be_integers():
+    # a budget, a domain size and max_n are ints that are not bools, and an
+    # int below 1 keeps its own message
+    sig = Signature({"P": 1})
+    f, _ = parse_formula_infer("exists x. P(x)")
+    for call, message in (
+            (lambda: Budget("5"), "budget must be an integer, got '5'"),
+            (lambda: Budget(True), "budget must be an integer, got True"),
+            (lambda: list(enumerate_structures(sig, 2, Budget(3.5))),
+             "budget must be an integer, got 3.5"),
+            (lambda: equiv_check(f, f, sig, 2, budget=2.5),
+             "budget must be an integer, got 2.5"),
+            (lambda: list(enumerate_structures(sig, 2.0)),
+             "domain size must be an integer, got 2.0"),
+            (lambda: equiv_check(f, f, sig, 2.0), "max_n must be an integer, got 2.0"),
+            (lambda: Budget(0), "budget must be at least 1"),
+            (lambda: list(enumerate_structures(sig, 0)), "domain size must be at least 1"),
+            (lambda: equiv_check(f, f, sig, -1), "max_n must be at least 1")):
+        with pytest.raises(ShapeError) as e:
+            call()
+        assert str(e.value) == message
+
+
 def test_equiv_rejects_open_formula():
     # the same error class from every sentence entry
     item = corpus_item("phi1")

@@ -79,6 +79,18 @@ def test_team_shape_errors():
         Team(("x",), [(0, 1)])
 
 
+@pytest.mark.parametrize("rows", [{("a",)}, {(True,)}, [[[0]]], [[0], [None]]])
+def test_team_rows_hold_integers(rows):
+    # refused before the rows are hashed, which a list value would fail
+    with pytest.raises(ShapeError, match="holds a value that is not an integer"):
+        Team(("x",), rows)
+
+
+def test_structure_refuses_a_list_in_a_tuple():
+    with pytest.raises(ShapeError, match=r"bad tuple \(\[0\],\) for relation P/1"):
+        Structure(SIG_P, 2, {"P": [[[0]]]}, {}, {})
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------

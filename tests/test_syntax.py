@@ -313,6 +313,13 @@ def test_render_term():
         render_term(App("f", (Var("y"), "x")))
 
 
+@pytest.mark.parametrize("f", [Var("x"), And(None, TRUE),
+                               Forall("x", Or(TRUE, App("g", (x(),))))])
+def test_render_refuses_a_node_that_is_no_formula(f):
+    with pytest.raises(ShapeError, match="not an atom: "):
+        render_formula(f)
+
+
 def test_render_deep_application(tmp_path, capsys):
     # 400 nested applications are within the parser's depth, and rendering
     # them takes no recursion: the text comes back unchanged (compared as

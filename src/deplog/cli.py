@@ -37,13 +37,12 @@ from .errors import BudgetExceededError, DeplogError, ParseError, ShapeError
 from .fragments import classify_d, classify_eso
 from .harness import corpus, corpus_item, equiv_check, sentence_value
 from .structures import (
-    _json_tables, enumerate_structures, structure_from_json_dict,
+    Structure, _json_structure, _table_signature, enumerate_structures,
     structure_to_json_dict, team_from_json_dict,
 )
 from .syntax import (
-    EsoSentence, Signature, _is_int, fresh_var, parse_eso, parse_eso_infer,
-    parse_formula, parse_formula_infer, prenex_split, render_eso,
-    render_formula, symbols_of,
+    EsoSentence, Signature, _read_text, _resolve, _settle, fresh_var, parse_eso,
+    parse_formula, prenex_split, render_eso, render_formula, symbols_of,
 )
 from .team_eval import satisfies
 from .transforms import (
@@ -86,50 +85,13 @@ def _parse_any(text: str, sig: Signature | None):
     return (parse_eso if _is_eso_text(text) else parse_formula)(text, sig)
 
 
-# ---------------------------------------------------------------------------
-# Signature reconciliation for check/eval (no --sig flag there)
-# ---------------------------------------------------------------------------
-
-def _sig_from_structure(raw, inferred: Signature) -> Signature:
-    """Symbol roles from a structure file, arities from its tables.
-
-    An empty relation, a one-element-domain function table or a table
-    whose length is no power of the domain size does not pin its arity,
-    so the formula's own usage decides it.  A bad table then fails with
-    its expected length when the structure is validated, as symbols the
-    structure omits do, which keep their inferred shape.
-    """
-    if not isinstance(raw, dict):
-        raise ShapeError("structure JSON must be an object")
-    size = raw.get("domain")
-    if not _is_int(size) or size < 1:
-        raise ShapeError("structure 'domain' must be a positive integer")
-    rels_in, fns_in, consts_in = _json_tables(raw)
-    rels: dict[str, int] = {}
-    for name, tuples in rels_in.items():
-        if isinstance(tuples, list) and tuples and isinstance(tuples[0], list):
-            rels[name] = len(tuples[0])
-        else:
-            rels[name] = inferred.relations.get(name, 1)
-    fns: dict[str, int] = {}
-    for name, table in fns_in.items():
-        rows = len(table) if isinstance(table, list) else 0
-        exact = [a for a in range(rows.bit_length()) if size > 1 and size ** a == rows]
-        fns[name] = exact[0] if exact else inferred.functions.get(name, 1)
-    consts = frozenset(consts_in)
-    for name, ar in inferred.relations.items():
-        rels.setdefault(name, ar)
-    for name, ar in inferred.functions.items():
-        fns.setdefault(name, ar)
-    return Signature(rels, fns, consts)
-
-
 def _parse_against_structure(text: str, path: str):
-    """The formula and the structure at ``path``, over the signature they settle."""
-    raw = _load_json(path)
-    infer = parse_eso_infer if _is_eso_text(text) else parse_formula_infer
-    sig = _sig_from_structure(raw, infer(text)[1])
-    return _parse_any(text, sig), structure_from_json_dict(raw, sig)
+    """The formula and the structure at ``path``, over the signature they
+    settle; the formula is read once, after the structure's shape check."""
+    tables = _json_structure(_load_json(path))
+    p, f, fns = _read_text(text, _is_eso_text(text))
+    sig = _table_signature(tables, _resolve(p, f, None, fns or {})[1])
+    return _settle(p, f, fns, sig)[0], Structure(sig, *tables)
 
 
 # ---------------------------------------------------------------------------

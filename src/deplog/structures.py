@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+def _check_domain(size) -> None:
+    if not _is_int(size) or size < 1:
+        raise ShapeError(f"domain size must be a positive integer, got {size!r}")
+
+
 @dataclass
 class Structure:
     """A finite structure interpreting every symbol of its signature."""
@@ -51,8 +56,7 @@ class Structure:
     constants: dict[str, int]
 
     def __post_init__(self):
-        if not _is_int(self.size) or self.size < 1:
-            raise ShapeError(f"domain size must be a positive integer, got {self.size!r}")
+        _check_domain(self.size)
         n = self.size
         for kind, given, declared in (
                 ("relation", self.relations, self.sig.relations),
@@ -334,15 +338,6 @@ def structure_to_json_dict(struct: Structure) -> dict:
     }
 
 
-def _json_tables(data: dict) -> list[dict]:
-    """The relation, function and constant tables of a structure JSON
-    object, each an object (absent means empty)."""
-    tables = [data.get(k, {}) for k in ("relations", "functions", "constants")]
-    if not all(isinstance(t, dict) for t in tables):
-        raise ShapeError("'relations', 'functions' and 'constants' must be objects")
-    return tables
-
-
 def _int_rows(rows) -> bool:
     """Whether ``rows`` (a relation's tuples, a team's rows) is a list of
     lists of integers."""
@@ -350,18 +345,48 @@ def _int_rows(rows) -> bool:
         isinstance(r, list) and all(map(_is_int, r)) for r in rows)
 
 
-def structure_from_json_dict(data, sig: Signature) -> Structure:
+def _json_structure(data) -> tuple[int, dict, dict, dict]:
+    """A structure JSON object, shape-checked, as the arguments of
+    ``Structure`` after its signature: the domain size and the relation,
+    function and constant tables (absent means empty)."""
     _json_object(data, "structure", ("domain", "relations", "functions", "constants"))
     if "domain" not in data:
         raise ShapeError("structure JSON needs a 'domain' size")
-    rels, fns, consts = _json_tables(data)
+    _check_domain(data["domain"])
+    rels, fns, consts = (data.get(k, {}) for k in ("relations", "functions", "constants"))
+    if not all(isinstance(t, dict) for t in (rels, fns, consts)):
+        raise ShapeError("'relations', 'functions' and 'constants' must be objects")
     for name, tuples in rels.items():
         if not _int_rows(tuples):
             raise ShapeError(f"relation {name} must be a list of integer tuples")
     for name, table in fns.items():
         if not isinstance(table, list):
             raise ShapeError(f"function {name} must be a flat value table")
-    return Structure(sig, data["domain"], rels, fns, dict(consts))
+    return data["domain"], rels, fns, dict(consts)
+
+
+def _table_signature(tables: tuple[int, dict, dict, dict], used: Signature) -> Signature:
+    """Symbol roles from the ``_json_structure`` tables; arities from the
+    tables where they fix them, else from ``used``, a formula's usage.  An
+    empty relation, a table of a one-element domain or a table of no power
+    of the size fixes none; a bad table then fails with its expected length
+    when the Structure is built, as a used symbol the tables omit does."""
+    size, rels_in, fns_in, consts = tables
+    rels = {name: len(tuples[0]) if tuples else used.relations.get(name, 1)
+            for name, tuples in rels_in.items()}
+    fns = {}
+    for name, table in fns_in.items():
+        exact = [a for a in range(len(table).bit_length())
+                 if size > 1 and size ** a == len(table)]
+        fns[name] = exact[0] if exact else used.functions.get(name, 1)
+    for mine, theirs in ((rels, used.relations), (fns, used.functions)):
+        for name, ar in theirs.items():
+            mine.setdefault(name, ar)
+    return Signature(rels, fns, consts)
+
+
+def structure_from_json_dict(data, sig: Signature) -> Structure:
+    return Structure(sig, *_json_structure(data))
 
 
 def team_from_json_dict(data) -> Team:

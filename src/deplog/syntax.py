@@ -560,41 +560,14 @@ def _resolve(p: _Parser, f: Formula, sig: Signature | None,
     return f, sig
 
 
-def parse_formula(text: str, sig: Signature | None = None) -> Formula:
-    """Parse a dependence-logic formula (also plain first-order).
-
-    With ``sig`` all symbols must be declared; without it the symbol roles
-    are inferred (bare identifiers become variables).
-    """
-    return _parse(_Parser(text), sig, {})[0]
-
-
-def parse_formula_infer(text: str) -> tuple[Formula, Signature]:
-    """Parse without a signature; also return the inferred signature."""
-    return _parse(_Parser(text), None, {})
-
-
-def _parse(p: _Parser, sig: Signature | None,
-           bound_fns: dict[str, int]) -> tuple[Formula, Signature]:
-    """Parse the rest of the input as one formula and resolve its symbols.
-    Only function applications recurse in the parser; nesting them deeper
-    than the recursion limit allows (about 490 levels) is a ParseError."""
-    try:
-        f = p.formula()
-    except RecursionError:
-        t = p.peek()
-        raise ParseError("formula nested too deeply",
-                         t.pos if t else len(p.text)) from None
-    t = p.peek()
-    if t is not None:
-        raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
-    return _resolve(p, f, sig, bound_fns)
-
-
-def _parse_eso_with(text: str, sig: Signature | None) -> tuple[EsoSentence, Signature]:
+def _read_text(text: str, eso: bool) -> tuple[_Parser, Formula, dict[str, int] | None]:
+    """The parser with its usage tables, the formula, and an ESO text's
+    "exists fn" functions (name -> arity; None for a formula text).  Only
+    function applications recurse; nesting them deeper than the recursion
+    limit allows (about 490 levels) is a ParseError."""
     p = _Parser(text)
-    fns: dict[str, int] = {}
-    while p.at("exists") and p.at("fn", 1):
+    fns: dict[str, int] | None = {} if eso else None
+    while eso and p.at("exists") and p.at("fn", 1):
         p.take()
         p.take()
         name_tok = p._take_name("function")
@@ -608,12 +581,44 @@ def _parse_eso_with(text: str, sig: Signature | None) -> tuple[EsoSentence, Sign
         p.take()
         p.expect(".")
         fns[name_tok.text] = int(ar_tok.text)
+    try:
+        f = p.formula()
+    except RecursionError:
+        t = p.peek()
+        raise ParseError("formula nested too deeply",
+                         t.pos if t else len(p.text)) from None
+    t = p.peek()
+    if t is not None:
+        raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
+    return p, f, fns
+
+
+def _settle(p: _Parser, f: Formula, fns: dict[str, int] | None,
+            sig: Signature | None) -> tuple[Formula | EsoSentence, Signature]:
+    """A reading of ``_read_text`` resolved against ``sig`` (inferred when
+    None); an ESO reading then becomes an EsoSentence."""
     # resolved before prenex_split: a constant is a free Var until then
-    f, sig = _parse(p, sig, fns)
+    f, sig = _resolve(p, f, sig, fns or {})
+    if fns is None:
+        return f, sig
     if p.dep:
         raise ParseError("dependence atoms are not allowed in an ESO sentence")
     prefix, matrix = prenex_split(f)
     return EsoSentence(tuple(fns.items()), tuple(prefix), matrix), sig
+
+
+def parse_formula(text: str, sig: Signature | None = None) -> Formula:
+    """Parse a dependence-logic formula (also plain first-order).
+
+    With ``sig`` all symbols must be declared; without it the symbol roles
+    are inferred (bare identifiers become variables).
+    """
+    return _settle(*_read_text(text, False), sig)[0]
+
+
+def parse_formula_infer(text: str) -> tuple[Formula, Signature]:
+    """Parse without a signature; also return the inferred signature."""
+    return _settle(*_read_text(text, False), None)
 
 
 def parse_eso(text: str, sig: Signature | None = None) -> EsoSentence:
@@ -622,11 +627,11 @@ def parse_eso(text: str, sig: Signature | None = None) -> EsoSentence:
     The first-order part is hoisted to prenex form; it must be a sentence
     and must not quantify any variable twice.
     """
-    return _parse_eso_with(text, sig)[0]
+    return _settle(*_read_text(text, True), sig)[0]
 
 
 def parse_eso_infer(text: str) -> tuple[EsoSentence, Signature]:
-    return _parse_eso_with(text, None)
+    return _settle(*_read_text(text, True), None)
 
 
 # ---------------------------------------------------------------------------

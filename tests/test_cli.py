@@ -268,6 +268,36 @@ def test_check_constant_role_from_structure(write, capsys):
     m = write("m.json", {"domain": 2, "relations": {"P": [[1]]},
                          "constants": {"c": 1}})
     assert main(["check", "--formula", f, "--structure", m]) == 0
+    # a function sentence and its D preimage read c from the structure alike:
+    # y = c is no free variable, so both are decided
+    d = write("d.dl", "forall x. exists y. (=(x,y) & E(x,y) & ~y = c)")
+    s = write("s.dl", "exists fn f1/1. forall x. exists y. "
+                      "(f1(x) = y & E(x,y) & ~y = c)")
+    for edges, want in (([[0, 1], [1, 0]], "false"),
+                        ([[0, 0], [0, 1], [1, 0], [1, 1]], "true")):
+        m = write("e.json", {"domain": 2, "relations": {"E": edges},
+                             "constants": {"c": 1}})
+        for sentence in (d, s):
+            capsys.readouterr()
+            assert main(["check", "--formula", sentence, "--structure", m]) == (
+                0 if want == "true" else 1)
+            assert capsys.readouterr() == (want + "\n", "")
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_check_and_eval_read_the_formula_once(write, capsys, monkeypatch, command):
+    # the structure's signature settles the one reading of the formula
+    calls = []
+    tokenize = deplog.syntax._tokenize
+    monkeypatch.setattr(deplog.syntax, "_tokenize",
+                        lambda text: calls.append(text) or tokenize(text))
+    m = write("m.json", CYCLE2)
+    argv = {"check": ["check", "--formula", write("f.dl", SPINE), "--structure", m],
+            "eval": ["eval", "--formula", write("o.dl", "=(x,y) & E(x,y)"),
+                     "--structure", m,
+                     "--team", write("t.json", {"vars": ["x", "y"], "rows": [[0, 1]]})]}
+    assert main(argv[command]) == 0
+    assert len(calls) == 1
 
 
 def test_check_function_table_from_structure(write, capsys):

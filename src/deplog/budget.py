@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ShapeError
 from .syntax import _check_count
 
 __all__ = [
@@ -63,3 +63,13 @@ def default_check_budget() -> Budget:
 def default_structure_budget() -> Budget:
     """Budget for enumerating the structures of one signature and size."""
     return Budget(_env_override() or DEFAULT_STRUCTURE_BUDGET)
+
+
+def _budget_or(budget, default) -> Budget:
+    """``budget``, or ``default()`` when it is None, for the evaluators and
+    the enumeration; anything else that is not a Budget is a ShapeError."""
+    if budget is None:
+        return default()
+    if not isinstance(budget, Budget):
+        raise ShapeError(f"budget must be a Budget, got {budget!r}")
+    return budget

@@ -75,6 +75,10 @@ def _load_json(path: str):
         return json.loads(text)
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError(f"{path}: JSON integer has too many digits") from None
 
 
 def _render(out) -> str:

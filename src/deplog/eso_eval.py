@@ -24,7 +24,7 @@ import functools
 import itertools
 from typing import Callable
 
-from .budget import Budget, default_check_budget
+from .budget import Budget, _budget_or, default_check_budget
 from .errors import BudgetExceededError
 from .fo_eval import _Symbols, _compile_fo, _quantifier_loop
 from .structures import Structure
@@ -38,7 +38,7 @@ def _eso_plan(sentence: EsoSentence, sig: Signature, budget: Budget | None
     """The sentence checked against the signature and compiled once; the
     result decides it, by table search, on any structure of the
     signature."""
-    budget = budget or default_check_budget()
+    budget = _budget_or(budget, default_check_budget)
     fns = sentence.functions
     check_symbols(sentence.matrix, sig, extra_fns=dict(fns))
     syms = _Symbols(name for name, _ in fns)

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from operator import itemgetter, mul
 from typing import Iterator
 
-from .budget import Budget, default_structure_budget
+from .budget import Budget, _budget_or, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
-from .syntax import Signature, _check_count, _is_int, _json_object
+from .syntax import Signature, _as_tuple, _check_count, _is_int, _json_object
 
 __all__ = [
     "Structure", "Team", "enumerate_structures",
@@ -56,18 +56,23 @@ class Structure:
     constants: dict[str, int]
 
     def __post_init__(self):
+        if not isinstance(self.sig, Signature):
+            raise ShapeError(f"sig must be a Signature, got {self.sig!r}")
         _check_domain(self.size)
         n = self.size
         for kind, given, declared in (
                 ("relation", self.relations, self.sig.relations),
                 ("function", self.functions, self.sig.functions),
                 ("constant", self.constants, self.sig.constants)):
+            if not isinstance(given, dict):
+                raise ShapeError(f"{kind} interpretations must be a dict, got {given!r}")
             if set(given) != set(declared):
                 raise ShapeError(f"{kind} interpretations do not match the signature")
         normalized_rels = {}
         for name, tuples in self.relations.items():
             ar = self.sig.relations[name]
-            ts = [tuple(t) for t in tuples]
+            ts = [_as_tuple(t, f"relation {name} tuple")
+                  for t in _as_tuple(tuples, f"relation {name}")]
             for t in ts:  # before hashing, which a list value would fail
                 if len(t) != ar or not all(_is_int(v) and 0 <= v < n for v in t):
                     raise ShapeError(f"bad tuple {t!r} for relation {name}/{ar}")
@@ -76,7 +81,7 @@ class Structure:
         normalized_fns = {}
         for name, table in self.functions.items():
             ar = self.sig.functions[name]
-            tb = tuple(table)
+            tb = _as_tuple(table, f"function {name} table")
             if len(tb) != n ** ar:
                 raise ShapeError(
                     f"function {name}/{ar} needs a table of length {n ** ar}, got {len(tb)}")
@@ -106,8 +111,8 @@ class Team:
     rows: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(self.vars))
-        rows = [tuple(r) for r in self.rows]
+        object.__setattr__(self, "vars", _as_tuple(self.vars, "team variables"))
+        rows = [_as_tuple(r, "team row") for r in _as_tuple(self.rows, "team rows")]
         for r in rows:  # before hashing, which a list value would fail
             if not all(map(_is_int, r)):
                 raise ShapeError(f"row {r!r} holds a value that is not an integer")
@@ -318,7 +323,7 @@ def enumerate_structures(sig: Signature, size: int,
     default structure budget when None.
     """
     _check_count(size, "domain size")
-    return _walk(sig, size, budget or default_structure_budget(),
+    return _walk(sig, size, _budget_or(budget, default_structure_budget),
                  leaders_only=False)
 
 

@@ -267,9 +267,17 @@ class Signature:
 # ESO sentences
 # ---------------------------------------------------------------------------
 
+def _as_tuple(value, what: str) -> tuple:
+    """``value`` as a tuple; ShapeError when it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ShapeError(f"{what} must be a sequence, got {value!r}") from None
+
+
 def _pairs(entries, what: str) -> tuple:
     """``entries`` as a tuple of pairs; ShapeError at one that is not a pair."""
-    out = tuple(entries)
+    out = _as_tuple(entries, f"{what} entries")
     for e in out:
         if not isinstance(e, (tuple, list)) or len(e) != 2:
             raise ShapeError(f"{what} entry {e!r} is not a pair")
@@ -580,7 +588,10 @@ def _read_text(text: str, eso: bool) -> tuple[_Parser, Formula, dict[str, int] |
                              ar_tok.pos if ar_tok else len(p.text))
         p.take()
         p.expect(".")
-        fns[name_tok.text] = int(ar_tok.text)
+        try:
+            fns[name_tok.text] = int(ar_tok.text)
+        except ValueError:  # past the interpreter's digit limit
+            raise ParseError("arity has too many digits", ar_tok.pos) from None
     try:
         f = p.formula()
     except RecursionError:

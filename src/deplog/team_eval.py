@@ -85,7 +85,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from .budget import Budget, default_check_budget
+from .budget import Budget, _budget_or, default_check_budget
 from .errors import ShapeError
 from .fo_eval import _Symbols, _compile_fo, _compile_term, _compile_terms, _scope
 from .structures import Structure, Team
@@ -384,7 +384,7 @@ def _plan(formula: Formula, vars: tuple[str, ...], sig: Signature,
         raise ShapeError(f"team does not bind free variables {sorted(loose)}"
                          if vars else
                          f"not a sentence: free variables {sorted(loose)}")
-    return _TeamPlan(formula, vars, budget or default_check_budget())
+    return _TeamPlan(formula, vars, _budget_or(budget, default_check_budget))
 
 
 def satisfies(struct: Structure, team: Team, formula: Formula,

@@ -49,9 +49,11 @@ where they can hold the next target.
 Fresh names come from numbered families (z1, z2, ... for guard variables,
 y1, ... for extracted existentials, f1/g1/h1 ... for functions, and so
 on), falling back to an underscore suffix on collision, so repeated runs
-produce identical output.  Every pass avoids the names its input uses;
-extract_dep_atoms, which sees only a body, also avoids its ``reserved``
-names, e.g. the variables of the enclosing prefix.
+produce identical output.  Every pass avoids the names its input uses,
+and only those: a signature symbol the input does not use can be reused
+(d_to_eso under a signature declaring an unused f1/1 quantifies its own
+f1).  extract_dep_atoms, which sees only a body, also avoids its
+``reserved`` names, e.g. the variables of the enclosing prefix.
 """
 from __future__ import annotations
 
@@ -60,10 +62,11 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .syntax import (
     FALSE, TRUE, And, App, DepAtom, Equal, EsoSentence, Exists, Forall,
-    Formula, Term, Var, _call_shapes, _check_prenex, _distinct_var_tuple,
-    _pairs, _rebuild, _wrap_prefix, and_chain, eso_symbols, free_vars, fresh_var,
-    function_patterns, is_quantifier_free, iter_subformulas, iter_terms,
-    or_chain, prenex_split, replace_terms, satisfies_star, symbols_of,
+    Formula, Term, Var, _as_tuple, _call_shapes, _check_prenex,
+    _distinct_var_tuple, _pairs, _rebuild, _wrap_prefix, and_chain,
+    eso_symbols, free_vars, fresh_var, function_patterns, is_quantifier_free,
+    iter_subformulas, iter_terms, or_chain, prenex_split, replace_terms,
+    satisfies_star, symbols_of,
 )
 
 __all__ = [
@@ -222,7 +225,7 @@ class NormalFormD:
     def __post_init__(self):
         pool = {v for _, v in _pairs(self.prefix, "prefix")}
         bound: list[str] = []
-        for b in self.bindings:
+        for b in _as_tuple(self.bindings, "bindings"):
             if not isinstance(b, DepAtom) or b.negated or not b.terms:
                 raise ShapeError(
                     "each binding must be a positive non-empty dependence atom")

@@ -177,10 +177,13 @@ OTHER_ARGS = {"translate": ["--pass", "prenex"], "equiv": ["--max-size", "1"],
 # malformed contents (None: the file is absent) for every kind of file,
 # then per kind
 ANY_MALFORMED = {"missing": None, "not_utf8": b"\xff\xfe{}", "empty": ""}
+# past the interpreter's 4,300-digit limit on converting a string to an int
+HUGE_INT = "1" * 5000
 FORMULA_MALFORMED = {"unbalanced": "forall x. (P(x)",
-                     "deep_parens": DEEP_APPS}
+                     "deep_parens": DEEP_APPS,
+                     "huge_arity": f"exists fn f/{HUGE_INT}. forall x. P(x)"}
 JSON_MALFORMED = {"not_json": "{", "deep_json": "[" * 100_000,
-                  "not_an_object": []}
+                  "not_an_object": [], "huge_int": f"[{HUGE_INT}]"}
 MALFORMED = {
     "sentence": FORMULA_MALFORMED,
     "open": FORMULA_MALFORMED,

@@ -24,8 +24,11 @@ def test_layer_names_are_reexported(layer):
 
 
 _SIG = deplog.Signature({"P": 1}, {"f": 1})
-_STRUCT = deplog.Structure(_SIG, 2, {"P": [[0]]}, {"f": [1, 0]}, {})
+_STRUCT_FIELDS = {"sig": _SIG, "size": 2, "relations": {"P": [[0]]},
+                  "functions": {"f": [1, 0]}, "constants": {}}
+_STRUCT = deplog.Structure(**_STRUCT_FIELDS)
 _SENTENCE = deplog.parse_formula("forall x. P(x)", _SIG)
+_ESO_SENTENCE = deplog.parse_eso("exists fn g/1. forall x. P(g(x))", _SIG)
 _X = deplog.Var("x")
 # a node that is no formula at the root, an operand, an atom argument and
 # a function argument
@@ -63,6 +66,29 @@ MALFORMED_CALLS = [
                  id="equiv_check-max_n"),
     pytest.param(lambda: deplog.equiv_check(_SENTENCE, _SENTENCE, _SIG, 2, budget=2.5),
                  id="equiv_check-budget"),
+    # a budget that is not a Budget
+    pytest.param(lambda: deplog.satisfies(_STRUCT, deplog.Team((), [()]), _SENTENCE,
+                                          budget=5), id="satisfies-int-budget"),
+    pytest.param(lambda: deplog.sentence_value(_STRUCT, _SENTENCE, 5),
+                 id="sentence_value-int-budget"),
+    pytest.param(lambda: deplog.eso_satisfies(_STRUCT, _ESO_SENTENCE, 5),
+                 id="eso_satisfies-int-budget"),
+    pytest.param(lambda: deplog.enumerate_structures(_SIG, 2, 5),
+                 id="enumerate_structures-int-budget"),
+    # a constructor field of the wrong container type
+    *(pytest.param(lambda kwargs=kwargs: deplog.Structure(**{**_STRUCT_FIELDS, **kwargs}),
+                   id=f"Structure-{name}")
+      for name, kwargs in (("int-tuple", {"relations": {"P": [5]}}),
+                           ("int-relation", {"relations": {"P": 5}}),
+                           ("int-table", {"functions": {"f": 5}}),
+                           ("list-relations", {"relations": ["P"]}),
+                           ("dict-sig", {"sig": {}}))),
+    *(pytest.param(lambda fields=fields: deplog.Team(*fields), id=f"Team-{name}")
+      for name, fields in (("int-in-rows", (("x",), {5})), ("int-rows", (("x",), 5)),
+                           ("int-vars", (5, [])))),
+    pytest.param(lambda: deplog.EsoSentence(5, (), deplog.TRUE), id="EsoSentence-int"),
+    pytest.param(lambda: deplog.NormalFormD(5, (), deplog.TRUE), id="NormalFormD-int-prefix"),
+    pytest.param(lambda: deplog.NormalFormD((), 5, deplog.TRUE), id="NormalFormD-int-bindings"),
 ]
 
 
@@ -74,7 +100,7 @@ def test_malformed_library_input_is_a_deplog_error(call):
 
 
 def test_malformed_library_input_cases():
-    assert len(MALFORMED_CALLS) == 8 * 4 + 3 + 6
+    assert len(MALFORMED_CALLS) == 8 * 4 + 3 + 6 + 4 + 11
 
 
 def test_budgeted_entries_default_to_none_and_are_pinned():

@@ -163,6 +163,10 @@ def test_parse_eso_arity_is_ascii_digits():
     with pytest.raises(ParseError) as e:
         parse_eso("exists fn f/\u0663. forall x. f(x,x,x) = x")
     assert str(e.value) == "unexpected character '\u0663' (at position 12)"
+    # past the interpreter's 4,300-digit limit, int() of the arity fails
+    with pytest.raises(ParseError) as e:
+        parse_eso(f"exists fn f/{'1' * 5000}. true")
+    assert str(e.value) == "arity has too many digits (at position 12)"
 
 
 def test_parse_eso_rejects_dep_atom():

@@ -94,7 +94,7 @@ def _parse_against_structure(text: str, path: str):
     settle; the formula is read once, after the structure's shape check."""
     tables = _json_structure(_load_json(path))
     p, f, fns = _read_text(text, _is_eso_text(text))
-    sig = _table_signature(tables, _resolve(p, f, None, fns or {})[1])
+    sig = _table_signature(tables, _resolve(p, f, None, fns)[1])
     return _settle(p, f, fns, sig)[0], Structure(sig, *tables)
 
 

@@ -528,15 +528,17 @@ class _Parser:
 
 
 def _resolve(p: _Parser, f: Formula, sig: Signature | None,
-             bound_fns: dict[str, int]) -> tuple[Formula, Signature]:
+             bound_fns: dict[str, int] | None) -> tuple[Formula, Signature]:
     """Settle the role of every name ``p`` recorded; return the formula and
     the signature, or raise a ParseError naming the symbol at a clash.
 
     Against ``sig`` every relation and function used must be declared with
     the arity used, and bare names that are constants become Const.
     Without one the signature is inferred and each name keeps one role.
-    ``bound_fns`` (name -> arity) are the functions of an ESO prefix.
+    ``bound_fns`` (name -> arity) are the functions of an ESO prefix, None
+    for a formula text.
     """
+    bound_fns = bound_fns or {}
     if sig is None:
         both = p.rels.keys() & p.fns.keys()
         if both:
@@ -609,7 +611,7 @@ def _settle(p: _Parser, f: Formula, fns: dict[str, int] | None,
     """A reading of ``_read_text`` resolved against ``sig`` (inferred when
     None); an ESO reading then becomes an EsoSentence."""
     # resolved before prenex_split: a constant is a free Var until then
-    f, sig = _resolve(p, f, sig, fns or {})
+    f, sig = _resolve(p, f, sig, fns)
     if fns is None:
         return f, sig
     if p.dep:

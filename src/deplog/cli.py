@@ -29,6 +29,7 @@ error; 3 counterexample; 4 work budget exhausted (DEPLOG_BUDGET or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -214,7 +215,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call (the first ``main``, not the
+    import) and shared by every later one: parsing leaves it unchanged."""
     top = _Parser(
         prog="deplog",
         description="dependence-logic and function-sentence toolkit")

@@ -10,13 +10,18 @@ A formula is compiled once into closures over a slot-indexed environment
 _scope, which the team evaluator shares), each quantifier gets a slot of
 its own, and each relation, function and constant to a slot of a _Symbols
 table that is refilled per structure, so a compiled formula runs on
-another structure without being walked again.  Each caller charges its
-budget under its own context, one unit per node visited: "first-order
-evaluation" for the ESO plan and "row evaluation" for the team plan.
+another structure without being walked again.  The table also holds the
+spend method of the budget a run charges, set with the structure, so a
+compiled formula spends from whichever budget runs it.  Each caller
+charges that budget under its own context, one unit per node visited:
+"first-order evaluation" for the ESO plan and "row evaluation" for the
+team plan.  _PlanCache keeps the compiled plans of both evaluators'
+one-shot entries for reuse across calls.
 """
 
 from __future__ import annotations
 
+import threading
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -42,13 +47,16 @@ def _scope(vars: tuple[str, ...]) -> dict[str, int]:
 class _Symbols:
     """The symbols compiled closures read, one slot each in ``values``;
     slot 0 holds the domain size.  ``bind`` refills the slots from a
-    structure; the slots of ``extra`` functions (quantified ones, absent
-    from the structure) are filled by the caller."""
+    structure and puts the spend method of the run's budget in ``meter``,
+    a one-item list that the closures call through (an index is cheaper
+    than an attribute there); the slots of ``extra`` functions (quantified
+    ones, absent from the structure) are filled by the caller."""
 
     def __init__(self, extra=()):
         self.extra = frozenset(extra)
         self.values: list = [0]
         self.slots: dict[tuple[str, str], int] = {}
+        self.meter: list[Callable[[int, str], None] | None] = [None]
 
     def slot(self, table: str, name: str) -> int:
         """Slot of a relation, function, constant or extra function
@@ -59,7 +67,14 @@ class _Symbols:
             self.values.append(None)
         return self.slots[key]
 
-    def bind(self, struct: Structure) -> None:
+    def release(self) -> None:
+        """Drop what ``bind`` and the caller filled in: the structure's
+        tables, the quantified functions' tables and the budget."""
+        self.values[1:] = [None] * (len(self.values) - 1)
+        self.meter[0] = None
+
+    def bind(self, struct: Structure, budget: Budget) -> None:
+        self.meter[0] = budget.spend
         values = self.values
         values[0] = struct.size
         for (table, name), i in self.slots.items():
@@ -115,12 +130,11 @@ def _compile_terms(ts: Sequence[Term], scope: dict[str, int],
 
 
 def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
-                budget: Budget, context: str) -> _Check:
+                context: str) -> _Check:
     """A dependence-free formula as a closure over an environment holding
     the values of ``vars`` in order (a list or a tuple).  Every node visited
-    spends one unit of ``budget`` under ``context``."""
-    spend = budget.spend
-    values = syms.values
+    spends one unit of the bound budget under ``context``."""
+    values, meter = syms.values, syms.meter
     width = len(vars)
 
     def comp(f: Formula, scope: dict[str, int]) -> _Check:
@@ -130,40 +144,40 @@ def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
             args = _compile_terms(f.args, scope, syms)
             if f.negated:
                 def check(env):
-                    spend(1, context)
+                    meter[0](1, context)
                     return args(env) not in values[k]
             else:
                 def check(env):
-                    spend(1, context)
+                    meter[0](1, context)
                     return args(env) in values[k]
         elif isinstance(f, Equal):
             left = _compile_term(f.left, scope, syms)
             right = _compile_term(f.right, scope, syms)
             if f.negated:
                 def check(env):
-                    spend(1, context)
+                    meter[0](1, context)
                     return left(env) != right(env)
             else:
                 def check(env):
-                    spend(1, context)
+                    meter[0](1, context)
                     return left(env) == right(env)
         elif isinstance(f, Bool):
             value = f.value
 
             def check(env):
-                spend(1, context)
+                meter[0](1, context)
                 return value
         elif isinstance(f, And):
             left, right = comp(f.left, scope), comp(f.right, scope)
 
             def check(env):
-                spend(1, context)
+                meter[0](1, context)
                 return left(env) and right(env)
         elif isinstance(f, Or):
             left, right = comp(f.left, scope), comp(f.right, scope)
 
             def check(env):
-                spend(1, context)
+                meter[0](1, context)
                 return left(env) or right(env)
         elif isinstance(f, (Exists, Forall)):
             # a slot of its own, so a rebinding leaves the outer value alone
@@ -173,7 +187,7 @@ def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
                                     comp(f.body, {**scope, f.var: i}), values)
 
             def check(env):
-                spend(1, context)
+                meter[0](1, context)
                 return loop(env)
         else:
             raise ShapeError(f"cannot evaluate {f!r}")
@@ -196,3 +210,42 @@ def _quantifier_loop(i: int, want: bool, body: _Check, values: list) -> _Check:
                 return want
         return not want
     return check
+
+
+class _PlanCache:
+    """At most ``size`` compiled plans, by formula identity, team variables
+    and signature contents, the least recently used dropped first.  A call
+    takes its plan out for the run and puts it back after, so a nested or
+    concurrent call with the same key compiles a plan of its own and no
+    plan is shared mid-run.  A plan is a callable whose ``syms`` is the
+    symbol table it runs on, released after each run so that the cache
+    keeps no structure or budget alive."""
+
+    def __init__(self, build: Callable, size: int = 16):
+        self.build = build  # (formula, vars, sig) -> plan
+        self.size = size
+        self.plans: dict[tuple, tuple] = {}
+        self.lock = threading.Lock()
+
+    def run(self, formula, vars: tuple[str, ...], sig, *args):
+        """``build(formula, vars, sig)(*args)``, reusing a cached plan.
+        The key holds the formula's id, not its hash, which recurses once
+        per level; an entry holds the formula, so no other object takes
+        that id while it is cached."""
+        key = (id(formula), vars, tuple(sig.relations.items()),
+               tuple(sig.functions.items()), sig.constants)
+        try:
+            with self.lock:
+                entry = self.plans.pop(key, None)
+        except TypeError:  # a signature mutated to hold unhashable values
+            key = entry = None
+        plan = self.build(formula, vars, sig) if entry is None else entry[1]
+        try:
+            return plan(*args)
+        finally:
+            plan.syms.release()
+            if key is not None:
+                with self.lock:
+                    self.plans[key] = formula, plan
+                    if len(self.plans) > self.size:
+                        del self.plans[next(iter(self.plans))]

@@ -28,13 +28,13 @@ from dataclasses import dataclass
 
 from .budget import Budget, default_check_budget, default_structure_budget
 from .errors import BudgetExceededError, ShapeError
-from .eso_eval import _eso_plan
+from .eso_eval import _eso_plan, eso_satisfies
 from .structures import Structure, _walk, structure_to_json_dict
 from .syntax import (
     EsoSentence, Formula, Signature, _check_count, _json_record, parse_eso,
     parse_formula,
 )
-from .team_eval import _plan as _team_plan
+from .team_eval import _plan as _team_plan, sentence_truth
 
 __all__ = [
     "Verdict", "equiv_check", "sentence_value",
@@ -42,19 +42,22 @@ __all__ = [
 ]
 
 
-def _plan(s, sig: Signature, budget: Budget | None):
+def _plan(s, sig: Signature, budget: Budget):
     """A sentence checked against the signature and compiled once, as a
     function from structures of that signature to truth (team semantics
-    for a dependence sentence, table search for a function sentence)."""
-    if isinstance(s, EsoSentence):
-        return _eso_plan(s, sig, budget)
-    return _team_plan(s, (), sig, budget)
+    for a dependence sentence, table search for a function sentence),
+    every run spending from ``budget``."""
+    plan = (_eso_plan(s, sig) if isinstance(s, EsoSentence)
+            else _team_plan(s, (), sig))
+    return lambda struct: plan(struct, budget)
 
 
 def sentence_value(struct: Structure, s, budget: Budget | None = None) -> bool:
     """Truth of a sentence in one structure, picking the semantics by kind.
     Spends from ``budget``, the default check budget when None."""
-    return _plan(s, struct.sig, budget)(struct)
+    if isinstance(s, EsoSentence):
+        return eso_satisfies(struct, s, budget)
+    return sentence_truth(struct, s, budget)
 
 
 @dataclass(frozen=True)

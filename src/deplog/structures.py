@@ -112,6 +112,9 @@ class Team:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", _as_tuple(self.vars, "team variables"))
+        for v in self.vars:  # before hashing, which a list would fail
+            if not isinstance(v, str):
+                raise ShapeError(f"team variable {v!r} is not a name")
         rows = [_as_tuple(r, "team row") for r in _as_tuple(self.rows, "team rows")]
         for r in rows:  # before hashing, which a list value would fail
             if not all(map(_is_int, r)):

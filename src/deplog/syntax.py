@@ -226,9 +226,14 @@ class Signature:
     constants: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        self.relations = dict(self.relations)
-        self.functions = dict(self.functions)
-        self.constants = frozenset(self.constants)
+        try:
+            self.relations = dict(self.relations)
+            self.functions = dict(self.functions)
+            self.constants = frozenset(self.constants)
+        except (TypeError, ValueError):
+            raise ShapeError("signature relations and functions must map names "
+                             "to arities, and constants must be a set of names"
+                             ) from None
         names = list(self.relations) + list(self.functions) + list(self.constants)
         if len(names) != len(set(names)):
             raise ShapeError("signature symbol names must be pairwise distinct")

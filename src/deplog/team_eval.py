@@ -77,8 +77,15 @@ and the options of each choice point. Deciding a team in another
 structure then rebinds the structure's symbols and walks no syntax.
 _plan is the one entry that builds a plan: it first checks the formula's
 symbols against the signature and its free variables against the root
-variables. satisfies and sentence_truth call it per call; equiv_check
-calls it once per sentence and runs the plan on every structure.
+variables. A plan takes its budget when it runs, not when it is built,
+and its closures spend through the symbol table's meter, which each run
+rebinds, so one plan serves any number of calls, each charging its own
+budget.
+satisfies and sentence_truth take their plan from a small cache (at most
+16, by formula identity, team variables and signature contents; an
+entry is taken out for the run, so no plan is shared mid-run) and build
+it only on a miss; equiv_check builds one per sentence and call and runs
+it on every structure.
 """
 
 from __future__ import annotations
@@ -87,7 +94,9 @@ from typing import Callable, Iterator
 
 from .budget import Budget, _budget_or, default_check_budget
 from .errors import ShapeError
-from .fo_eval import _Symbols, _compile_fo, _compile_term, _compile_terms, _scope
+from .fo_eval import (
+    _PlanCache, _Symbols, _compile_fo, _compile_term, _compile_terms, _scope,
+)
 from .structures import Structure, Team
 from .syntax import (
     And, DepAtom, Exists, Forall, Formula, Or, Signature, Var, check_symbols,
@@ -131,23 +140,28 @@ def _mark_dep_free(root: Formula) -> dict[int, bool]:
 
 class _TeamPlan:
     """A formula compiled once for teams over the given variables; calling
-    the plan with a structure and a team's rows decides satisfaction."""
+    the plan with a structure, a budget and a team's rows decides
+    satisfaction, spending from that budget."""
 
-    def __init__(self, root: Formula, vars: tuple[str, ...], budget: Budget):
+    def __init__(self, root: Formula, vars: tuple[str, ...]):
         self.syms = _Symbols()
-        self.budget = budget
-        self.spend = budget.spend
         # the table entries the checks added, in order: (table, key)
         self.trail: list[tuple[dict, tuple]] = []
         self.dep_free = _mark_dep_free(root)
         self.choices = 0  # choice points compiled so far
         self.root = self._node(root, vars, 0)
 
-    def __call__(self, struct: Structure, rows: frozenset[_Row] = _ROOT
-                 ) -> bool:
+    def __call__(self, struct: Structure, budget: Budget | None = None,
+                 rows: frozenset[_Row] = _ROOT) -> bool:
+        budget = _budget_or(budget, default_check_budget)
+        n = struct.size
+        for r in rows:
+            for v in r:
+                if not 0 <= v < n:
+                    raise ShapeError(f"team row {list(r)!r} outside domain of size {n}")
         if not rows:
             return True
-        self.syms.bind(struct)
+        self.syms.bind(struct, budget)
         trail = self.trail
         if trail:  # what the last call left in the tables
             for table, k in trail:
@@ -160,7 +174,7 @@ class _TeamPlan:
 
     def _search(self, rows: frozenset[_Row]) -> bool:
         """Push the rows down the root node, making its choices."""
-        trail, spend, n = self.trail, self.spend, self.syms.values[0]
+        trail, spend, n = self.trail, self.syms.meter[0], self.syms.values[0]
         work = [(self.root, row) for row in sorted(rows)]
         queue = None  # choice points not yet taken: (step, row, rest)
         # per choice taken: (queue, len(trail), options left, its bit, the
@@ -220,7 +234,7 @@ class _TeamPlan:
     def _node(self, f: Formula, vars: tuple[str, ...], above: int) -> _Node:
         # above: the mask of the choice points on the way to f
         if self.dep_free[id(f)]:
-            return _CHECK, _compile_fo(f, vars, self.syms, self.budget,
+            return _CHECK, _compile_fo(f, vars, self.syms,
                                        "row evaluation"), above
         if isinstance(f, Forall):
             return _ALL, self._node(f.body, vars + (f.var,), above), above
@@ -261,8 +275,8 @@ class _TeamPlan:
         tests = [(_compile_terms(g.terms[:-1], scope, self.syms),
                   _compile_term(g.terms[-1], scope, self.syms), {})
                  for g in atoms]
-        row_oks = [_compile_fo(g, vars, self.syms, self.budget,
-                               "row evaluation") for g in free]
+        row_oks = [_compile_fo(g, vars, self.syms, "row evaluation")
+                   for g in free]
         nodes = [self._node(g, vars, above) for g in others]
         if tests or row_oks or not nodes:
             # last, so that it runs before the other conjuncts
@@ -280,10 +294,10 @@ class _TeamPlan:
             if len(row_oks) == 1:
                 return row_oks[0]
             return lambda row: all(ok(row) for ok in row_oks)
-        spend, push, m = self.spend, self.trail.append, len(tests)
+        meter, push, m = self.syms.meter, self.trail.append, len(tests)
 
         def check(row: _Row) -> bool:
-            spend(m, "dependence atom")
+            meter[0](m, "dependence atom")
             for key, value, table in tests:
                 k = key(row)
                 v = value(row)
@@ -303,12 +317,12 @@ class _TeamPlan:
             ) -> Callable[[_Row], Iterator[tuple[_Node, _Row]]]:
         left = self._node(f.left, vars, above)
         right = self._node(f.right, vars, above)
-        spend = self.spend
+        meter = self.syms.meter
 
         def options(row: _Row) -> Iterator[tuple[_Node, _Row]]:
-            spend(1, "disjunction split")
+            meter[0](1, "disjunction split")
             yield left, row
-            spend(1, "disjunction split")
+            meter[0](1, "disjunction split")
             yield right, row
         return options
 
@@ -335,7 +349,7 @@ class _TeamPlan:
                 if all(scope[v] < col for t in g.terms[:-1]
                        for v in term_vars(t)):
                     fixing[col - base].append((table, key))
-        spend, values = self.spend, self.syms.values
+        meter, values = self.syms.meter, self.syms.values
 
         def choices(env: _Row, fix: list[tuple[dict, Callable]]
                     ) -> Iterator[int]:
@@ -356,6 +370,7 @@ class _TeamPlan:
 
         def options(row: _Row) -> Iterator[tuple[_Node, _Row]]:
             # one (prefix, column, values left) per column being tried
+            spend = meter[0]
             todo = [(row, 0, choices(row, fixing[0]))]
             while todo:
                 env, j, it = todo.pop()
@@ -372,34 +387,35 @@ class _TeamPlan:
         return options
 
 
-def _plan(formula: Formula, vars: tuple[str, ...], sig: Signature,
-          budget: Budget | None) -> _TeamPlan:
+def _plan(formula: Formula, vars: tuple[str, ...], sig: Signature
+          ) -> _TeamPlan:
     """The formula checked against the signature and the team variables
     (a sentence has none) and compiled once; the plan decides teams over
     those variables, the team of the empty assignment by default, in any
-    structure of the signature."""
+    structure of the signature, spending from the budget each run is
+    given (the default check budget when None)."""
     check_symbols(formula, sig)
     loose = free_vars(formula) - set(vars)
     if loose:
         raise ShapeError(f"team does not bind free variables {sorted(loose)}"
                          if vars else
                          f"not a sentence: free variables {sorted(loose)}")
-    return _TeamPlan(formula, vars, _budget_or(budget, default_check_budget))
+    return _TeamPlan(formula, vars)
+
+
+# the plans of the one-shot entries below, reused from call to call
+_PLANS = _PlanCache(_plan)
 
 
 def satisfies(struct: Structure, team: Team, formula: Formula,
               budget: Budget | None = None) -> bool:
     """Does the team satisfy the formula in the structure (team semantics)?
     Spends from ``budget``, the default check budget when None."""
-    plan = _plan(formula, team.vars, struct.sig, budget)
-    for r in team.rows:
-        if not all(0 <= v < struct.size for v in r):
-            raise ShapeError(f"team row {list(r)!r} outside domain of size {struct.size}")
-    return plan(struct, team.rows)
+    return _PLANS.run(formula, team.vars, struct.sig, struct, budget, team.rows)
 
 
 def sentence_truth(struct: Structure, formula: Formula,
                    budget: Budget | None = None) -> bool:
     """Truth of a sentence, satisfaction by the team of the empty assignment;
     spends from ``budget``, the default check budget when None."""
-    return _plan(formula, (), struct.sig, budget)(struct)
+    return _PLANS.run(formula, (), struct.sig, struct, budget)

@@ -749,3 +749,58 @@ def test_leader_test_gate_is_cheap_at_large_sizes(write):
                               "--sig", write("sig.json", {}), "--max-size", "20000")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["structures_checked"] == 20000
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _in_process(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv) in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _without_wall_time(out):
+    return [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+            for line in out.splitlines()]
+
+
+def test_parser_reuse_matches_fresh_processes(write, capsys, monkeypatch):
+    # main builds its parser once per process: after a usage error and a
+    # help request, every call gives what it gives alone in a process of
+    # its own
+    from deplog import cli
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width
+    monkeypatch.delenv("DEPLOG_BUDGET", raising=False)
+    f = write("f.dl", SPINE)
+    sig = write("sig.json", {"relations": {"E": 2}})
+    calls = [
+        ["equiv", "--left", f, "--right", f, "--sig", sig, "--max-size", "x"],
+        ["-h"],
+        ["parse", f],
+        ["check", "--formula", f, "--structure", write("m.json", CYCLE2)],
+        ["equiv", "--left", f, "--right", write("r.dl", "exists fn f1/1. forall x. "
+                                                "exists y. (f1(x) = y & E(x,y))"),
+         "--sig", sig, "--max-size", "2"],
+        ["translate", "--pass", "d2eso", "--input", f],
+        ["enum", "--sig", sig, "--size", "1"],
+    ]
+    cli._build_parser.cache_clear()
+    got = [_in_process(argv, capsys) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    src = os.path.dirname(os.path.dirname(deplog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, (code, out, err) in zip(calls, got):
+        proc = subprocess.run([sys.executable, "-m", "deplog.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (code, err) == (proc.returncode, proc.stderr), argv
+        if argv[0] == "equiv" and code != 2:
+            assert _without_wall_time(out) == _without_wall_time(proc.stdout)
+        else:
+            assert out == proc.stdout, argv
+    assert [code for code, _, _ in got] == [2, 0, 0, 0, 0, 0, 0]

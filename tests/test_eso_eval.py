@@ -6,6 +6,7 @@ formula row by row."""
 import pytest
 
 from helpers import oracle_eso, oracle_fo
+from deplog import eso_eval
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.eso_eval import eso_satisfies
@@ -185,3 +186,135 @@ def test_oracle_agreement_on_corpus_eso():
         for n in (1, 2):
             for m in enumerate_structures(item.sig, n):
                 assert eso_satisfies(m, s) == oracle_eso(m, s), (name, n)
+
+
+# ---------------------------------------------------------------------------
+# plan reuse: eso_satisfies compiles a sentence once and runs the plan on
+# every later call, each run spending from its own budget
+# ---------------------------------------------------------------------------
+
+def _cached(sentence):
+    return [plan for s, plan in eso_eval._PLANS.plans.values() if s is sentence]
+
+
+def _even_r():
+    even_r = corpus_item("even_R")
+    return even_r.sentence(), list(enumerate_structures(even_r.sig, 2))[5]
+
+
+def test_reused_plan_spends_from_each_calls_budget():
+    from test_team_eval import Ledger
+    s, m = _even_r()
+    ledgers = [Ledger() for _ in range(3)]
+    assert [eso_satisfies(m, s, ledger) for ledger in ledgers] == [True] * 3
+    plans = _cached(s)
+    assert len(plans) == 1
+    eso_satisfies(m, s, Ledger())
+    assert _cached(s) == plans
+    # the cold call's tally, test_work_ledger's
+    assert all(l.tally == {"function table candidate": 70,
+                           "first-order evaluation": 676} for l in ledgers)
+
+
+def test_run_after_an_aborted_run_is_cold():
+    from test_team_eval import Ledger
+    s, m = _even_r()
+    cold = Ledger()
+    assert eso_satisfies(m, s, cold)
+    small = Ledger()
+    small.limit = 300  # room for the 256 tables up front, not for the search
+    with pytest.raises(BudgetExceededError, match="spent >= 301"):
+        eso_satisfies(m, s, small)
+    warm = Ledger()
+    assert eso_satisfies(m, s, warm)
+    assert warm.tally == cold.tally
+
+
+def test_refusal_counts_at_the_running_budgets_limit():
+    # 2^(2^64) candidate tables, counted up to the bits of each run's own
+    # limit: a later run with a smaller limit reports the cold figure
+    s = parse_eso("exists fn f/64. forall x. P(x)", SIG_P)
+    m = pstruct(2, [(0,)])
+    lines = []
+    for limit in (2 ** 100, 10):
+        with pytest.raises(BudgetExceededError) as e:
+            eso_satisfies(m, s, Budget(limit))
+        lines.append(str(e.value))
+    assert lines[0].endswith(f"spent >= {2 ** 101})")
+    assert lines[1].endswith(f"spent >= {2 ** 65})")
+
+
+def test_cached_plan_keeps_no_structure_or_budget():
+    import gc
+    import weakref
+
+    class Held(Budget):  # no __slots__, so it can be weakly referenced
+        pass
+
+    s, m = _even_r()
+    budget = Held(10 ** 6)
+    assert eso_satisfies(m, s, budget) is True
+    gone = weakref.ref(budget)
+    del budget
+    gc.collect()
+    assert gone() is None
+    plan, = _cached(s)
+    assert plan.syms.values[1:] == [None] * (len(plan.syms.values) - 1)
+
+
+def test_mutated_signature_is_checked_again():
+    sig = Signature({"P": 1})
+    m = Structure(sig, 2, {"P": frozenset({(0,)})}, {}, {})
+    s = parse_eso("exists fn f/1. forall x. P(f(x))", sig)
+    assert eso_satisfies(m, s) is True
+    sig.relations["P"] = 2
+    with pytest.raises(ShapeError, match="relation 'P' has arity 2"):
+        eso_satisfies(m, s)
+
+
+def test_budget_variable_is_read_on_every_call(monkeypatch):
+    monkeypatch.delenv("DEPLOG_BUDGET", raising=False)
+    s, m = _even_r()
+    assert eso_satisfies(m, s) is True
+    monkeypatch.setenv("DEPLOG_BUDGET", "5")
+    with pytest.raises(BudgetExceededError) as e:
+        eso_satisfies(m, s)
+    assert e.value.limit == 5
+
+
+def test_plan_cache_stays_at_its_bound():
+    cache = eso_eval._PLANS
+    sentences = [parse_eso(f"exists fn f{i}/1. forall x. f{i}(x) = x", SIG0)
+                 for i in range(3 * cache.size)]
+    for s in sentences:
+        assert eso_satisfies(bare(1), s) is True
+    assert len(cache.plans) == cache.size
+    assert _cached(sentences[-1]) and not _cached(sentences[0])
+
+
+def test_two_threads_decide_one_sentence():
+    import sys
+    import threading
+    s, _ = _even_r()
+    sig = corpus_item("even_R").sig
+    cases = [(Structure(sig, 2, {"R": frozenset(edges)}, {}, {}), len(edges) % 2 == 0)
+             for edges in ([(0, 1), (1, 0)], [(0, 1)])]
+    got = [[], []]
+
+    def decide(i):
+        m, _ = cases[i]
+        for _ in range(100):
+            got[i].append(eso_satisfies(m, s))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decide, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want] * 100 for _, want in cases]

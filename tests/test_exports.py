@@ -85,7 +85,10 @@ MALFORMED_CALLS = [
                            ("dict-sig", {"sig": {}}))),
     *(pytest.param(lambda fields=fields: deplog.Team(*fields), id=f"Team-{name}")
       for name, fields in (("int-in-rows", (("x",), {5})), ("int-rows", (("x",), 5)),
-                           ("int-vars", (5, [])))),
+                           ("int-vars", (5, [])), ("list-var", ([["x"]], [])))),
+    *(pytest.param(lambda fields=fields: deplog.Signature(*fields), id=f"Signature-{name}")
+      for name, fields in (("int-relations", (5,)), ("int-functions", ({"P": 1}, 5)),
+                           ("int-constants", ({}, {}, 5)))),
     pytest.param(lambda: deplog.EsoSentence(5, (), deplog.TRUE), id="EsoSentence-int"),
     pytest.param(lambda: deplog.NormalFormD(5, (), deplog.TRUE), id="NormalFormD-int-prefix"),
     pytest.param(lambda: deplog.NormalFormD((), 5, deplog.TRUE), id="NormalFormD-int-bindings"),
@@ -100,7 +103,7 @@ def test_malformed_library_input_is_a_deplog_error(call):
 
 
 def test_malformed_library_input_cases():
-    assert len(MALFORMED_CALLS) == 8 * 4 + 3 + 6 + 4 + 11
+    assert len(MALFORMED_CALLS) == 8 * 4 + 3 + 6 + 4 + 15
 
 
 def test_budgeted_entries_default_to_none_and_are_pinned():

@@ -3,6 +3,7 @@ comparison against the independent oracle in helpers.py."""
 import pytest
 
 from helpers import enumerate_teams, oracle_satisfies, restrict
+from deplog import team_eval
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.harness import corpus_item
@@ -451,3 +452,142 @@ def test_rebinding_existential_checks_one_row_at_a_time():
     ledger = Ledger()
     assert satisfies(bare(3), team, d("exists x. (=(u,x) & =(y,x))"), ledger)
     assert ledger.tally == {EXT: 27, ATOM: 54}
+
+
+# ---------------------------------------------------------------------------
+# plan reuse: satisfies and sentence_truth compile a formula once and run
+# the plan on every later call, each run spending from its own budget
+# ---------------------------------------------------------------------------
+
+def _cached(formula):
+    """The plans the one-shot entries hold for this formula object."""
+    return [plan for f, plan in team_eval._PLANS.plans.values() if f is formula]
+
+
+def _reuse_cases():
+    """name -> (formula, call with a budget): a fresh formula object each."""
+    import itertools
+    phi2 = corpus_item("phi2").formula()
+    crowded = Team(("x", "y", "u", "v"), frozenset(
+        (x, y, 0, v) for x in range(2) for y in range(3) for v in range(2)))
+    phi1 = corpus_item("phi1").formula()
+    full = Team(("x", "y", "u", "v"),
+                frozenset(itertools.product(range(3), repeat=4)))
+    sig_p = Signature({"P": 1})
+    parity = eso_to_d(parse_eso(
+        "exists fn f/1. forall x. (~P(x) | P(f(x)) & ~f(x) = x & f(f(x)) = x)",
+        sig_p))
+    m = Structure(sig_p, 4, {"P": frozenset({(1,), (3,)})}, {}, {})
+    return {
+        "phi2 crowded": (phi2, lambda b: satisfies(bare(3), crowded, phi2, b)),
+        "phi1 full": (phi1, lambda b: satisfies(bare(3), full, phi1, b)),
+        "parity": (parity, lambda b: sentence_truth(m, parity, b)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_reuse_cases()))
+def test_reused_plan_spends_from_each_calls_budget(name):
+    formula, call = _reuse_cases()[name]
+    ledgers = [Ledger() for _ in range(3)]
+    verdicts = [call(ledger) for ledger in ledgers]
+    # the first call compiled the plan that the others ran
+    plans = _cached(formula)
+    assert len(plans) == 1
+    call(Ledger())
+    assert _cached(formula) == plans
+    assert verdicts == [verdicts[0]] * 3
+    assert ledgers[0].tally and all(l.tally == ledgers[0].tally for l in ledgers)
+
+
+@pytest.mark.parametrize("name", list(_reuse_cases()))
+def test_run_after_an_aborted_run_is_cold(name):
+    # the aborted run leaves table entries behind; the next run starts
+    # from none
+    formula, call = _reuse_cases()[name]
+    cold = Ledger()
+    verdict = call(cold)
+    small = Ledger()
+    small.limit = sum(cold.tally.values()) // 2
+    with pytest.raises(BudgetExceededError):
+        call(small)
+    warm = Ledger()
+    assert call(warm) is verdict
+    assert warm.tally == cold.tally
+
+
+def test_cached_plan_keeps_no_structure_or_budget():
+    import gc
+    import weakref
+
+    class Held(Budget):  # no __slots__, so it can be weakly referenced
+        pass
+
+    f = d("forall x. exists y. (=(x,y) & E(x,y))", SIG_PE)
+    budget = Held(10 ** 6)
+    assert sentence_truth(pe(2, E=[(0, 1), (1, 0)]), f, budget) is True
+    gone = weakref.ref(budget)
+    del budget
+    gc.collect()
+    assert gone() is None
+    plan, = _cached(f)
+    assert plan.syms.values[1:] == [None] * (len(plan.syms.values) - 1)
+
+
+def test_mutated_signature_is_checked_again():
+    sig = Signature({"P": 1, "E": 2})
+    m = Structure(sig, 2, {"P": frozenset({(0,)}), "E": frozenset({(1, 1)})},
+                  {}, {})
+    f = d("forall x. exists y. (=(x,y) & (P(x) | E(x,y)))", sig)
+    assert sentence_truth(m, f) is True
+    sig.relations["E"] = 3
+    with pytest.raises(ShapeError, match="relation 'E' has arity 3"):
+        sentence_truth(m, f)
+    # contents that cannot key the cache are decided without it
+    sig.relations["E"] = 2
+    sig.constants = set()
+    assert sentence_truth(m, f) is True
+
+
+def test_budget_variable_is_read_on_every_call(monkeypatch):
+    monkeypatch.delenv("DEPLOG_BUDGET", raising=False)
+    f = corpus_item("phi1_closed").formula()
+    assert sentence_truth(bare(3), f) is True
+    monkeypatch.setenv("DEPLOG_BUDGET", "5")
+    with pytest.raises(BudgetExceededError) as e:
+        sentence_truth(bare(3), f)
+    assert e.value.limit == 5
+
+
+def test_plan_cache_stays_at_its_bound():
+    cache = team_eval._PLANS
+    formulas = [d(f"exists x{i}. x{i} = x{i}") for i in range(3 * cache.size)]
+    for f in formulas:
+        assert sentence_truth(bare(1), f) is True
+    assert len(cache.plans) == cache.size
+    assert _cached(formulas[-1]) and not _cached(formulas[0])
+
+
+def test_two_threads_decide_one_sentence():
+    import sys
+    import threading
+    spine = d("forall x. exists y. (=(x,y) & E(x,y))", SIG_PE)
+    cases = [(pe(3, E=[(0, 1), (1, 2), (2, 0)]), True), (pe(3, E=[(0, 1)]), False)]
+    got = [[], []]
+
+    def decide(i):
+        m, _ = cases[i]
+        for _ in range(300):
+            got[i].append(sentence_truth(m, spine))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=decide, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want] * 300 for _, want in cases]

@@ -90,4 +90,6 @@ def eso_satisfies(struct: Structure, sentence: EsoSentence,
                   budget: Budget | None = None) -> bool:
     """Truth of an ESO sentence by exhaustive function-table search.
     Spends from ``budget``, the default check budget when None."""
-    return _PLANS.run(sentence, (), struct.sig, struct, budget)
+    sig = struct.sig
+    budget = _budget_or(budget, default_check_budget)  # before the symbols
+    return _PLANS.run(sentence, (), sig, struct, budget)

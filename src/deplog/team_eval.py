@@ -82,7 +82,7 @@ and its closures spend through the symbol table's meter, which each run
 rebinds, so one plan serves any number of calls, each charging its own
 budget.
 satisfies and sentence_truth take their plan from a small cache (at most
-16, by formula identity, team variables and signature contents; an
+4, by formula identity, team variables and signature contents; an
 entry is taken out for the run, so no plan is shared mid-run) and build
 it only on a miss; equiv_check builds one per sentence and call and runs
 it on every structure.

@@ -6,7 +6,7 @@ formula row by row."""
 import pytest
 
 from helpers import oracle_eso, oracle_fo
-from deplog import eso_eval
+from deplog import eso_eval, fo_eval
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.eso_eval import eso_satisfies
@@ -272,6 +272,17 @@ def test_mutated_signature_is_checked_again():
         eso_satisfies(m, s)
 
 
+def test_budget_is_checked_before_the_symbols():
+    # a budget that is not a Budget is reported before a symbol the
+    # signature lacks
+    s = parse_eso("exists fn f/1. forall x. Q(f(x))", Signature({"Q": 1}))
+    m = pstruct(2, [(0,)])
+    with pytest.raises(ShapeError, match="budget must be a Budget, got 5"):
+        eso_satisfies(m, s, 5)
+    with pytest.raises(ShapeError, match="'Q'"):
+        eso_satisfies(m, s)
+
+
 def test_budget_variable_is_read_on_every_call(monkeypatch):
     monkeypatch.delenv("DEPLOG_BUDGET", raising=False)
     s, m = _even_r()
@@ -285,10 +296,10 @@ def test_budget_variable_is_read_on_every_call(monkeypatch):
 def test_plan_cache_stays_at_its_bound():
     cache = eso_eval._PLANS
     sentences = [parse_eso(f"exists fn f{i}/1. forall x. f{i}(x) = x", SIG0)
-                 for i in range(3 * cache.size)]
+                 for i in range(3 * fo_eval._PLAN_CACHE_SIZE)]
     for s in sentences:
         assert eso_satisfies(bare(1), s) is True
-    assert len(cache.plans) == cache.size
+    assert len(cache.plans) == fo_eval._PLAN_CACHE_SIZE
     assert _cached(sentences[-1]) and not _cached(sentences[0])
 
 

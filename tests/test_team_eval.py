@@ -3,7 +3,7 @@ comparison against the independent oracle in helpers.py."""
 import pytest
 
 from helpers import enumerate_teams, oracle_satisfies, restrict
-from deplog import team_eval
+from deplog import fo_eval, team_eval
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError, ShapeError
 from deplog.harness import corpus_item
@@ -560,10 +560,10 @@ def test_budget_variable_is_read_on_every_call(monkeypatch):
 
 def test_plan_cache_stays_at_its_bound():
     cache = team_eval._PLANS
-    formulas = [d(f"exists x{i}. x{i} = x{i}") for i in range(3 * cache.size)]
+    formulas = [d(f"exists x{i}. x{i} = x{i}") for i in range(3 * fo_eval._PLAN_CACHE_SIZE)]
     for f in formulas:
         assert sentence_truth(bare(1), f) is True
-    assert len(cache.plans) == cache.size
+    assert len(cache.plans) == fo_eval._PLAN_CACHE_SIZE
     assert _cached(formulas[-1]) and not _cached(formulas[0])
 
 

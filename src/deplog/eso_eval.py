@@ -1,34 +1,43 @@
 """Existential second-order checking by function-table search.
 
 An ESO sentence holds in a finite structure iff some interpretation of its
-quantified function symbols (one flat lookup table each) makes the
-first-order part true. Tables are enumerated exhaustively in lexicographic
-order with early exit on the first witness; the total number of candidate
-interpretations is checked against the budget up front, so an infeasible
-instance fails loudly before any work is done: the count's exponents are
-cut at the bit length of the running budget's limit (or of 2**64), so it
-is exact wherever it fits and never too large to build.
+quantified function symbols (one lookup table each) makes the first-order
+part true. The tables are built as the matrix reads them, as in MACE-style
+finite model finding (Claessen and Sörensson, 2003): each run starts them
+empty, and the first read of an entry sets it to 0. The leading universal
+block of the prefix runs as a counter over its instances (its variables'
+values, in lexicographic order) and the rest of the prefix as loops inside
+each instance. When an instance is false, the latest entry set that has a
+value left takes the next one, the entries set after it are unset, and the
+search resumes at the instance that first read it: the instances before
+read only entries set earlier, which keep their values, so they still
+hold. The sentence is true once every instance holds and false once no
+entry has a value left. A function the matrix never reads costs nothing.
+The total number of candidate interpretations is checked against the
+budget up front, so an infeasible instance fails loudly before any work
+is done: the count's exponents are cut at the bit length of the running
+budget's limit (or of 2**64), so it is exact wherever it fits and never
+too large to build.
 
 An ESO sentence is compiled once, by fo_eval's classical compiler: the
-prefix into nested loops over its variables' slots and the matrix into
-one closure, with each quantified function's table in a symbol slot that
-the table search fills. _eso_plan is the one entry that builds that
-plan, after checking the sentence's symbols against the signature. The
-plan takes its budget per run, so one plan serves any number of calls:
-eso_satisfies takes its plan from a small cache (as team_eval's entries
-do) and builds it only on a miss, and equiv_check builds one per
-sentence and call to run on every structure.
+prefix after the leading universals into nested loops over its variables'
+slots and the matrix into one closure, with each quantified function's
+table in a symbol slot that the table search fills. _eso_plan is the one
+entry that builds that plan, after checking the sentence's symbols
+against the signature. The plan takes its budget per run, so one plan
+serves any number of calls: eso_satisfies takes its plan from a small
+cache (as team_eval's entries do) and builds it only on a miss, and
+equiv_check builds one per sentence and call to run on every structure.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Callable
 
 from .budget import Budget, _budget_or, default_check_budget
 from .errors import BudgetExceededError
-from .fo_eval import _PlanCache, _Symbols, _compile_fo, _quantifier_loop
+from .fo_eval import _PlanCache, _Symbols, _Table, _compile_fo, _quantifier_loop
 from .structures import Structure
 from .syntax import EsoSentence, Signature, check_symbols
 
@@ -48,35 +57,59 @@ def _eso_plan(sentence: EsoSentence, sig: Signature
     prefix = sentence.prefix
     check = _compile_fo(sentence.matrix, tuple(v for _, v in prefix), syms,
                         "first-order evaluation")
-    values, meter = syms.values, syms.meter
-    for i in reversed(range(len(prefix))):
+    values, meter, trail = syms.values, syms.meter, syms.trail
+    # the leading universals are the instances; the rest loop per instance
+    lead = next((i for i, (q, _) in enumerate(prefix) if q == "exists"),
+                len(prefix))
+    for i in reversed(range(lead, len(prefix))):
         check = _quantifier_loop(i, prefix[i][0] == "exists", check, values)
-    env = [0] * len(prefix)
+
     # candidate tables per domain size, n ** entries with the exponents cut
     # at the given bits, those of the limit (or of 2**64): exact up to
     # there, past it a lower bound above the limit
-    count = functools.cache(
+    candidates = functools.cache(
         lambda n, bits: n ** min(sum(n ** min(a, bits) for _, a in fns), bits))
-
-    def search(i: int, n: int) -> bool:
-        if i == len(fns):
-            meter[0](1, "function table candidate")
-            return check(env)
-        for table in itertools.product(range(n), repeat=n ** fns[i][1]):
-            values[slots[i]] = table
-            if search(i + 1, n):
-                return True
-        return False
 
     def run(struct: Structure, budget: Budget | None = None) -> bool:
         budget = _budget_or(budget, default_check_budget)
         n = struct.size
-        tables = count(n, max(budget.limit, 2 ** 64).bit_length())
+        tables = candidates(n, max(budget.limit, 2 ** 64).bit_length())
         if budget.would_exceed(tables):
             raise BudgetExceededError("function table enumeration",
                                       budget.spent + tables, budget.limit)
         syms.bind(struct, budget)
-        return search(0, n)
+        for k in slots:
+            values[k] = _Table(syms)
+        trail.clear()
+        env = [0] * len(prefix)
+        instance, count, top = 0, n ** lead, n - 1
+        while instance < count:
+            syms.instance = instance
+            if check(env):
+                instance += 1
+                for i in range(lead - 1, -1, -1):  # the next instance
+                    if env[i] < top:
+                        env[i] += 1
+                        break
+                    env[i] = 0
+                continue
+            # the latest entry with a value left takes the next one, and the
+            # search resumes at the instance that first read it: the ones
+            # before read only earlier entries, which keep their values
+            while trail:
+                table, key, instance = trail[-1]
+                if table[key] < top:
+                    meter[0](1, "function table candidate")
+                    table[key] += 1
+                    break
+                del table[key]
+                trail.pop()
+            else:
+                return False
+            rest = instance
+            for i in range(lead - 1, -1, -1):
+                rest, env[i] = divmod(rest, n)
+        return True
 
     run.syms = syms
     return run

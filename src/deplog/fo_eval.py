@@ -15,8 +15,12 @@ spend method of the budget a run charges, set with the structure, so a
 compiled formula spends from whichever budget runs it.  Each caller
 charges that budget under its own context, one unit per node visited:
 "first-order evaluation" for the ESO plan and "row evaluation" for the
-team plan.  _PlanCache keeps the compiled plans of both evaluators'
-one-shot entries for reuse across calls.
+team plan.  A quantified function (the ESO plan's "extra" ones) is read
+from a _Table that the ESO search gives each run empty: the first read of
+an entry sets it to 0, spends one "function table candidate" unit and
+puts the entry on the symbols' trail for the search to branch on.
+_PlanCache keeps the compiled plans of both evaluators' one-shot entries
+for reuse across calls.
 """
 
 from __future__ import annotations
@@ -49,14 +53,18 @@ class _Symbols:
     slot 0 holds the domain size.  ``bind`` refills the slots from a
     structure and puts the spend method of the run's budget in ``meter``,
     a one-item list that the closures call through (an index is cheaper
-    than an attribute there); the slots of ``extra`` functions (quantified
-    ones, absent from the structure) are filled by the caller."""
+    than an attribute there).  The slots of ``extra`` functions (quantified
+    ones, absent from the structure) are filled by the caller with empty
+    _Tables: an entry set on a read goes on ``trail``, with the
+    ``instance`` the caller's search was at."""
 
     def __init__(self, extra=()):
         self.extra = frozenset(extra)
         self.values: list = [0]
         self.slots: dict[tuple[str, str], int] = {}
         self.meter: list[Callable[[int, str], None] | None] = [None]
+        self.trail: list[tuple[_Table, object, int]] = []
+        self.instance = 0
 
     def slot(self, table: str, name: str) -> int:
         """Slot of a relation, function, constant or extra function
@@ -72,6 +80,7 @@ class _Symbols:
         tables, the quantified functions' tables and the budget."""
         self.values[1:] = [None] * (len(self.values) - 1)
         self.meter[0] = None
+        self.trail.clear()
 
     def bind(self, struct: Structure, budget: Budget) -> None:
         self.meter[0] = budget.spend
@@ -82,9 +91,30 @@ class _Symbols:
                 values[i] = getattr(struct, table)[name]
 
 
+class _Table(dict):
+    """A quantified function's table for one run of the ESO search, keyed by
+    the argument (by the tuple of arguments from arity 2 on, by 0 at arity
+    0) and empty at first: reading an absent entry sets it to 0, spends one
+    "function table candidate" unit and puts (table, key, instance) on the
+    trail of its symbols, for the search to branch on."""
+
+    __slots__ = ("syms",)
+
+    def __init__(self, syms: _Symbols):
+        self.syms = syms
+
+    def __missing__(self, key):
+        syms = self.syms
+        syms.meter[0](1, "function table candidate")
+        self[key] = 0
+        syms.trail.append((self, key, syms.instance))
+        return 0
+
+
 def _compile_term(t: Term, scope: dict[str, int], syms: _Symbols) -> _Value:
-    """A term as a closure; function arguments index the flat table in
-    lexicographic order, the first argument most significant."""
+    """A term as a closure; a structure function's arguments index its flat
+    table in lexicographic order, the first argument most significant (a
+    quantified function's table is a _Table)."""
     if isinstance(t, Var):
         return itemgetter(scope[t.name])
     values = syms.values
@@ -93,7 +123,11 @@ def _compile_term(t: Term, scope: dict[str, int], syms: _Symbols) -> _Value:
         return lambda env: values[k]
     if not isinstance(t, App):
         raise ShapeError(f"not a term: {t!r}")
-    k = syms.slot("extra" if t.fn in syms.extra else "functions", t.fn)
+    extra = t.fn in syms.extra
+    k = syms.slot("extra" if extra else "functions", t.fn)
+    if extra and len(t.args) > 1:
+        key = _compile_terms(t.args, scope, syms)
+        return lambda env: values[k][key(env)]
     args = []
     for a in t.args:
         args.append(_compile_term(a, scope, syms))

@@ -154,16 +154,24 @@ def test_budget_rejects_huge_count_up_front(text, struct, spent):
 
 
 def test_work_ledger():
-    # the exact work of the table search, by context: one unit per candidate
-    # tried, and the matrix spends under the plan's context, as the team
-    # evaluator's row checks spend under theirs (test_team_eval's ledger)
+    # the exact work of the table search, by context: one unit per value
+    # tried for a table entry, and the matrix spends under the plan's
+    # context, as the team evaluator's row checks spend under theirs
+    # (test_team_eval's ledger).  f(x) = x on two elements: instance x=0
+    # reads f(0), set to 0, and holds; x=1 reads f(1), set to 0, and fails;
+    # f(1) takes 1 and the search resumes at x=1, which holds
     from test_team_eval import Ledger
+    ledger = Ledger()
+    assert eso_satisfies(bare(2), parse_eso("exists fn f/1. forall x. f(x) = x",
+                                            SIG0), ledger)
+    assert ledger.tally == {"function table candidate": 3,
+                            "first-order evaluation": 3}
     even_r = corpus_item("even_R")
     ledger = Ledger()
     assert eso_satisfies(list(enumerate_structures(even_r.sig, 2))[5],
                          even_r.sentence(), ledger)
-    assert ledger.tally == {"function table candidate": 70,
-                            "first-order evaluation": 676}
+    assert ledger.tally == {"function table candidate": 9,
+                            "first-order evaluation": 55}
 
 
 def test_malformed_tree_is_a_shape_error():
@@ -212,8 +220,8 @@ def test_reused_plan_spends_from_each_calls_budget():
     eso_satisfies(m, s, Ledger())
     assert _cached(s) == plans
     # the cold call's tally, test_work_ledger's
-    assert all(l.tally == {"function table candidate": 70,
-                           "first-order evaluation": 676} for l in ledgers)
+    assert all(l.tally == {"function table candidate": 9,
+                           "first-order evaluation": 55} for l in ledgers)
 
 
 def test_run_after_an_aborted_run_is_cold():
@@ -222,8 +230,8 @@ def test_run_after_an_aborted_run_is_cold():
     cold = Ledger()
     assert eso_satisfies(m, s, cold)
     small = Ledger()
-    small.limit = 300  # room for the 256 tables up front, not for the search
-    with pytest.raises(BudgetExceededError, match="spent >= 301"):
+    small.limit = 100  # too little for the 256 tables up front
+    with pytest.raises(BudgetExceededError, match="function table enumeration"):
         eso_satisfies(m, s, small)
     warm = Ledger()
     assert eso_satisfies(m, s, warm)

@@ -265,7 +265,7 @@ def test_budget_error_names_domain_size():
 
 @pytest.mark.parametrize("sig,text,budget,layer", [
     # the check budget runs out in the team side, choosing spine's y
-    pytest.param(SIG_E, None, 200, "existential extension", id="check"),
+    pytest.param(SIG_E, None, 250, "existential extension", id="check"),
     # a 40-ary relation has more argument tuples at size 2 than the default
     # structure budget, so the walk is refused before it starts
     pytest.param(Signature({"R": 40}), "forall x. x = x", None,

@@ -13,11 +13,13 @@ search resumes at the instance that first read it: the instances before
 read only entries set earlier, which keep their values, so they still
 hold. The sentence is true once every instance holds and false once no
 entry has a value left. A function the matrix never reads costs nothing.
-The total number of candidate interpretations is checked against the
-budget up front, so an infeasible instance fails loudly before any work
-is done: the count's exponents are cut at the bit length of the running
-budget's limit (or of 2**64), so it is exact wherever it fits and never
-too large to build.
+
+The budget is spent as the work is done, with no count up front: one
+"function table candidate" unit per value tried for an entry and one
+"first-order evaluation" unit per matrix node visited, so a run that runs
+out stops at the first unit past the limit, and a sentence whose tables
+are too many to enumerate is still decided when the search needs few of
+their entries.
 
 An ESO sentence is compiled once, by fo_eval's classical compiler: the
 prefix after the leading universals into nested loops over its variables'
@@ -32,11 +34,9 @@ equiv_check builds one per sentence and call to run on every structure.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable
 
 from .budget import Budget, _budget_or, default_check_budget
-from .errors import BudgetExceededError
 from .fo_eval import _PlanCache, _Symbols, _Table, _compile_fo, _quantifier_loop
 from .structures import Structure
 from .syntax import EsoSentence, Signature, check_symbols
@@ -64,23 +64,12 @@ def _eso_plan(sentence: EsoSentence, sig: Signature
     for i in reversed(range(lead, len(prefix))):
         check = _quantifier_loop(i, prefix[i][0] == "exists", check, values)
 
-    # candidate tables per domain size, n ** entries with the exponents cut
-    # at the given bits, those of the limit (or of 2**64): exact up to
-    # there, past it a lower bound above the limit
-    candidates = functools.cache(
-        lambda n, bits: n ** min(sum(n ** min(a, bits) for _, a in fns), bits))
-
     def run(struct: Structure, budget: Budget | None = None) -> bool:
-        budget = _budget_or(budget, default_check_budget)
-        n = struct.size
-        tables = candidates(n, max(budget.limit, 2 ** 64).bit_length())
-        if budget.would_exceed(tables):
-            raise BudgetExceededError("function table enumeration",
-                                      budget.spent + tables, budget.limit)
-        syms.bind(struct, budget)
+        syms.bind(struct, _budget_or(budget, default_check_budget))
         for k in slots:
             values[k] = _Table(syms)
         trail.clear()
+        n = struct.size
         env = [0] * len(prefix)
         instance, count, top = 0, n ** lead, n - 1
         while instance < count:

@@ -125,32 +125,45 @@ def test_mixed_prefix_evaluation():
 
 
 def test_budget_rejects_up_front():
+    # no count is refused up front any more: the search spends as it works,
+    # so a run stops at the first unit past its limit, naming the work that
+    # ran out.  f(x,x) = x on three elements spends 12 units in all
     s = parse_eso("exists fn f/2. forall x. f(x,x) = x", SIG0)
-    b = Budget(10)
-    with pytest.raises(BudgetExceededError):
-        eso_satisfies(bare(3), s, b)  # 3^9 candidate tables
-    assert b.spent == 0  # nothing was burned before the refusal
+    contexts = set()
+    for limit in range(1, 12):
+        b = Budget(limit)
+        with pytest.raises(BudgetExceededError) as e:
+            eso_satisfies(bare(3), s, b)
+        assert b.spent == e.value.spent == limit + 1
+        assert str(e.value).endswith(f"(budget {limit} exhausted, spent >= {limit + 1})")
+        contexts.add(e.value.context)
+    assert contexts == {"function table candidate", "first-order evaluation"}
+    assert eso_satisfies(bare(3), s, Budget(12)) is True
 
 
-@pytest.mark.parametrize("text,struct,spent", [
-    # 3^9 tables: a count that fits is reported exactly
-    ("exists fn f/2. forall x. f(x,x) = x", bare(3), 3**9),
-    # 2^(2^64) and 2^(2^20) tables: the refusal builds the count only up
-    # to 65 table entries, the bits of 2^64, and reports that lower bound
-    # (2^(2^20) has 315,653 digits, past what Python converts to a string)
-    ("exists fn f/64. forall x. P(x)", pstruct(2, [(0,)]), 2**65),
-    ("exists fn f/20. forall x. P(x)", pstruct(2, [(0,)]), 2**65),
-    # nor does it build the number of entries, 3^(10^8)
-    ("exists fn f/100000000. forall x. P(x)", pstruct(3, [(0,)]), 3**65),
+@pytest.mark.parametrize("text,struct,verdict", [
+    # 3^9 tables, and a matrix that reads f: under a limit of 10 the search
+    # stops at the 11th unit
+    ("exists fn f/2. forall x. f(x,x) = x", bare(3), None),
+    # 2^(2^64), 2^(2^20) and 3^(3^(10^8)) tables, whose counts the up-front
+    # refusal had to cut short: a function the matrix never reads is never
+    # given an entry, so each is decided on P alone (P(0) true, P(1) false)
+    ("exists fn f/64. forall x. P(x)", pstruct(2, [(0,)]), False),
+    ("exists fn f/20. forall x. P(x)", pstruct(2, [(0,)]), False),
+    ("exists fn f/100000000. forall x. P(x)", pstruct(3, [(0,)]), False),
 ])
-def test_budget_rejects_huge_count_up_front(text, struct, spent):
+def test_budget_rejects_huge_count_up_front(text, struct, verdict):
+    from test_team_eval import Ledger
     s = parse_eso(text, struct.sig)
-    b = Budget(10)
-    with pytest.raises(BudgetExceededError) as e:
-        eso_satisfies(struct, s, b)
-    assert b.spent == 0
-    assert e.value.spent == spent
-    assert str(e.value).endswith(f"spent >= {spent})")
+    b = Ledger()
+    b.limit = 10
+    if verdict is None:
+        with pytest.raises(BudgetExceededError) as e:
+            eso_satisfies(struct, s, b)
+        assert b.spent == e.value.spent == 11
+    else:
+        assert eso_satisfies(struct, s, b) is verdict
+        assert b.tally == {"first-order evaluation": 2}
 
 
 def test_work_ledger():
@@ -230,8 +243,8 @@ def test_run_after_an_aborted_run_is_cold():
     cold = Ledger()
     assert eso_satisfies(m, s, cold)
     small = Ledger()
-    small.limit = 100  # too little for the 256 tables up front
-    with pytest.raises(BudgetExceededError, match="function table enumeration"):
+    small.limit = 30  # the cold call spends 64 units
+    with pytest.raises(BudgetExceededError, match="spent >= 31"):
         eso_satisfies(m, s, small)
     warm = Ledger()
     assert eso_satisfies(m, s, warm)
@@ -239,17 +252,20 @@ def test_run_after_an_aborted_run_is_cold():
 
 
 def test_refusal_counts_at_the_running_budgets_limit():
-    # 2^(2^64) candidate tables, counted up to the bits of each run's own
-    # limit: a later run with a smaller limit reports the cold figure
-    s = parse_eso("exists fn f/64. forall x. P(x)", SIG_P)
-    m = pstruct(2, [(0,)])
-    lines = []
-    for limit in (2 ** 100, 10):
-        with pytest.raises(BudgetExceededError) as e:
-            eso_satisfies(m, s, Budget(limit))
-        lines.append(str(e.value))
-    assert lines[0].endswith(f"spent >= {2 ** 101})")
-    assert lines[1].endswith(f"spent >= {2 ** 65})")
+    # one cached plan, each run stopping at its own budget's limit, where a
+    # fresh plan run with that limit stops
+    s, m = _even_r()
+    warm, cold = [], []
+    for limit in (10 ** 9, 40, 30):
+        for lines, run in ((warm, eso_satisfies),
+                           (cold, lambda m, s, b: eso_eval._eso_plan(s, m.sig)(m, b))):
+            try:
+                assert run(m, s, Budget(limit)) is True
+            except BudgetExceededError as e:
+                lines.append(str(e))
+    assert warm == cold == [
+        "function table candidate (budget 40 exhausted, spent >= 41)",
+        "first-order evaluation (budget 30 exhausted, spent >= 31)"]
 
 
 def test_cached_plan_keeps_no_structure_or_budget():

@@ -81,7 +81,7 @@ class App:
     args: tuple["Term", ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "args", _as_tuple(self.args, "function arguments"))
 
 
 Term = Union[Var, Const, App]
@@ -98,7 +98,7 @@ class RelAtom:
     negated: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
+        object.__setattr__(self, "args", _as_tuple(self.args, "relation arguments"))
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class DepAtom:
     negated: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "terms", _as_tuple(self.terms, "dependence atom terms"))
 
 
 @dataclass(frozen=True)

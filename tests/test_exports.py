@@ -92,6 +92,9 @@ MALFORMED_CALLS = [
     pytest.param(lambda: deplog.EsoSentence(5, (), deplog.TRUE), id="EsoSentence-int"),
     pytest.param(lambda: deplog.NormalFormD(5, (), deplog.TRUE), id="NormalFormD-int-prefix"),
     pytest.param(lambda: deplog.NormalFormD((), 5, deplog.TRUE), id="NormalFormD-int-bindings"),
+    pytest.param(lambda: deplog.App("f", 5), id="App-int"),
+    pytest.param(lambda: deplog.RelAtom("P", 5), id="RelAtom-int"),
+    pytest.param(lambda: deplog.DepAtom(5), id="DepAtom-int"),
 ]
 
 
@@ -103,7 +106,7 @@ def test_malformed_library_input_is_a_deplog_error(call):
 
 
 def test_malformed_library_input_cases():
-    assert len(MALFORMED_CALLS) == 8 * 4 + 3 + 6 + 4 + 15
+    assert len(MALFORMED_CALLS) == 8 * 4 + 3 + 6 + 4 + 18
 
 
 def test_budgeted_entries_default_to_none_and_are_pinned():

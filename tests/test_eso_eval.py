@@ -88,6 +88,18 @@ def test_function_value_cannot_be_two_elements():
     assert eso_satisfies(bare(1), s) is True
 
 
+def test_exhausted_entry_is_unset():
+    # g() is read first, at 0, which leaves f() no value: ~g() = f() forces
+    # f() = 1 and P(f()) refuses it, so f() is exhausted and unset, and g()
+    # takes 1; f() must then be read afresh at 0 (kept at 1, it would fail
+    # ~g() = f() again)
+    s = parse_eso("exists fn g/0. exists fn f/0. (~g() = f() & P(f()) & ~P(g()))",
+                  SIG_P)
+    m = pstruct(2, [(0,)])
+    assert eso_satisfies(m, s) is True
+    assert oracle_eso(m, s) is True
+
+
 def test_even_r_pinned_verdicts():
     er = corpus_item("even_R").sentence()
     m2 = Structure(SIG_R, 2, {"R": frozenset({(0, 1), (1, 0)})}, {}, {})
@@ -106,6 +118,19 @@ def test_even_r_parity_all_small_structures():
             assert oracle_eso(m, er) == expected
             checked += 1
     assert checked == 18
+
+
+def test_even_r_parity_on_every_class_leader_of_size_3():
+    # 3^18 candidate tables per structure: the search sets only the entries
+    # the matrix reads, and decides each leader within the default budget
+    from deplog.structures import _walk
+    er = corpus_item("even_R")
+    s = er.sentence()
+    leaders = [m for m in _walk(er.sig, 3, Budget(10 ** 6), leaders_only=True)
+               if m is not None]
+    assert len(leaders) == 104
+    for m in leaders:
+        assert eso_satisfies(m, s) == (len(m.relations["R"]) % 2 == 0)
 
 
 def test_zero_function_sentence_is_first_order():

@@ -135,17 +135,28 @@ def test_generated_team_semantics_agrees_with_oracle():
     assert tally["checked"] >= 250, tally
 
 
+# the most candidate tables oracle_eso may have to try for one example
+ORACLE_TABLES = 3 ** 6
+
+
 @st.composite
-def _eso_sentences(draw):
-    fns = tuple((f"f{i}", draw(st.integers(0, 1)))
-                for i in range(draw(st.integers(0, 2))))
-    pvars = VARS[:draw(st.integers(1, 2))]
+def _eso_sentences(draw, n):
+    """Sentences with 0-2 functions of arity 0-2, as many as keep the
+    tables at size ``n`` within ORACLE_TABLES, and 1-3 prefix variables,
+    so that the table search resumes past the first instance."""
+    fns, entries = [], 0
+    for i in range(draw(st.integers(0, 2))):
+        arities = [a for a in (0, 1, 2) if n ** (entries + n ** a) <= ORACLE_TABLES]
+        a = draw(st.sampled_from(arities))
+        fns.append((f"f{i}", a))
+        entries += n ** a
+    pvars = VARS[:draw(st.integers(1, 3))]
     prefix = tuple((draw(st.sampled_from(["forall", "exists"])), v) for v in pvars)
     leaves = [Var(v) for v in pvars]
     term = st.recursive(
         st.sampled_from(leaves + [App(name, ()) for name, ar in fns if ar == 0]),
-        lambda sub: st.one_of([st.builds(App, st.just(name), st.tuples(sub))
-                               for name, ar in fns if ar == 1] or [sub]),
+        lambda sub: st.one_of([st.builds(App, st.just(name), st.tuples(*[sub] * ar))
+                               for name, ar in fns if ar > 0] or [sub]),
         max_leaves=3)
     # the binary atom twice as often as P or =, to tell its arguments apart
     binary = st.builds(RelAtom, st.just("E"), st.tuples(term, term), st.booleans())
@@ -153,13 +164,13 @@ def _eso_sentences(draw):
         st.one_of(_atoms(term), binary),
         lambda sub: st.one_of(st.builds(And, sub, sub), st.builds(Or, sub, sub)),
         max_leaves=4))
-    return EsoSentence(fns, prefix, matrix)
+    return EsoSentence(tuple(fns), prefix, matrix)
 
 
 def test_generated_eso_agrees_with_oracle():
     def check(data):
-        m = data.draw(_structures(SIG_PE, 2))
-        s = data.draw(_eso_sentences())
+        m = data.draw(_structures(SIG_PE, 3))
+        s = data.draw(_eso_sentences(m.size))
         try:
             got = eso_satisfies(m, s, Budget(10_000))
         except BudgetExceededError:

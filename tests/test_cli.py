@@ -725,9 +725,8 @@ def _cli_under_cpu_cap(*argv):
 @pytest.mark.parametrize("command", ["check", "equiv"])
 @pytest.mark.parametrize("arity", [64, 20])
 def test_huge_table_count_refused_up_front(write, command, arity):
-    # 2^(2^arity) candidate tables at size 2, once refused up front: a
-    # function the matrix never reads now costs nothing, so the sentence is
-    # decided (f/64's count ran past 20 s when it was built in full)
+    # 2^(2^arity) candidate tables at size 2: a function the matrix never
+    # reads costs nothing, so the sentence is decided under the CPU cap
     f = write("f.dl", f"exists fn f/{arity}. forall x. P(x)")
     argv = {
         "check": ["--formula", f, "--structure",
@@ -737,22 +736,24 @@ def test_huge_table_count_refused_up_front(write, command, arity):
     }[command]
     proc = _cli_under_cpu_cap(command, *argv)
     assert proc.returncode == 0, proc.stderr
-    if command == "equiv":
+    if command == "check":
         return
-    # a false sentence that reads f: its first false instance, x1=0, x2=x3=1,
-    # comes after 24 instances that each set an entry either value of which
-    # holds, so the search would try 2^24 of their combinations; it stops at
-    # the check budget (the x = x conjuncts spend units, not 64-entry keys)
+    # a false sentence that reads f: at size 2 its first false instance,
+    # x1=0, x2=x3=1, comes after 24 instances that each set an entry either
+    # value of which holds, so the search would try 2^24 of their
+    # combinations; it stops at the budget, with one line
     xs = [f"x{i}" for i in range(1, 7)]
     args = ", ".join(xs + ["x1"] * (arity - len(xs)))
     text = (f"exists fn f/{arity}. " + "".join(f"forall {x}. " for x in xs)
-            + f"((x1 = f({args}) | x2 = x2) & "
-            + " & ".join(f"{x} = {x}" for x in xs) + " & (x1 = x2 | ~x2 = x3))")
-    proc = _cli_under_cpu_cap(command, "--formula", write("g.dl", text),
-                              "--structure", write("m.json", GOOD_FILES["structure"]))
+            + f"((x1 = f({args}) | x2 = x2) & (x1 = x2 | ~x2 = x3))")
+    proc = _cli_under_cpu_cap("equiv", "--left", write("g.dl", text),
+                              "--right", write("t.dl", "forall x. x = x"),
+                              "--sig", write("sig.json", GOOD_FILES["sig"]),
+                              "--max-size", "2", "--budget", "100000")
     assert proc.returncode == 4, proc.stderr
-    assert proc.stderr == ("error: first-order evaluation "
-                           "(budget 10000000 exhausted, spent >= 10000001)\n")
+    assert proc.stderr.startswith("error: equivalence check at domain size 2 ")
+    assert proc.stderr.endswith("(budget 100000 exhausted, spent >= 100001)\n")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_leader_test_gate_is_cheap_at_large_sizes(write):

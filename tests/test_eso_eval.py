@@ -150,9 +150,9 @@ def test_mixed_prefix_evaluation():
 
 
 def test_budget_rejects_up_front():
-    # no count is refused up front any more: the search spends as it works,
-    # so a run stops at the first unit past its limit, naming the work that
-    # ran out.  f(x,x) = x on three elements spends 12 units in all
+    # nothing is counted up front: the search spends as it works, so a run
+    # stops at the first unit past its limit, naming the work that ran out.
+    # f(x,x) = x on three elements spends 12 units in all
     s = parse_eso("exists fn f/2. forall x. f(x,x) = x", SIG0)
     contexts = set()
     for limit in range(1, 12):
@@ -170,9 +170,9 @@ def test_budget_rejects_up_front():
     # 3^9 tables, and a matrix that reads f: under a limit of 10 the search
     # stops at the 11th unit
     ("exists fn f/2. forall x. f(x,x) = x", bare(3), None),
-    # 2^(2^64), 2^(2^20) and 3^(3^(10^8)) tables, whose counts the up-front
-    # refusal had to cut short: a function the matrix never reads is never
-    # given an entry, so each is decided on P alone (P(0) true, P(1) false)
+    # 2^(2^64), 2^(2^20) and 3^(3^(10^8)) tables, too many to count: a
+    # function the matrix never reads is never given an entry, so each is
+    # decided on P alone (P(0) true, P(1) false)
     ("exists fn f/64. forall x. P(x)", pstruct(2, [(0,)]), False),
     ("exists fn f/20. forall x. P(x)", pstruct(2, [(0,)]), False),
     ("exists fn f/100000000. forall x. P(x)", pstruct(3, [(0,)]), False),

@@ -849,11 +849,10 @@ def test_translate_long_input(tmp_path, capsys, pass_name):
 # every corpus translation that decides one domain size past the acceptance
 # criteria (criterion 3 checks d_to_eso at sizes 2-3, criterion 4 eso_to_d
 # at size 2), with the default budgets: a pair that runs out of budget
-# fails here.  phi2_closed at 4 and width3 at 3 decide since the table
-# search sets an entry only when the matrix reads it (the full table count
-# was refused up front at phi2_closed's 4^12, and width3's ESO side spent
-# 12.7M units).  exist_or at 4 and even_R at 3 do not decide yet; henkin
-# and zero_slice at 3 are beyond any walk.
+# fails here.  phi2_closed at 4 (4^12 candidate tables) and width3 at 3
+# decide because the table search sets only the entries the matrix reads.
+# exist_or at 4 and even_R at 3 do not decide yet (even_R's D image runs
+# out); henkin and zero_slice at 3 are beyond any walk.
 # ---------------------------------------------------------------------------
 
 FRONTIER = (

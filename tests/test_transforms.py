@@ -860,9 +860,9 @@ FRONTIER = (
                              "const_eq", "global_pick", "exist_neg",
                              "exist_const", "const_choice", "exist_pair",
                              "spine")],
-    *[(name, 3) for name in ("term_atom", "width3")],
-    *[(name, 3) for name in ("eso_id", "eso_const", "eso_choice",
-                             "eso_square", "eso_coherent", "mixed_choice")],
+    *[(name, 3) for name in ("term_atom", "width3", "eso_id", "eso_const",
+                             "eso_choice", "eso_square", "eso_coherent",
+                             "mixed_choice")],
 )
 
 

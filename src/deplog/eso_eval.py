@@ -23,13 +23,16 @@ their entries.
 
 An ESO sentence is compiled once, by fo_eval's classical compiler: the
 prefix after the leading universals into nested loops over its variables'
-slots and the matrix into one closure, with each quantified function's
-table in a symbol slot that the table search fills. _eso_plan is the one
-entry that builds that plan, after checking the sentence's symbols
-against the signature. The plan takes its budget per run, so one plan
-serves any number of calls: eso_satisfies takes its plan from a small
-cache (as team_eval's entries do) and builds it only on a miss, and
-equiv_check builds one per sentence and call to run on every structure.
+slots and the matrix into one closure, which reads a quantified function's
+table as it reads a structure's, at the flat index of the arguments. The
+search's state stays here: each run puts an empty _Table in each such
+function's slot, and the tables share the run's trail and instance.
+_eso_plan is the one entry that builds that plan, after checking the
+sentence's symbols against the signature. The plan takes its budget per
+run, so one plan serves any number of calls: eso_satisfies takes its plan
+from a small cache (as team_eval's entries do) and builds it only on a
+miss, and equiv_check builds one per sentence and call to run on every
+structure.
 """
 
 from __future__ import annotations
@@ -37,11 +40,28 @@ from __future__ import annotations
 from typing import Callable
 
 from .budget import Budget, _budget_or, default_check_budget
-from .fo_eval import _PlanCache, _Symbols, _Table, _compile_fo, _quantifier_loop
+from .fo_eval import _PlanCache, _Symbols, _compile_fo, _quantifier_loop
 from .structures import Structure
-from .syntax import EsoSentence, Signature, check_symbols
+from .syntax import EsoSentence, Signature, _check_eso, check_symbols
 
 __all__ = ["eso_satisfies"]
+
+
+class _Table(dict):
+    """A quantified function's table for one run of the search, keyed like a
+    Structure's (by the flat index of the arguments) and empty at first:
+    reading an absent entry sets it to 0, spends one "function table
+    candidate" unit and puts (table, index, at[0]) on the run's trail.  The
+    run that makes it sets its slots (a dict subclass with no __init__ of
+    its own is made in half the time)."""
+
+    __slots__ = ("meter", "trail", "at")
+
+    def __missing__(self, key: int) -> int:
+        self.meter[0](1, "function table candidate")
+        self[key] = 0
+        self.trail.append((self, key, self.at[0]))
+        return 0
 
 
 def _eso_plan(sentence: EsoSentence, sig: Signature
@@ -50,14 +70,15 @@ def _eso_plan(sentence: EsoSentence, sig: Signature
     result decides it, by table search, on any structure of the signature,
     spending from the budget each run is given (the default check budget
     when None)."""
+    _check_eso(sentence)
     fns = sentence.functions
     check_symbols(sentence.matrix, sig, extra_fns=dict(fns))
-    syms = _Symbols(name for name, _ in fns)
+    syms = _Symbols()
     slots = [syms.slot("extra", name) for name, _ in fns]
     prefix = sentence.prefix
     check = _compile_fo(sentence.matrix, tuple(v for _, v in prefix), syms,
                         "first-order evaluation")
-    values, meter, trail = syms.values, syms.meter, syms.trail
+    values, meter = syms.values, syms.meter
     # the leading universals are the instances; the rest loop per instance
     lead = next((i for i, (q, _) in enumerate(prefix) if q == "exists"),
                 len(prefix))
@@ -66,14 +87,15 @@ def _eso_plan(sentence: EsoSentence, sig: Signature
 
     def run(struct: Structure, budget: Budget | None = None) -> bool:
         syms.bind(struct, _budget_or(budget, default_check_budget))
+        trail, at = [], [0]  # the entries set, in order; the instance
         for k in slots:
-            values[k] = _Table(syms)
-        trail.clear()
+            values[k] = table = _Table()
+            table.meter, table.trail, table.at = meter, trail, at
         n = struct.size
         env = [0] * len(prefix)
         instance, count, top = 0, n ** lead, n - 1
         while instance < count:
-            syms.instance = instance
+            at[0] = instance
             if check(env):
                 instance += 1
                 for i in range(lead - 1, -1, -1):  # the next instance

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import ShapeError
 from .syntax import (
-    DepAtom, EsoSentence, Forall, Formula, _json_record, free_vars,
+    DepAtom, EsoSentence, Forall, Formula, _check_eso, _json_record, free_vars,
     iter_subformulas, satisfies_star, single_quantification,
 )
 
@@ -119,6 +119,7 @@ def classify_eso(s: EsoSentence) -> FragmentReport:
     first-order quantifiers fits the exists* classes, so that flag is
     always true.
     """
+    _check_eso(s)
     arity = max((a for _, a in s.functions), default=0)
     m = sum(1 for kind, _ in s.prefix if kind == "forall")
     snf = all(kind == "forall" for kind, _ in s.prefix)

@@ -345,6 +345,13 @@ class EsoSentence:
         _check_prenex(self.prefix, self.matrix, (), arities)
 
 
+def _check_eso(s) -> None:
+    """The input check of every function-sentence entry: ShapeError unless
+    ``s`` is an EsoSentence."""
+    if not isinstance(s, EsoSentence):
+        raise ShapeError(f"not a function sentence: {s!r}")
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 # ---------------------------------------------------------------------------
@@ -702,6 +709,7 @@ def render_formula(f: Formula) -> str:
 
 
 def render_eso(s: EsoSentence) -> str:
+    _check_eso(s)
     heads = [f"exists fn {n}/{a}. " for n, a in s.functions]
     heads.extend(f"{k} {v}. " for k, v in s.prefix)
     return _render(heads, s.matrix, (Exists, Forall) if heads else _COMPOUND)
@@ -860,6 +868,7 @@ def symbols_of(f: Formula) -> set[str]:
 
 
 def eso_symbols(s: EsoSentence) -> set[str]:
+    _check_eso(s)
     out = {n for n, _ in s.functions}
     out.update(v for _, v in s.prefix)
     out |= symbols_of(s.matrix)
@@ -883,6 +892,7 @@ def function_patterns(s: EsoSentence) -> dict[str, list[tuple[Term, ...]]]:
 
     Functions with no occurrence map to an empty list.
     """
+    _check_eso(s)
     return _call_shapes(s.matrix, [n for n, _ in s.functions])
 
 

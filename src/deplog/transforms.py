@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .syntax import (
     FALSE, TRUE, And, App, DepAtom, Equal, EsoSentence, Exists, Forall,
-    Formula, Term, Var, _as_tuple, _call_shapes, _check_prenex,
+    Formula, Term, Var, _as_tuple, _call_shapes, _check_eso, _check_prenex,
     _distinct_var_tuple, _pairs, _rebuild, _wrap_prefix, and_chain,
     eso_symbols, free_vars, fresh_var, function_patterns, is_quantifier_free,
     iter_subformulas, iter_terms, or_chain, prenex_split, replace_terms,
@@ -290,6 +290,7 @@ def d_to_eso(f: Formula) -> EsoSentence:
 def skolemize_prefix_existentials(s: EsoSentence) -> EsoSentence:
     """Remove first-order existentials: each becomes a quantified function
     applied to the universals quantified before it."""
+    _check_eso(s)
     if all(kind == "forall" for kind, _ in s.prefix):
         return s
     used = eso_symbols(s)
@@ -329,6 +330,7 @@ def star_normalize(s: EsoSentence) -> EsoSentence:
        ~(p1_1 = pi_1) | ... | ~(p1_m = pi_m) | f(p1) = fi(pi)
        conjoined, forcing fi to agree with f wherever it is applied.
     """
+    _check_eso(s)
     outer_universals = {v for kind, v in s.prefix if kind == "forall"}
     if satisfies_star(s) and all(
             a.name in outer_universals
@@ -455,6 +457,7 @@ def snf_to_star(s: EsoSentence) -> EsoSentence:
     Otherwise every function arity must be at most k, or no canonical
     shape over the prefix exists.
     """
+    _check_eso(s)
     if any(kind != "forall" for kind, _ in s.prefix):
         raise ShapeError("prefix must be purely universal; skolemize the "
                          "existentials first")

@@ -9,6 +9,7 @@ import pathlib
 import pytest
 
 import deplog
+from deplog import fo_eval
 
 # every layer module but cli, whose one public name is its entry point
 LAYERS = ("errors", "budget", "syntax", "transforms", "fragments", "structures",
@@ -50,9 +51,21 @@ _TREE_ENTRIES = {
     "sentence_value": lambda f: deplog.sentence_value(_STRUCT, f),
     "equiv_check": lambda f: deplog.equiv_check(f, _SENTENCE, _SIG, 1),
 }
+# every public function-sentence entry, and what is no function sentence
+_ESO_ENTRIES = {
+    "eso_satisfies": lambda s: deplog.eso_satisfies(_STRUCT, s),
+    **{name: getattr(deplog, name) for name in (
+        "render_eso", "classify_eso", "eso_symbols", "function_patterns",
+        "satisfies_star", "skolemize_prefix_existentials", "star_normalize",
+        "eso_to_d", "snf_to_star", "deskolemize_functions")},
+}
+_NOT_ESO = {"dependence-formula": deplog.parse_formula(
+    "forall x. exists y. =(x, y) & P(y)", _SIG), "none": None}
 MALFORMED_CALLS = [
     *(pytest.param(lambda entry=entry, f=f: entry(f), id=f"{name}-{tree}")
       for name, entry in _TREE_ENTRIES.items() for tree, f in _BAD_TREES.items()),
+    *(pytest.param(lambda entry=entry, s=s: entry(s), id=f"{name}-{kind}")
+      for name, entry in _ESO_ENTRIES.items() for kind, s in _NOT_ESO.items()),
     *(pytest.param(lambda rows=rows: deplog.satisfies(
         _STRUCT, deplog.Team(("x",), rows), deplog.RelAtom("P", (_X,))), id=f"Team-{kind}")
       for kind, rows in (("str", {("a",)}), ("bool", {(True,)}), ("list", [[[0]]]))),
@@ -106,7 +119,7 @@ def test_malformed_library_input_is_a_deplog_error(call):
 
 
 def test_malformed_library_input_cases():
-    assert len(MALFORMED_CALLS) == 8 * 4 + 3 + 6 + 4 + 18
+    assert len(MALFORMED_CALLS) == 8 * 4 + 11 * 2 + 3 + 6 + 4 + 18
 
 
 def test_budgeted_entries_default_to_none_and_are_pinned():
@@ -154,3 +167,7 @@ def test_evaluators_share_no_search_core():
     both = {name for name, found in imports.items()
             if {"eso_eval", "team_eval"} <= found}
     assert both - {"__init__"} == {"harness"}, both
+    # the table search keeps its state in eso_eval: the compiler's symbol
+    # table holds the symbols' values, their slots and the meter, no more
+    assert not hasattr(fo_eval, "_Table")
+    assert set(vars(fo_eval._Symbols())) == {"values", "slots", "meter"}

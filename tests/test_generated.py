@@ -141,12 +141,12 @@ ORACLE_TABLES = 3 ** 6
 
 @st.composite
 def _eso_sentences(draw, n):
-    """Sentences with 0-2 functions of arity 0-2, as many as keep the
+    """Sentences with 0-2 functions of arity 0-3, as many as keep the
     tables at size ``n`` within ORACLE_TABLES, and 1-3 prefix variables,
     so that the table search resumes past the first instance."""
     fns, entries = [], 0
     for i in range(draw(st.integers(0, 2))):
-        arities = [a for a in (0, 1, 2) if n ** (entries + n ** a) <= ORACLE_TABLES]
+        arities = [a for a in (0, 1, 2, 3) if n ** (entries + n ** a) <= ORACLE_TABLES]
         a = draw(st.sampled_from(arities))
         fns.append((f"f{i}", a))
         entries += n ** a

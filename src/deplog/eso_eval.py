@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .budget import Budget, _budget_or, default_check_budget
-from .fo_eval import _PlanCache, _Symbols, _compile_fo, _quantifier_loop
+from .fo_eval import _PlanCache, _Symbols, _compile_fo
 from .structures import Structure
 from .syntax import EsoSentence, Signature, _check_eso, check_symbols
 
@@ -76,14 +76,12 @@ def _eso_plan(sentence: EsoSentence, sig: Signature
     syms = _Symbols()
     slots = [syms.slot("extra", name) for name, _ in fns]
     prefix = sentence.prefix
-    check = _compile_fo(sentence.matrix, tuple(v for _, v in prefix), syms,
-                        "first-order evaluation")
-    values, meter = syms.values, syms.meter
     # the leading universals are the instances; the rest loop per instance
     lead = next((i for i, (q, _) in enumerate(prefix) if q == "exists"),
                 len(prefix))
-    for i in reversed(range(lead, len(prefix))):
-        check = _quantifier_loop(i, prefix[i][0] == "exists", check, values)
+    check = _compile_fo(sentence.matrix, tuple(v for _, v in prefix[:lead]),
+                        syms, "first-order evaluation", prefix[lead:])
+    values, meter = syms.values, syms.meter
 
     def run(struct: Structure, budget: Budget | None = None) -> bool:
         syms.bind(struct, _budget_or(budget, default_check_budget))
@@ -92,7 +90,7 @@ def _eso_plan(sentence: EsoSentence, sig: Signature
             values[k] = table = _Table()
             table.meter, table.trail, table.at = meter, trail, at
         n = struct.size
-        env = [0] * len(prefix)
+        env = [0] * lead
         instance, count, top = 0, n ** lead, n - 1
         while instance < count:
             at[0] = instance

@@ -1,26 +1,41 @@
 """Classical first-order evaluation: the compiler both evaluators run.
 
 The package's one classical evaluator, with no public entry: the ESO plan
-runs it on the matrix, the team evaluator on dependence-free subformulas
-row by row (so satisfies on a one-row team is classical satisfaction).
-It imports neither evaluator, so their two searches share no code.
+runs it on the prefix after the leading universals and the matrix, the
+team evaluator on dependence-free subformulas row by row (so satisfies on
+a one-row team is classical satisfaction).  It imports neither evaluator,
+so their two searches share no code.
 
-A formula is compiled once into closures over a slot-indexed environment
-(a list, or a team row tuple): each variable is resolved to its slot (by
+A formula is compiled once into straight-line Python: _Gen writes the
+source of one function of an environment (a list, or a team row tuple),
+with a for loop per quantifier, a flat run of if blocks per chain of one
+connective, tuple membership for relations and flat-table reads for
+functions, each application in a temporary of its own, and _load compiles
+that text once, whatever formula it came from.  The text holds slot
+numbers and integers only: each variable is resolved to its slot (by
 _scope, which the team evaluator shares), each quantifier gets a slot of
-its own, and each relation, function and constant to a slot of a _Symbols
+its own, and each relation, function and constant a slot of a _Symbols
 table that is refilled per structure, so a compiled formula runs on
-another structure without being walked again.  The table also holds the
-spend method of the budget a run charges, set with the structure, so a
+another structure without being compiled again, and a renamed sentence
+runs the same code.  A quantifier nest or a block nest deeper than
+CPython compiles is split into functions of their own.  Every function
+application reads its table at the flat lexicographic index of its
+arguments, as a Structure stores it; the table of a quantified function
+(the ESO plan's "extra" ones) is whatever the caller puts in its slot,
+and the search over those tables, with all its state, lives in eso_eval.
+
+The table also holds the run's budget, set with the structure, so a
 compiled formula spends from whichever budget runs it.  Each caller
-charges that budget under its own context, one unit per node visited:
+charges it under its own context, one unit per node visited:
 "first-order evaluation" for the ESO plan and "row evaluation" for the
-team plan.  Every function application reads its table at the flat
-lexicographic index of its arguments, as a Structure stores it; the table
-of a quantified function (the ESO plan's "extra" ones) is whatever the
-caller puts in its slot, and the search over those tables, with all its
-state, lives in eso_eval.  _PlanCache keeps the compiled plans of both
-evaluators' one-shot entries for reuse across calls.
+team plan.  A generated call counts its units and spends them in one call
+of the budget's spend (a subclass sees every unit) when it returns and
+before each read of a quantified function's table, which spends on its
+own; at each quantifier step it checks the count against the budget's
+room, and spends the unit that passes it as soon as it does, so every
+tally and abort is the one a unit-by-unit count gives.  _PlanCache keeps
+the compiled plans of both evaluators' one-shot entries for reuse across
+calls.
 """
 
 from __future__ import annotations
@@ -38,9 +53,8 @@ from .syntax import (
 
 __all__: list[str] = []
 
-# a compiled formula or term, called on a slot-indexed environment
+# a compiled formula, called on a slot-indexed environment
 _Check = Callable[[Sequence[int]], bool]
-_Value = Callable[[Sequence[int]], int]
 
 
 def _scope(vars: tuple[str, ...]) -> dict[str, int]:
@@ -49,18 +63,18 @@ def _scope(vars: tuple[str, ...]) -> dict[str, int]:
 
 
 class _Symbols:
-    """The symbols compiled closures read, one slot each in ``values``;
-    slot 0 holds the domain size.  ``bind`` refills the slots from a
-    structure and puts the spend method of the run's budget in ``meter``,
-    a one-item list that the closures call through (an index is cheaper
-    than an attribute there).  The slots of "extra" functions (quantified
-    ones, absent from the structure) are reserved and filled by the
-    caller."""
+    """The symbols compiled code reads, one slot each in ``values``; slot
+    0 holds the domain size.  ``bind`` refills the slots from a structure
+    and puts the run's budget in ``meter``, a two-item list of its spend
+    method and the budget itself, which the code reads through (an index
+    is cheaper than an attribute there).  The slots of "extra" functions
+    (quantified ones, absent from the structure) are reserved and filled
+    by the caller."""
 
     def __init__(self):
         self.values: list = [0]
         self.slots: dict[tuple[str, str], int] = {}
-        self.meter: list[Callable[[int, str], None] | None] = [None]
+        self.meter: list = [None, None]
 
     def slot(self, table: str, name: str) -> int:
         """Slot of a relation, function, constant or extra function
@@ -75,10 +89,10 @@ class _Symbols:
         """Drop what ``bind`` and the caller filled in: the structure's
         tables, the quantified functions' tables and the budget."""
         self.values[1:] = [None] * (len(self.values) - 1)
-        self.meter[0] = None
+        self.meter[:] = None, None
 
     def bind(self, struct: Structure, budget: Budget) -> None:
-        self.meter[0] = budget.spend
+        self.meter[:] = budget.spend, budget
         values = self.values
         values[0] = struct.size
         for (table, name), i in self.slots.items():
@@ -86,135 +100,272 @@ class _Symbols:
                 values[i] = getattr(struct, table)[name]
 
 
-def _compile_term(t: Term, scope: dict[str, int], syms: _Symbols) -> _Value:
-    """A term as a closure; a function's arguments index its flat table in
-    lexicographic order, the first argument most significant, and a name
-    with a reserved "extra" slot is read from that slot."""
-    if isinstance(t, Var):
-        return itemgetter(scope[t.name])
-    values = syms.values
-    if isinstance(t, Const):
-        k = syms.slot("constants", t.name)
-        return lambda env: values[k]
-    if not isinstance(t, App):
-        raise ShapeError(f"not a term: {t!r}")
-    k = syms.slots.get(("extra", t.fn)) or syms.slot("functions", t.fn)
-    args = []
-    for a in t.args:
-        args.append(_compile_term(a, scope, syms))
-    if not args:
-        return lambda env: values[k][0]
-    if len(args) == 1:
-        a0, = args
-        return lambda env: values[k][a0(env)]
-    if len(args) == 2:
-        a0, a1 = args
-        return lambda env: values[k][a0(env) * values[0] + a1(env)]
-
-    def app(env):
-        n, idx = values[0], 0
-        for a in args:
-            idx = idx * n + a(env)
-        return values[k][idx]
-    return app
+# the most loops (static blocks: CPython allows 20) and indentation levels
+# (it allows 100) one generated function nests; a deeper node is written
+# as a function of its own
+_MAX_LOOPS = 16
+_MAX_INDENT = 40
+# when the count c has passed the room R, spend the unit that passes the
+# budget's limit (the first unit when the budget is already past it)
+_ABORT = "if c > R: M[0](R + 1 if R > 0 else 1, X)"
+_RETURN = "M[0](c if c <= R else R + 1 if R > 0 else 1, X)"
+# generated factories kept, by source text
+_CODE_CACHE_SIZE = 256
+_CODE: dict[str, Callable] = {}
+_CODE_LOCK = threading.Lock()
 
 
-def _compile_terms(ts: Sequence[Term], scope: dict[str, int],
-                   syms: _Symbols) -> Callable[[Sequence[int]], tuple]:
-    """A tuple of terms as one closure returning the tuple of values."""
-    if all(isinstance(t, Var) for t in ts):
-        return _getter([scope[t.name] for t in ts])
-    fns = [_compile_term(t, scope, syms) for t in ts]
-    if len(fns) == 1:
-        f0, = fns
-        return lambda env: (f0(env),)
-    if len(fns) == 2:
-        f0, f1 = fns
-        return lambda env: (f0(env), f1(env))
-    return lambda env: tuple([f(env) for f in fns])
+def _load(src: str) -> Callable:
+    """The factory ``_make`` that ``src`` defines, compiled once per text;
+    the code sees no builtin but ``range``."""
+    make = _CODE.get(src)
+    if make is None:
+        ns = {"__builtins__": {}, "range": range}
+        exec(compile(src, "<fo_eval>", "exec"), ns)
+        make = ns["_make"]
+        with _CODE_LOCK:
+            _CODE[src] = make
+            if len(_CODE) > _CODE_CACHE_SIZE:
+                del _CODE[next(iter(_CODE))]
+    return make
+
+
+class _Gen:
+    """Writes the source of one compiled formula or term tuple: a factory
+    ``_make(V, M, X)`` of the symbols' values, the meter and the spend
+    context, returning the entry ``_f0(E)`` (E the environment) and
+    defining the functions split off it.  The text names only the
+    generator's own locals and slots, v<slot> for variables, w<n> for
+    terms and V[<slot>] for symbols, so no input name reaches it.  A
+    formula's code sets t to its truth and counts in c one unit per node
+    it visits, in the order it visits them."""
+
+    def __init__(self, syms: _Symbols, width: int):
+        self.syms = syms
+        self.width = width  # variable slots taken
+        self.defs: list[list[str]] = []  # the functions split off
+        self.temps = 0
+        self.used: set[int] = set()  # variable slots read
+        # the function being written: its lines, the units not yet written
+        # (counted at indentation pind), whether it reads the domain size
+        # and a quantified function's table
+        self.body: list[str] = []
+        self.pending = self.pind = 0
+        self.wide = self.reads = False
+
+    def line(self, ind: int, text: str) -> None:
+        if self.pending:
+            self.body.append(f"{' ' * self.pind}c += {self.pending}")
+            self.pending = 0
+        self.body.append(" " * ind + text)
+
+    def unit(self, ind: int) -> None:
+        if self.pending and self.pind != ind:
+            self.body.append(f"{' ' * self.pind}c += {self.pending}")
+            self.pending = 0
+        self.pending += 1
+        self.pind = ind
+
+    def formula(self, f: Formula, scope: dict[str, int], ind: int, loops: int,
+                free: int = 0) -> None:
+        """Code at indentation ``ind``, inside ``loops`` loops, that sets t
+        to f's truth; the ``free`` outermost quantifiers of f count no
+        unit."""
+        quantifier = isinstance(f, (Exists, Forall))
+        if ind >= _MAX_INDENT or quantifier and loops >= _MAX_LOOPS:
+            self.split(f, scope, ind, free)
+        elif isinstance(f, (And, Or)):
+            self.chain(f, scope, ind, loops)
+        elif quantifier:
+            if not free:
+                self.unit(ind)
+            i = self.width
+            self.width += 1
+            self.wide = True
+            self.line(ind, f"for v{i} in range(N):")
+            self.line(ind + 1, _ABORT)
+            self.formula(f.body, {**scope, f.var: i}, ind + 1, loops + 1,
+                         max(free - 1, 0))
+            self.line(ind + 1, "if t: break" if isinstance(f, Exists)
+                      else "if not t: break")
+        elif isinstance(f, RelAtom):
+            self.unit(ind)
+            k = self.syms.slot("relations", f.rel)
+            args = [self.term(a, scope, ind) for a in f.args]
+            row = ", ".join(args) + ("," if len(args) == 1 else "")
+            self.line(ind, f"t = ({row}) {'not in' if f.negated else 'in'} V[{k}]")
+        elif isinstance(f, Equal):
+            self.unit(ind)
+            left = self.term(f.left, scope, ind)
+            right = self.term(f.right, scope, ind)
+            self.line(ind, f"t = {left} {'!=' if f.negated else '=='} {right}")
+        elif isinstance(f, Bool):
+            self.unit(ind)
+            self.line(ind, f"t = {bool(f.value)}")
+        else:
+            raise ShapeError(f"cannot evaluate {f!r}")
+
+    def chain(self, f: And | Or, scope: dict[str, int], ind: int,
+              loops: int) -> None:
+        """A chain of one connective, left or right nested, written flat:
+        each link's unit where the link is visited, and each right side in
+        a block of its own at one indentation more, which runs while the
+        chain is undecided (t true for And, false for Or)."""
+        kind = And if isinstance(f, And) else Or
+        guard = "if t:" if kind is And else "if not t:"
+        at = ind
+        todo: list = [f]
+        while todo:
+            g = todo.pop()
+            if g is None:
+                self.line(ind, guard)
+                at = ind + 1
+            elif isinstance(g, kind):
+                self.unit(at)
+                todo += (g.right, None, g.left)
+            else:
+                self.formula(g, scope, at, loops)
+
+    def split(self, f: Formula, scope: dict[str, int], ind: int,
+              free: int) -> None:
+        """f as a function of its own, called with the slots in scope once
+        the units counted so far are spent, so that its room is right."""
+        self.line(ind, _ABORT)
+        self.line(ind, "M[0](c, X)")
+        slots = sorted(set(scope.values()))
+        self.used.update(slots)
+        params = ", ".join(f"v{i}" for i in slots)
+        outer = self.body, self.wide, self.reads
+        self.body, self.wide, self.reads = [], False, False
+        self.formula(f, scope, 1, 0, free)
+        name = f"_f{len(self.defs) + 1}"
+        self.function(name, params, "t", True)
+        self.body, self.wide, self.reads = outer
+        self.line(ind, f"t = {name}({params})")
+        self.line(ind, "R = B.limit - B.spent")
+        self.line(ind, "c = 0")
+
+    def term(self, t: Term, scope: dict[str, int], ind: int) -> str:
+        """Write the temporaries that compute t, each argument list left to
+        right before its application; the expression of t's value."""
+        out: list[str] = []
+        todo: list = [(t, False)]
+        while todo:
+            u, ready = todo.pop()
+            if isinstance(u, Var):
+                i = scope[u.name]
+                self.used.add(i)
+                out.append(f"v{i}")
+            elif isinstance(u, Const):
+                out.append(f"V[{self.syms.slot('constants', u.name)}]")
+            elif not isinstance(u, App):
+                raise ShapeError(f"not a term: {u!r}")
+            elif not ready:
+                todo.append((u, True))
+                todo += [(a, False) for a in reversed(u.args)]
+            else:
+                cut = len(out) - len(u.args)
+                args = out[cut:]
+                del out[cut:]
+                out.append(self.app(u.fn, args, ind))
+        return out[0]
+
+    def app(self, fn: str, args: list[str], ind: int) -> str:
+        """Read fn's table at the flat lexicographic index of ``args``, the
+        first most significant; a quantified function's (one with a
+        reserved "extra" slot) after spending the units counted so far when
+        the entry is absent, since reading it then spends on its own."""
+        extra = self.syms.slots.get(("extra", fn))
+        k = extra or self.syms.slot("functions", fn)
+        w = f"w{self.temps}"
+        self.temps += 1
+        index = args[0] if args else "0"
+        if len(args) > 1:
+            self.wide = True
+            index = f"{index} * N + {args[1]}"
+        if len(args) > 2:
+            self.line(ind, f"{w} = {index}")
+            for a in args[2:]:
+                self.line(ind, f"{w} = {w} * N + {a}")
+            index = w
+        if extra is None:
+            self.line(ind, f"{w} = V[{k}][{index}]")
+            return w
+        self.reads = True
+        if " " in index:
+            self.line(ind, f"{w} = {index}")
+            index = w
+        self.line(ind, f"if {index} in V[{k}]: {w} = V[{k}][{index}]")
+        self.line(ind, "else:")
+        self.line(ind + 1, _ABORT)
+        self.line(ind + 1, "M[0](c, X)")
+        self.line(ind + 1, f"{w} = V[{k}][{index}]")
+        self.line(ind + 1, "R = B.limit - B.spent")
+        self.line(ind + 1, "c = 0")
+        return w
+
+    def function(self, name: str, params: str, result: str, budget: bool,
+                 entry: Sequence[str] = ()) -> None:
+        """Close the body as the function ``name`` of ``params``, with the
+        prologue it needs (the ``entry`` loads last), returning
+        ``result``; a formula's (``budget``) spends its count first."""
+        body = self.body
+        head = [f" def {name}({params}):"]
+        if self.wide:
+            head.append("  N = V[0]")
+        if budget:
+            self.line(1, "if c: " + _RETURN if self.reads else _RETURN)
+            head += ["  B = M[1]", "  R = B.limit - B.spent"]
+            if body[0].startswith(" c += "):
+                body[0] = " c = " + body[0][6:]
+            else:
+                head.append("  c = 0")
+        head += [f" {s}" for s in entry]
+        self.defs.append(head + [f" {s}" for s in body] + [f"  return {result}"])
+
+    def source(self, entry: Sequence[str], result: str, budget: bool) -> str:
+        """The factory's text, with the body written last as _f0."""
+        self.function("_f0", "E", result, budget, entry)
+        return "\n".join(["def _make(V, M, X):", *(s for d in self.defs for s in d),
+                          " return _f0", ""])
+
+
+def _entry(vars: tuple[str, ...], used: set[int]) -> list[str]:
+    """The loads of the read slots of the environment E."""
+    slots = sorted(i for i in used if i < len(vars))
+    if slots and len(slots) == len(vars):
+        return [f" {', '.join(f'v{i}' for i in slots)}, = E"]
+    return [f" v{i} = E[{i}]" for i in slots]
 
 
 def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
-                context: str) -> _Check:
-    """A dependence-free formula as a closure over an environment holding
-    the values of ``vars`` in order (a list or a tuple).  Every node visited
-    spends one unit of the bound budget under ``context``."""
-    values, meter = syms.values, syms.meter
-    width = len(vars)
-
-    def comp(f: Formula, scope: dict[str, int]) -> _Check:
-        nonlocal width
-        if isinstance(f, RelAtom):
-            k = syms.slot("relations", f.rel)
-            args = _compile_terms(f.args, scope, syms)
-            if f.negated:
-                def check(env):
-                    meter[0](1, context)
-                    return args(env) not in values[k]
-            else:
-                def check(env):
-                    meter[0](1, context)
-                    return args(env) in values[k]
-        elif isinstance(f, Equal):
-            left = _compile_term(f.left, scope, syms)
-            right = _compile_term(f.right, scope, syms)
-            if f.negated:
-                def check(env):
-                    meter[0](1, context)
-                    return left(env) != right(env)
-            else:
-                def check(env):
-                    meter[0](1, context)
-                    return left(env) == right(env)
-        elif isinstance(f, Bool):
-            value = f.value
-
-            def check(env):
-                meter[0](1, context)
-                return value
-        elif isinstance(f, And):
-            left, right = comp(f.left, scope), comp(f.right, scope)
-
-            def check(env):
-                meter[0](1, context)
-                return left(env) and right(env)
-        elif isinstance(f, Or):
-            left, right = comp(f.left, scope), comp(f.right, scope)
-
-            def check(env):
-                meter[0](1, context)
-                return left(env) or right(env)
-        elif isinstance(f, (Exists, Forall)):
-            # a slot of its own, so a rebinding leaves the outer value alone
-            i = width
-            width += 1
-            loop = _quantifier_loop(i, isinstance(f, Exists),
-                                    comp(f.body, {**scope, f.var: i}), values)
-
-            def check(env):
-                meter[0](1, context)
-                return loop(env)
-        else:
-            raise ShapeError(f"cannot evaluate {f!r}")
-        return check
-
-    check = comp(f, _scope(vars))
-    if width == len(vars):
-        return check
-    pad = (0,) * (width - len(vars))
-    return lambda env: check([*env, *pad])
+                context: str, loops: Sequence[tuple[str, str]] = ()) -> _Check:
+    """A dependence-free formula as a function of an environment holding
+    the values of ``vars`` in order (a list or a tuple), run inside the
+    ``loops``, (quantifier, variable) pairs that count nothing.  Every node
+    of f visited spends one unit of the bound budget under ``context``."""
+    for q, v in reversed(loops):
+        f = (Exists if q == "exists" else Forall)(v, f)
+    gen = _Gen(syms, len(vars))
+    gen.formula(f, _scope(vars), 1, 0, len(loops))
+    src = gen.source(_entry(vars, gen.used), "t", True)
+    return _load(src)(syms.values, syms.meter, context)
 
 
-def _quantifier_loop(i: int, want: bool, body: _Check, values: list) -> _Check:
-    """An existential (want True) or universal quantifier over slot i;
-    spends nothing of its own."""
-    def check(env):
-        for a in range(values[0]):
-            env[i] = a
-            if body(env) == want:
-                return want
-        return not want
-    return check
+def _compile_terms(ts: Sequence[Term], vars: tuple[str, ...], syms: _Symbols,
+                   bare: bool = False) -> Callable[[Sequence[int]], object]:
+    """Terms as a function of a row returning the tuple of their values,
+    or the one term's value when ``bare``.  A team's terms read no
+    quantified function, so they spend nothing."""
+    scope = _scope(vars)
+    if all(isinstance(t, Var) for t in ts):
+        slots = [scope[t.name] for t in ts]
+        return itemgetter(*slots) if bare else _getter(slots)
+    gen = _Gen(syms, len(vars))
+    out = [gen.term(t, scope, 1) for t in ts]
+    result = out[0] if bare else f"({', '.join(out)},)"
+    src = gen.source(_entry(vars, gen.used), result, False)
+    return _load(src)(syms.values, syms.meter, "")
 
 
 # Plans a _PlanCache keeps.  A cached plan serves only a call that passes

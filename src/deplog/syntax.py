@@ -164,12 +164,18 @@ _COMPOUND = (And, Or, Exists, Forall)
 
 def and_chain(parts: list[Formula]) -> Formula:
     """Left-fold a list into a conjunction (single item unchanged, empty
-    list TRUE)."""
-    return reduce(And, parts) if parts else TRUE
+    list TRUE); anything but a list or tuple is a ShapeError."""
+    return reduce(And, parts) if _parts(parts) else TRUE
 
 
 def or_chain(parts: list[Formula]) -> Formula:
-    return reduce(Or, parts) if parts else FALSE
+    return reduce(Or, parts) if _parts(parts) else FALSE
+
+
+def _parts(parts) -> bool:
+    if not isinstance(parts, (list, tuple)):
+        raise ShapeError(f"not a list of formulas: {parts!r}")
+    return bool(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +593,8 @@ def _read_text(text: str, eso: bool) -> tuple[_Parser, Formula, dict[str, int] |
     "exists fn" functions (name -> arity; None for a formula text).  Only
     function applications recurse; nesting them deeper than the recursion
     limit allows (about 490 levels) is a ParseError."""
+    if not isinstance(text, str):
+        raise ShapeError(f"formula text must be a string, got {text!r}")
     p = _Parser(text)
     fns: dict[str, int] | None = {} if eso else None
     while eso and p.at("exists") and p.at("fn", 1):

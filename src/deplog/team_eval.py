@@ -94,9 +94,7 @@ from typing import Callable, Iterator
 
 from .budget import Budget, _budget_or, default_check_budget
 from .errors import ShapeError
-from .fo_eval import (
-    _PlanCache, _Symbols, _compile_fo, _compile_term, _compile_terms, _scope,
-)
+from .fo_eval import _PlanCache, _Symbols, _compile_fo, _compile_terms, _scope
 from .structures import Structure, Team
 from .syntax import (
     And, DepAtom, Exists, Forall, Formula, Or, Signature, Var, check_symbols,
@@ -271,9 +269,8 @@ class _TeamPlan:
                     atoms.append(g)
             else:
                 others.append(g)
-        scope = _scope(vars)
-        tests = [(_compile_terms(g.terms[:-1], scope, self.syms),
-                  _compile_term(g.terms[-1], scope, self.syms), {})
+        tests = [(_compile_terms(g.terms[:-1], vars, self.syms),
+                  _compile_terms(g.terms[-1:], vars, self.syms, True), {})
                  for g in atoms]
         row_oks = [_compile_fo(g, vars, self.syms, "row evaluation")
                    for g in free]

@@ -267,6 +267,8 @@ def skolemize_normal_form(nf: NormalFormD) -> EsoSentence:
     the sentence holds exactly when some function f supplies the value:
     every occurrence of y becomes f(z1, ..., zm).
     """
+    if not isinstance(nf, NormalFormD):
+        raise ShapeError(f"not a normal form: {nf!r}")
     used = {v for _, v in nf.prefix}
     used.update(nf.bound_vars)
     used |= symbols_of(nf.matrix)

@@ -22,9 +22,10 @@ are too many to enumerate is still decided when the search needs few of
 their entries.
 
 An ESO sentence is compiled once, by fo_eval's classical compiler: the
-prefix after the leading universals into nested loops over its variables'
-slots and the matrix into one closure, which reads a quantified function's
-table as it reads a structure's, at the flat index of the arguments. The
+prefix after the leading universals (loops that spend nothing) and the
+matrix into one generated function of an instance, which reads a
+quantified function's table as it reads a structure's, at the flat index
+of the arguments, spending the units it counted before each read. The
 search's state stays here: each run puts an empty _Table in each such
 function's slot, and the tables share the run's trail and instance.
 _eso_plan is the one entry that builds that plan, after checking the

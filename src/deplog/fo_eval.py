@@ -154,17 +154,20 @@ class _Gen:
         self.wide = self.reads = False
 
     def line(self, ind: int, text: str) -> None:
-        if self.pending:
-            self.body.append(f"{' ' * self.pind}c += {self.pending}")
-            self.pending = 0
+        self.count()
         self.body.append(" " * ind + text)
 
     def unit(self, ind: int) -> None:
-        if self.pending and self.pind != ind:
-            self.body.append(f"{' ' * self.pind}c += {self.pending}")
-            self.pending = 0
+        if self.pind != ind:
+            self.count()
         self.pending += 1
         self.pind = ind
+
+    def count(self) -> None:
+        """Write the pending units where they were counted."""
+        if self.pending:
+            self.body.append(f"{' ' * self.pind}c += {self.pending}")
+            self.pending = 0
 
     def formula(self, f: Formula, scope: dict[str, int], ind: int, loops: int,
                 free: int = 0) -> None:

@@ -72,14 +72,15 @@ All of this is planned once per formula and root variables (_TeamPlan).
 Each quantifier appends a column of its own to the rows that reach it (a
 rebinding one too: its variable then names the newer column), so every
 subformula's columns are fixed at compile time. The plan holds one node
-per subformula: the compiled row predicates and atom terms of each check,
-and the options of each choice point. Deciding a team in another
+per subformula: the row predicates and atom terms of each check (Python
+functions of a row, which fo_eval writes) and the options of each choice
+point. Deciding a team in another
 structure then rebinds the structure's symbols and walks no syntax.
 _plan is the one entry that builds a plan: it first checks the formula's
 symbols against the signature and its free variables against the root
 variables. A plan takes its budget when it runs, not when it is built,
-and its closures spend through the symbol table's meter, which each run
-rebinds, so one plan serves any number of calls, each charging its own
+and its compiled code spends through the symbol table's meter, which
+each run rebinds, so one plan serves any number of calls, each charging its own
 budget.
 satisfies and sentence_truth take their plan from a small cache (at most
 4, by formula identity, team variables and signature contents; an

@@ -2,6 +2,7 @@
 names the grammar accepts that Python treats specially, and the input
 checks beside it."""
 
+import hashlib
 import itertools
 import re
 
@@ -10,15 +11,51 @@ import pytest
 from helpers import oracle_eso, oracle_fo
 from deplog import fo_eval
 from deplog.errors import ShapeError
-from deplog.eso_eval import eso_satisfies
+from deplog.eso_eval import _eso_plan, eso_satisfies
+from deplog.harness import corpus
 from deplog.structures import Structure, enumerate_structures
 from deplog.syntax import (
     FALSE, TRUE, EsoSentence, Signature, and_chain, or_chain, parse_eso,
     parse_eso_infer, parse_formula, parse_formula_infer,
 )
-from deplog.team_eval import satisfies, sentence_truth
+from deplog.team_eval import _plan as _team_plan, satisfies, sentence_truth
 from deplog.structures import Team
-from deplog.transforms import skolemize_normal_form, to_normal_form
+from deplog.transforms import (
+    d_to_eso, eso_to_d, skolemize_normal_form, to_normal_form,
+)
+
+
+@pytest.fixture
+def sources(monkeypatch):
+    """Every text fo_eval._load receives while the test runs, in order,
+    cache hits included."""
+    seen = []
+    load = fo_eval._load
+    monkeypatch.setattr(fo_eval, "_load", lambda src: seen.append(src) or load(src))
+    return seen
+
+
+# sha256 of every text fo_eval._load receives while the plans of the closed
+# corpus sentences and of their d_to_eso / eso_to_d images are built, in
+# corpus order; a change that rewrites the generated code on purpose
+# re-pins it and says why
+GENERATED_DIGEST = "bd1125494aab3d3e5155e9d5b2e8a5701c75009780e15496ea56312a8577204d"
+
+
+def test_generated_code_pinned(sources):
+    for item in corpus():
+        if item.team_vars:
+            continue
+        s = item.parsed()
+        for t in (s, d_to_eso(s) if item.kind == "D" else eso_to_d(s)):
+            if isinstance(t, EsoSentence):
+                _eso_plan(t, item.sig)
+            else:
+                _team_plan(t, (), item.sig)
+    h = hashlib.sha256()
+    for src in sources:
+        h.update(src.encode() + b"\0")
+    assert h.hexdigest() == GENERATED_DIGEST
 
 
 def test_deep_quantifier_nest_matches_oracle():

@@ -285,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the evaluator compilers recurse once per &/| chain link and, like
-        # replace_terms and term equality, once per level a pass nests a term
+        # the team compiler recurses once per | link that holds a dependence
+        # atom, and replace_terms and term equality once per term level
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
 

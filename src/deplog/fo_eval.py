@@ -10,19 +10,22 @@ A formula is compiled once into straight-line Python: _Gen writes the
 source of one function of an environment (a list, or a team row tuple),
 with a for loop per quantifier, a flat run of if blocks per chain of one
 connective, tuple membership for relations and flat-table reads for
-functions, each application in a temporary of its own, and _load compiles
-that text once, whatever formula it came from.  The text holds slot
-numbers and integers only: each variable is resolved to its slot (by
-_scope, which the team evaluator shares), each quantifier gets a slot of
-its own, and each relation, function and constant a slot of a _Symbols
-table that is refilled per structure, so a compiled formula runs on
-another structure without being compiled again, and a renamed sentence
-runs the same code.  A quantifier nest or a block nest deeper than
-CPython compiles is split into functions of their own.  Every function
-application reads its table at the flat lexicographic index of its
-arguments, as a Structure stores it; the table of a quantified function
-(the ESO plan's "extra" ones) is whatever the caller puts in its slot,
-and the search over those tables, with all its state, lives in eso_eval.
+functions, each application in a temporary of its own, and _load
+compiles that text once while it is among the 256 texts used last,
+whatever formula it came from.  The text holds slot numbers and integers
+only: each variable is resolved to its slot (by _scope, which the team
+evaluator shares), each quantifier gets a slot of its own, and each
+relation, function and constant a slot of a _Symbols table that is
+refilled per structure, so a compiled formula runs on another structure
+without being compiled again, and a renamed sentence runs the same code.
+_Gen writes a formula in one loop over an explicit stack, so a nest of
+any depth is written without recursion; a quantifier nest or a block
+nest deeper than CPython compiles goes into functions of their own,
+split off in that same loop.  Every function application reads its table
+at the flat lexicographic index of its arguments, as a Structure stores
+it; the table of a quantified function (the ESO plan's "extra" ones) is
+whatever the caller puts in its slot, and the search over those tables,
+with all its state, lives in eso_eval.
 
 The table also holds the run's budget, set with the structure, so a
 compiled formula spends from whichever budget runs it.  Each caller
@@ -40,6 +43,7 @@ calls.
 
 from __future__ import annotations
 
+import functools
 import threading
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -49,6 +53,7 @@ from .errors import ShapeError
 from .structures import Structure, _getter
 from .syntax import (
     And, App, Bool, Const, Equal, Exists, Forall, Formula, Or, RelAtom, Term, Var,
+    _wrap_prefix,
 )
 
 __all__: list[str] = []
@@ -109,25 +114,16 @@ _MAX_INDENT = 40
 # budget's limit (the first unit when the budget is already past it)
 _ABORT = "if c > R: M[0](R + 1 if R > 0 else 1, X)"
 _RETURN = "M[0](c if c <= R else R + 1 if R > 0 else 1, X)"
-# generated factories kept, by source text
-_CODE_CACHE_SIZE = 256
-_CODE: dict[str, Callable] = {}
-_CODE_LOCK = threading.Lock()
 
 
+@functools.lru_cache(maxsize=256)
 def _load(src: str) -> Callable:
-    """The factory ``_make`` that ``src`` defines, compiled once per text;
-    the code sees no builtin but ``range``."""
-    make = _CODE.get(src)
-    if make is None:
-        ns = {"__builtins__": {}, "range": range}
-        exec(compile(src, "<fo_eval>", "exec"), ns)
-        make = ns["_make"]
-        with _CODE_LOCK:
-            _CODE[src] = make
-            if len(_CODE) > _CODE_CACHE_SIZE:
-                del _CODE[next(iter(_CODE))]
-    return make
+    """The factory ``_make`` that ``src`` defines, compiled once per text
+    while the text is among the 256 used last; the code sees no builtin
+    but ``range``."""
+    ns = {"__builtins__": {}, "range": range}
+    exec(compile(src, "<fo_eval>", "exec"), ns)
+    return ns["_make"]
 
 
 class _Gen:
@@ -173,80 +169,77 @@ class _Gen:
                 free: int = 0) -> None:
         """Code at indentation ``ind``, inside ``loops`` loops, that sets t
         to f's truth; the ``free`` outermost quantifiers of f count no
-        unit."""
-        quantifier = isinstance(f, (Exists, Forall))
-        if ind >= _MAX_INDENT or quantifier and loops >= _MAX_LOOPS:
-            self.split(f, scope, ind, free)
-        elif isinstance(f, (And, Or)):
-            self.chain(f, scope, ind, loops)
-        elif quantifier:
-            if not free:
-                self.unit(ind)
-            i = self.width
-            self.width += 1
-            self.wide = True
-            self.line(ind, f"for v{i} in range(N):")
-            self.line(ind + 1, _ABORT)
-            self.formula(f.body, {**scope, f.var: i}, ind + 1, loops + 1,
-                         max(free - 1, 0))
-            self.line(ind + 1, "if t: break" if isinstance(f, Exists)
-                      else "if not t: break")
-        elif isinstance(f, RelAtom):
-            self.unit(ind)
-            k = self.syms.slot("relations", f.rel)
-            args = [self.term(a, scope, ind) for a in f.args]
-            row = ", ".join(args) + ("," if len(args) == 1 else "")
-            self.line(ind, f"t = ({row}) {'not in' if f.negated else 'in'} V[{k}]")
-        elif isinstance(f, Equal):
-            self.unit(ind)
-            left = self.term(f.left, scope, ind)
-            right = self.term(f.right, scope, ind)
-            self.line(ind, f"t = {left} {'!=' if f.negated else '=='} {right}")
-        elif isinstance(f, Bool):
-            self.unit(ind)
-            self.line(ind, f"t = {bool(f.value)}")
-        else:
-            raise ShapeError(f"cannot evaluate {f!r}")
-
-    def chain(self, f: And | Or, scope: dict[str, int], ind: int,
-              loops: int) -> None:
-        """A chain of one connective, left or right nested, written flat:
+        unit.  One loop writes it, depth first, from a stack of nodes still
+        to write, lines that close a block and ends of split-off functions.
+        A chain of one connective, left or right nested, is written flat:
         each link's unit where the link is visited, and each right side in
-        a block of its own at one indentation more, which runs while the
-        chain is undecided (t true for And, false for Or)."""
-        kind = And if isinstance(f, And) else Or
-        guard = "if t:" if kind is And else "if not t:"
-        at = ind
-        todo: list = [f]
+        a block one indentation past the chain's guards, which runs while
+        the chain is undecided (t true for And, false for Or).  A node
+        nested deeper than CPython compiles is split off as a function of
+        its own, called with the slots in scope once the units counted so
+        far are spent, so that its room is right."""
+        # a node carries the chain it continues: (connective, guards'
+        # indentation), or None
+        todo: list = [(f, scope, ind, loops, free, None)]
         while todo:
-            g = todo.pop()
-            if g is None:
-                self.line(ind, guard)
-                at = ind + 1
-            elif isinstance(g, kind):
-                self.unit(at)
-                todo += (g.right, None, g.left)
+            item = todo.pop()
+            if isinstance(item, str):  # a line that closes a block, indented
+                self.line(0, item)
+                continue
+            if item[0] is None:  # the end of a split-off function
+                _, ind, params, outer = item
+                name = f"_f{len(self.defs) + 1}"
+                self.function(name, params, "t", True)
+                self.body, self.wide, self.reads = outer
+                self.line(ind, f"t = {name}({params})")
+                self.line(ind, "R = B.limit - B.spent")
+                self.line(ind, "c = 0")
+                continue
+            f, scope, ind, loops, free, chain = item
+            quantifier = isinstance(f, (Exists, Forall))
+            if chain is None or not isinstance(f, chain[0]):
+                if ind >= _MAX_INDENT or quantifier and loops >= _MAX_LOOPS:
+                    self.line(ind, _ABORT)
+                    self.line(ind, "M[0](c, X)")
+                    slots = sorted(set(scope.values()))
+                    self.used.update(slots)
+                    params = ", ".join(f"v{i}" for i in slots)
+                    todo += ((None, ind, params, (self.body, self.wide, self.reads)),
+                             (f, scope, 1, 0, free, None))
+                    self.body, self.wide, self.reads = [], False, False
+                    continue
+                chain = ((And if isinstance(f, And) else Or, ind)
+                         if isinstance(f, (And, Or)) else None)
+            if not (quantifier and free):
+                self.unit(ind)
+            if chain:
+                kind, at = chain
+                todo += ((f.right, scope, at + 1, loops, 0, chain),
+                         " " * at + ("if t:" if kind is And else "if not t:"),
+                         (f.left, scope, ind, loops, 0, chain))
+            elif quantifier:
+                i = self.width
+                self.width += 1
+                self.wide = True
+                self.line(ind, f"for v{i} in range(N):")
+                self.line(ind + 1, _ABORT)
+                todo += (" " * (ind + 1) + ("if t: break" if isinstance(f, Exists)
+                                            else "if not t: break"),
+                         (f.body, {**scope, f.var: i}, ind + 1, loops + 1,
+                          max(free - 1, 0), None))
+            elif isinstance(f, RelAtom):
+                k = self.syms.slot("relations", f.rel)
+                args = [self.term(a, scope, ind) for a in f.args]
+                row = ", ".join(args) + ("," if len(args) == 1 else "")
+                self.line(ind, f"t = ({row}) {'not in' if f.negated else 'in'} V[{k}]")
+            elif isinstance(f, Equal):
+                left = self.term(f.left, scope, ind)
+                right = self.term(f.right, scope, ind)
+                self.line(ind, f"t = {left} {'!=' if f.negated else '=='} {right}")
+            elif isinstance(f, Bool):
+                self.line(ind, f"t = {bool(f.value)}")
             else:
-                self.formula(g, scope, at, loops)
-
-    def split(self, f: Formula, scope: dict[str, int], ind: int,
-              free: int) -> None:
-        """f as a function of its own, called with the slots in scope once
-        the units counted so far are spent, so that its room is right."""
-        self.line(ind, _ABORT)
-        self.line(ind, "M[0](c, X)")
-        slots = sorted(set(scope.values()))
-        self.used.update(slots)
-        params = ", ".join(f"v{i}" for i in slots)
-        outer = self.body, self.wide, self.reads
-        self.body, self.wide, self.reads = [], False, False
-        self.formula(f, scope, 1, 0, free)
-        name = f"_f{len(self.defs) + 1}"
-        self.function(name, params, "t", True)
-        self.body, self.wide, self.reads = outer
-        self.line(ind, f"t = {name}({params})")
-        self.line(ind, "R = B.limit - B.spent")
-        self.line(ind, "c = 0")
+                raise ShapeError(f"cannot evaluate {f!r}")
 
     def term(self, t: Term, scope: dict[str, int], ind: int) -> str:
         """Write the temporaries that compute t, each argument list left to
@@ -347,10 +340,8 @@ def _compile_fo(f: Formula, vars: tuple[str, ...], syms: _Symbols,
     the values of ``vars`` in order (a list or a tuple), run inside the
     ``loops``, (quantifier, variable) pairs that count nothing.  Every node
     of f visited spends one unit of the bound budget under ``context``."""
-    for q, v in reversed(loops):
-        f = (Exists if q == "exists" else Forall)(v, f)
     gen = _Gen(syms, len(vars))
-    gen.formula(f, _scope(vars), 1, 0, len(loops))
+    gen.formula(_wrap_prefix(loops, f), _scope(vars), 1, 0, len(loops))
     src = gen.source(_entry(vars, gen.used), "t", True)
     return _load(src)(syms.values, syms.meter, context)
 

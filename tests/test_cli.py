@@ -153,6 +153,23 @@ def test_deep_chain_exits_2(write, capsys, command):
         assert (code, out, err) == (0, "true\n", "")
 
 
+def test_deep_quantifier_nest_is_decided(write, capsys):
+    # the classical compiler writes a nest in one loop, whatever its depth
+    f = write("f.dl", "forall x. " * 5000 + "P(x)")
+    m = write("m.json", {"domain": 1, "relations": {"P": [[0]]}})
+    assert main(["check", "--formula", f, "--structure", m]) == 0
+    assert capsys.readouterr() == ("true\n", "")
+
+
+def test_deep_dependence_chain_exits_2(write, capsys):
+    # the team compiler recurses once per | link that holds a dependence
+    # atom; this moves to exit 0 once it no longer does
+    f = write("f.dl", "forall x. exists y. (=(x,y)" + " | P(y)" * 1500 + ")")
+    m = write("m.json", {"domain": 1, "relations": {"P": [[0]]}})
+    assert main(["check", "--formula", f, "--structure", m]) == 2
+    assert capsys.readouterr() == ("", "error: formula nested too deeply\n")
+
+
 # ---------------------------------------------------------------------------
 # input contract: a malformed input file exits 2 with one error line
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ import pytest
 
 from helpers import oracle_eso, oracle_fo
 from deplog import fo_eval
+from deplog.budget import Budget
 from deplog.errors import ShapeError
 from deplog.eso_eval import _eso_plan, eso_satisfies
 from deplog.harness import corpus
 from deplog.structures import Structure, enumerate_structures
 from deplog.syntax import (
-    FALSE, TRUE, EsoSentence, Signature, and_chain, or_chain, parse_eso,
-    parse_eso_infer, parse_formula, parse_formula_infer,
+    FALSE, TRUE, And, EsoSentence, Forall, Or, Signature, and_chain, or_chain,
+    parse_eso, parse_eso_infer, parse_formula, parse_formula_infer,
 )
 from deplog.team_eval import _plan as _team_plan, satisfies, sentence_truth
 from deplog.structures import Team
@@ -88,16 +89,90 @@ def test_deep_application_matches_oracle():
         assert eso_satisfies(m, s) == oracle_eso(m, s)
 
 
+# Deep classical input, decided at size 1.  The expected verdicts are
+# written by hand, since the oracles in helpers recurse once per level.
+_SIG_P = Signature({"P": 1})
+_P = parse_formula("P(x)", _SIG_P)
+
+
+def _point(holds):
+    """The structure of size 1 where P holds or not."""
+    return Structure(_SIG_P, 1, {"P": frozenset({(0,)} if holds else ())}, {}, {})
+
+
+def _alternation(levels, right):
+    """P(x) under ``levels`` links alternating & and |, each nesting the
+    rest on its right or on its left; made of P(x) alone, it is P(x)."""
+    f = _P
+    for i in range(levels):
+        link = And if i % 2 else Or
+        f = link(_P, f) if right else link(f, _P)
+    return f
+
+
+# one name rebound at every level: each level still loops over a slot of
+# its own, but a split-off function takes one slot, where 5,000 names
+# would pass all of them to each (11 MB of text)
+DEEP_NEST = "forall x. " * 5000 + "P(x)"
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_deep_universal_nest_decided(holds):
+    assert sentence_truth(_point(holds), parse_formula(DEEP_NEST, _SIG_P)) is holds
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+@pytest.mark.parametrize("holds", [True, False])
+def test_deep_alternation_decided(holds, right):
+    f = Forall("x", _alternation(3000, right))
+    assert sentence_truth(_point(holds), f) is holds
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_deep_eso_prefix_decided(holds):
+    n = 2000
+    s = parse_eso("exists fn g/1. exists y. "
+                  + "".join(f"forall x{i}. " for i in range(n)) + "P(g(y))", _SIG_P)
+    assert eso_satisfies(_point(holds), s) is holds
+
+
+@pytest.mark.parametrize("link", [And, Or])
+def test_right_nested_chain_is_one_function(link, sources):
+    # each link's right side opens one indentation past the chain's guards,
+    # not past the link, so the chain stays one flat run of blocks
+    f = _P
+    for _ in range(2999):
+        f = link(_P, f)
+    assert sentence_truth(_point(True), Forall("x", f)) is True
+    assert sources
+    for src in sources:
+        assert src.count(" def ") == 1, src[:200]
+        assert max(len(s) - len(s.lstrip()) for s in src.splitlines()) <= 4
+
+
+def test_only_the_loops_count_nothing():
+    # forall x run as a loop of the plan: it counts nothing, while f's own
+    # exists y counts one unit and each P(y) one more, once per x until the
+    # first x for which f is false
+    syms = fo_eval._Symbols()
+    check = fo_eval._compile_fo(parse_formula("exists y. P(y)", _SIG_P), (), syms,
+                                "first-order evaluation", (("forall", "x"),))
+    budget = Budget(100)
+    syms.bind(Structure(_SIG_P, 2, {"P": frozenset()}, {}, {}), budget)
+    assert check([]) is False
+    assert budget.spent == 3
+
+
 # names the grammar accepts that Python treats specially or that the
 # generated code could use for its own locals
 _NAMES = ("__import__", "exec", "lambda", "env", "values", "n", "u", "r")
 
 
 @pytest.mark.parametrize("name", _NAMES)
-def test_python_names_stay_out_of_the_generated_code(name):
+def test_python_names_stay_out_of_the_generated_code(name, sources):
     # the name as a relation, a function, a constant, a variable and a
-    # quantified function, each decided as the oracles decide it
-    fo_eval._CODE.clear()
+    # quantified function, each decided as the oracles decide it; every
+    # text the compiler writes for them is read, cache hits included
     e, c = {"E": 2}, frozenset({"c"})
     cases = [
         (Signature({name: 2}, {}, c), f"forall x. exists y. ({name}(x,y) | ~{name}(c,y))",
@@ -122,7 +197,6 @@ def test_python_names_stay_out_of_the_generated_code(name):
     team = Team((name,), frozenset({(0,), (1,)}))
     m = Structure(sig, 2, {"E": frozenset({(0, 0), (1, 1)})}, {}, {"c": 0})
     assert satisfies(m, team, parse_formula(f"E({name},{name})", sig)) is True
-    sources = list(fo_eval._CODE)
     assert len(sources) >= 5
     for src in sources:
         assert not set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", src)) & set(_NAMES), src

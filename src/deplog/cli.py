@@ -285,8 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the team compiler recurses once per | link that holds a dependence
-        # atom, and replace_terms and term equality once per term level
+        # term equality and hashing and replace_terms recurse once per term
+        # level, and the parser once per function application
         print("error: formula nested too deeply", file=sys.stderr)
         return 2
 

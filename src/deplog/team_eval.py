@@ -68,14 +68,15 @@ false team is refuted without trying all 2^m colourings: phi1 = =(x,y) |
 =(u,v) on all 81 rows over a domain of 3 takes 444 placements. No part of
 the search recurses in Python, so a long team needs no deep recursion.
 
-All of this is planned once per formula and root variables (_TeamPlan).
-Each quantifier appends a column of its own to the rows that reach it (a
+All of this is planned in one loop, once per formula and root variables
+(_TeamPlan), so a deep formula needs no deep recursion either. Each
+quantifier appends a column of its own to the rows that reach it (a
 rebinding one too: its variable then names the newer column), so every
 subformula's columns are fixed at compile time. The plan holds one node
 per subformula: the row predicates and atom terms of each check (Python
 functions of a row, which fo_eval writes) and the options of each choice
-point. Deciding a team in another
-structure then rebinds the structure's symbols and walks no syntax.
+point. Deciding a team in another structure then rebinds the structure's
+symbols and walks no syntax.
 _plan is the one entry that builds a plan: it first checks the formula's
 symbols against the signature and its free variables against the root
 variables. A plan takes its budget when it runs, not when it is built,
@@ -106,8 +107,8 @@ __all__ = ["satisfies", "sentence_truth"]
 
 _Row = tuple[int, ...]
 # a compiled subformula, (kind, step, mask): a check's step takes or refuses
-# a row, a conjunction's is its conjuncts' nodes, a universal's is its
-# body's node, and a choice's is (options, bit, mask), options yielding a
+# a row, a conjunction's is its conjuncts' nodes, a universal's (a list) is
+# its body's node, and a choice's is (options, bit, mask), options yielding a
 # row's options in order, each a (node, row); mask has the bit of each
 # choice point on the way from the root to the node, a choice's own too
 _Node = tuple[int, object, int]
@@ -148,7 +149,7 @@ class _TeamPlan:
         self.trail: list[tuple[dict, tuple]] = []
         self.dep_free = _mark_dep_free(root)
         self.choices = 0  # choice points compiled so far
-        self.root = self._node(root, vars, 0)
+        self.root = self._compile(root, vars)
 
     def __call__(self, struct: Structure, budget: Budget | None = None,
                  rows: frozenset[_Row] = _ROOT) -> bool:
@@ -226,41 +227,51 @@ class _TeamPlan:
             work = [item]
 
     # -- compilation ----------------------------------------------------------
-    # Work is popped from a stack, so a node pushes its successors in order
-    # and they reach their choice points in reverse: the latest queued, and
-    # so the first taken, is the first successor's.
+    # The search pops its work from a stack, so a node lists its successors
+    # in order and they reach their choice points in reverse: the latest
+    # queued, and so the first taken, is the first successor's.
 
-    def _node(self, f: Formula, vars: tuple[str, ...], above: int) -> _Node:
-        # above: the mask of the choice points on the way to f
-        if self.dep_free[id(f)]:
-            return _CHECK, _compile_fo(f, vars, self.syms,
-                                       "row evaluation"), above
-        if isinstance(f, Forall):
-            return _ALL, self._node(f.body, vars + (f.var,), above), above
-        if not isinstance(f, (Or, Exists)):
-            return self._conjunction(f, vars, above)[0]
-        bit = 1 << self.choices
-        self.choices += 1
-        above |= bit
-        options = (self._or if isinstance(f, Or) else self._exists)(
-            f, vars, above)
-        return _CHOICE, (options, bit, above), above
+    def _compile(self, f: Formula, vars: tuple[str, ...]) -> _Node:
+        """f's node, built in one loop, depth first and left to right: a
+        stack entry is a subformula, its columns, the mask of the choice
+        points above it and the list and index its node goes to."""
+        root: list = [None]
+        todo = [(f, vars, 0, root, 0)]
+        while todo:
+            f, vars, above, place, i = todo.pop()
+            if self.dep_free[id(f)]:
+                ok = _compile_fo(f, vars, self.syms, "row evaluation")
+                place[i] = _CHECK, ok, above
+            elif isinstance(f, Forall):
+                place[i] = node = [_ALL, None, above]
+                todo.append((f.body, vars + (f.var,), above, node, 1))
+            elif not isinstance(f, (Or, Exists)):
+                place[i] = self._conjunction(f, vars, above, place, i, todo)[0]
+            else:
+                bit = 1 << self.choices
+                self.choices += 1
+                above |= bit
+                options = (self._or if isinstance(f, Or) else self._exists)(
+                    f, vars, above, todo)
+                place[i] = _CHOICE, (options, bit, above), above
+        return root[0]
 
-    def _conjunction(self, f: Formula, vars: tuple[str, ...], above: int
+    def _conjunction(self, f: Formula, vars: tuple[str, ...], above: int,
+                     place: list, i: int, todo: list
                      ) -> tuple[_Node, list[tuple[DepAtom, Callable, dict]]]:
-        """f's conjuncts as one node, with one check for the dependence-free
-        ones and the positive atoms; also each such atom with its compiled
-        determinant and its table."""
+        """f's conjuncts as one node, one check for the dependence-free ones
+        and the positive atoms and the others pushed (a lone one to fill
+        place[i]); also each such atom, its compiled determinant and table."""
         free: list[Formula] = []
         atoms: list[DepAtom] = []
         others: list[Formula] = []
-        todo = [f]
-        while todo:
-            g = todo.pop()
+        stack = [f]
+        while stack:
+            g = stack.pop()
             if self.dep_free[id(g)]:
                 free.append(g)
             elif isinstance(g, And):
-                todo += (g.right, g.left)
+                stack += (g.right, g.left)
             elif isinstance(g, DepAtom):
                 if g.negated:
                     # only the empty team satisfies a negated atom, and so
@@ -275,11 +286,15 @@ class _TeamPlan:
                  for g in atoms]
         row_oks = [_compile_fo(g, vars, self.syms, "row evaluation")
                    for g in free]
-        nodes = [self._node(g, vars, above) for g in others]
-        if tests or row_oks or not nodes:
+        nodes: list = [None] * len(others)
+        if tests or row_oks or not others:
             # last, so that it runs before the other conjuncts
             nodes.append((_CHECK, self._check(tests, row_oks), above))
-        node = nodes[0] if len(nodes) == 1 else (_AND, tuple(nodes), above)
+        if len(nodes) > 1:
+            place, i = nodes, 0
+        todo += reversed([(g, vars, above, place, i + j)
+                          for j, g in enumerate(others)])
+        node = nodes[0] if len(nodes) == 1 else (_AND, nodes, above)
         return node, [(g, key, table)
                       for g, (key, _, table) in zip(atoms, tests)]
 
@@ -311,21 +326,21 @@ class _TeamPlan:
             return True
         return check
 
-    def _or(self, f: Or, vars: tuple[str, ...], above: int
+    def _or(self, f: Or, vars: tuple[str, ...], above: int, todo: list
             ) -> Callable[[_Row], Iterator[tuple[_Node, _Row]]]:
-        left = self._node(f.left, vars, above)
-        right = self._node(f.right, vars, above)
+        sides: list = [None, None]  # their nodes, filled once made
+        todo += (f.right, vars, above, sides, 1), (f.left, vars, above, sides, 0)
         meter = self.syms.meter
 
         def options(row: _Row) -> Iterator[tuple[_Node, _Row]]:
             meter[0](1, "disjunction split")
-            yield left, row
+            yield sides[0], row
             meter[0](1, "disjunction split")
-            yield right, row
+            yield sides[1], row
         return options
 
-    def _exists(self, f: Exists, vars: tuple[str, ...], above: int
-                ) -> Callable[[_Row], Iterator[tuple[_Node, _Row]]]:
+    def _exists(self, f: Exists, vars: tuple[str, ...], above: int,
+                todo: list) -> Callable[[_Row], Iterator[tuple[_Node, _Row]]]:
         # a maximal run of existentials is chosen jointly, one column each
         block: list[str] = []
         body: Formula = f
@@ -334,7 +349,8 @@ class _TeamPlan:
             body = body.body
         new_vars = vars + tuple(block)
         base = len(vars)
-        node, atoms = self._conjunction(body, new_vars, above)
+        slot: list = [None]  # the body's node, filled once it is made
+        slot[0], atoms = self._conjunction(body, new_vars, above, slot, 0, todo)
         # per column of block: the tables and determinants of the atoms
         # whose value term is its variable and whose determinant reads only
         # earlier columns
@@ -368,7 +384,7 @@ class _TeamPlan:
 
         def options(row: _Row) -> Iterator[tuple[_Node, _Row]]:
             # one (prefix, column, values left) per column being tried
-            spend = meter[0]
+            spend, node = meter[0], slot[0]
             todo = [(row, 0, choices(row, fixing[0]))]
             while todo:
                 env, j, it = todo.pop()

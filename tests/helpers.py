@@ -5,7 +5,10 @@ with different data layouts and search orders than the package code:
 
 * oracle_satisfies searches disjunctions over ALL covering pairs
   (left/right/both per row, 3^|team| covers) and existentials over all
-  value-choice functions, with no memoization and no shortcuts.
+  value-choice functions, with no shortcuts. Its one economy is a memo
+  that lives for one top-level call: a subformula (by identity) on the
+  same variables and rows is decided once, however many covers or
+  choice functions reach it.
 * oracle_fo / oracle_eso evaluate function sentences with dict-based
   tables keyed by argument tuple, enumerated per sorted argument order.
   Every term, in every oracle, is evaluated by _oracle_term.
@@ -39,8 +42,20 @@ def _row_env(vars: tuple[str, ...], row: tuple[int, ...]) -> dict[str, int]:
 
 def oracle_satisfies(struct: Structure, vars, rows, f: Formula) -> bool:
     """Team satisfaction straight from the definition, no shortcuts."""
-    vars = tuple(vars)
-    rows = frozenset(tuple(r) for r in rows)
+    # made per call, so every subformula whose id is a key outlives it
+    memo: dict[tuple, bool] = {}
+
+    def sat(vars, rows, g: Formula) -> bool:
+        key = id(g), vars, rows
+        if key not in memo:
+            memo[key] = _oracle_team(struct, vars, rows, g, sat)
+        return memo[key]
+    return sat(tuple(vars), frozenset(tuple(r) for r in rows), f)
+
+
+def _oracle_team(struct: Structure, vars: tuple[str, ...],
+                 rows: frozenset, f: Formula, sat) -> bool:
+    """One step of the definition; sat decides the subformulas."""
     if not rows:
         return True
     if isinstance(f, (RelAtom, Equal, Bool)):
@@ -59,16 +74,14 @@ def oracle_satisfies(struct: Structure, vars, rows, f: Formula) -> bool:
                 return False
         return True
     if isinstance(f, And):
-        return (oracle_satisfies(struct, vars, rows, f.left)
-                and oracle_satisfies(struct, vars, rows, f.right))
+        return sat(vars, rows, f.left) and sat(vars, rows, f.right)
     if isinstance(f, Or):
         row_list = sorted(rows)
         # every cover: each row goes left, right, or both
         for sides in itertools.product((0, 1, 2), repeat=len(row_list)):
             left = frozenset(r for r, s in zip(row_list, sides) if s != 1)
             right = frozenset(r for r, s in zip(row_list, sides) if s != 0)
-            if (oracle_satisfies(struct, vars, left, f.left)
-                    and oracle_satisfies(struct, vars, right, f.right)):
+            if sat(vars, left, f.left) and sat(vars, right, f.right):
                 return True
         return False
     if isinstance(f, Exists):
@@ -79,12 +92,12 @@ def oracle_satisfies(struct: Structure, vars, rows, f: Formula) -> bool:
             for choice in itertools.product(range(n), repeat=len(row_list)):
                 new_rows = frozenset(r[:i] + (a,) + r[i + 1:]
                                      for r, a in zip(row_list, choice))
-                if oracle_satisfies(struct, vars, new_rows, f.body):
+                if sat(vars, new_rows, f.body):
                     return True
             return False
         for choice in itertools.product(range(n), repeat=len(row_list)):
             new_rows = frozenset(r + (a,) for r, a in zip(row_list, choice))
-            if oracle_satisfies(struct, vars + (f.var,), new_rows, f.body):
+            if sat(vars + (f.var,), new_rows, f.body):
                 return True
         return False
     if isinstance(f, Forall):
@@ -93,9 +106,9 @@ def oracle_satisfies(struct: Structure, vars, rows, f: Formula) -> bool:
             i = vars.index(f.var)
             new_rows = frozenset(r[:i] + (a,) + r[i + 1:]
                                  for r in rows for a in range(n))
-            return oracle_satisfies(struct, vars, new_rows, f.body)
+            return sat(vars, new_rows, f.body)
         new_rows = frozenset(r + (a,) for r in rows for a in range(n))
-        return oracle_satisfies(struct, vars + (f.var,), new_rows, f.body)
+        return sat(vars + (f.var,), new_rows, f.body)
     raise AssertionError(f"cannot evaluate {f!r}")
 
 

@@ -328,8 +328,9 @@ def test_long_team_needs_no_recursion():
 
 
 def test_deep_right_nested_chain_evaluates():
-    # the classical compiler recurses once per nesting level, so a
-    # dependence-free chain this deep still fits Python's default limit
+    # a right-nested chain of one connective: the classical compiler writes
+    # it as one flat run of blocks and the team compiler gathers its
+    # conjuncts on an explicit stack, so neither recurses once per link
     sig = Signature({"P": 1})
     m = Structure(sig, 2, {"P": frozenset({(0,), (1,)})}, {}, {})
     for atom, quant in ((RelAtom("P", (Var("x"),)), Forall),
@@ -348,6 +349,64 @@ def test_deep_dependence_chain_evaluates():
     m = Structure(sig, 1, {"P": frozenset({(0,)})}, {}, {})
     f = d(f"forall x. exists y. ({chain})", sig)
     assert sentence_truth(m, f) is True
+
+
+# The team compiler builds a plan in one loop, so formulas nested deeper
+# than Python's recursion limit are decided. The oracles recurse, so these
+# verdicts are written by hand; on a domain of size 1 every team has at
+# most one row, and a dependence atom always holds on it.
+SIG_P = Signature({"P": 1})
+P_FULL = Structure(SIG_P, 1, {"P": frozenset({(0,)})}, {}, {})
+P_EMPTY = Structure(SIG_P, 1, {"P": frozenset()}, {}, {})
+_ALTERNATION = "".join(f"forall x{k}. exists y{k}. " for k in range(200))
+_NEST = "forall x0. " * 1500
+# per input: a sentence true in every structure, and one true iff P is not
+# empty (only the empty team satisfies ~=(x,y))
+DEEP_INPUTS = {
+    "alternation": (_ALTERNATION + "=(x0,y0)",
+                    _ALTERNATION + "(=(x0,y0) & P(y199))"),
+    "universal_nest": (_NEST + "exists y. =(x0,y)",
+                       _NEST + "exists y. (=(x0,y) & P(y))"),
+    "dependence_chain": ("forall x. exists y. (=(x,y)" + " | P(y)" * 1500 + ")",
+                         "forall x. exists y. (~=(x,y)" + " | P(y)" * 1500 + ")"),
+    "atom_disjunction": (
+        "forall x. exists y. (" + " | ".join(["=(x,y)"] * 1500) + ")",
+        "forall x. exists y. (" + " | ".join(["(=(x,y) & P(y))"] * 1500) + ")"),
+}
+
+
+@pytest.mark.parametrize("name", DEEP_INPUTS)
+def test_deep_formula_is_decided(name):
+    f, g = (d(text, SIG_P) for text in DEEP_INPUTS[name])
+    assert sentence_truth(P_EMPTY, f) is True
+    assert sentence_truth(P_FULL, g) is True
+    assert sentence_truth(P_EMPTY, g) is False
+
+
+def test_plan_compiles_depth_first_left_to_right():
+    # a conjunction's atoms and dependence-free conjuncts are compiled
+    # first, then its other conjuncts in order, each depth first and left
+    # before right, so the symbols take their slots in that order
+    sig = Signature(dict.fromkeys("PQRS", 1), {"f": 1}, frozenset({"c"}))
+    f = d("forall x. (exists y. (=(x,y) & P(y) | Q(y)) & (=(x) | R(x))"
+          " & =(f(x),c) & S(x))", sig)
+    plan = team_eval._plan(f, (), sig)
+    assert [name for _, name in plan.syms.slots] == list("fcSPQR")
+    m = Structure(sig, 1, dict.fromkeys("PQRS", frozenset({(0,)})),
+                  {"f": (0,)}, {"c": 0})
+    assert sentence_truth(m, f) is True
+
+
+def test_open_deep_chain_on_a_team_of_several_rows():
+    # the rows with y = 0 all go to =(x,y), which holds on them; without P
+    # every row must, and (0,0) and (0,1) break the atom
+    import itertools
+    f = d("=(x,y)" + " | P(y)" * 1500, SIG_P)
+    team = Team(("x", "y"), frozenset(itertools.product(range(2), repeat=2)))
+    some = Structure(SIG_P, 2, {"P": frozenset({(1,)})}, {}, {})
+    none = Structure(SIG_P, 2, {"P": frozenset()}, {}, {})
+    assert satisfies(some, team, f) is True
+    assert satisfies(none, team, f) is False
 
 
 def test_budget_bounds_split_search():

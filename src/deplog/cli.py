@@ -284,11 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DeplogError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RecursionError:
-        # term equality and hashing and replace_terms recurse once per term
-        # level, and the parser once per function application
-        print("error: formula nested too deeply", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

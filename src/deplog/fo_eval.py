@@ -52,8 +52,8 @@ from .budget import Budget
 from .errors import ShapeError
 from .structures import Structure, _getter
 from .syntax import (
-    And, App, Bool, Const, Equal, Exists, Forall, Formula, Or, RelAtom, Term, Var,
-    _wrap_prefix,
+    And, Bool, Const, Equal, Exists, Forall, Formula, Or, RelAtom, Term, Var,
+    _fold_term, _wrap_prefix,
 )
 
 __all__: list[str] = []
@@ -141,11 +141,12 @@ class _Gen:
         self.width = width  # variable slots taken
         self.defs: list[list[str]] = []  # the functions split off
         self.temps = 0
-        self.used: set[int] = set()  # variable slots read
-        # the function being written: its lines, the units not yet written
+        # the function being written: its lines, the variable slots it reads
+        # (its split-offs' parameters included), the units not yet written
         # (counted at indentation pind), whether it reads the domain size
         # and a quantified function's table
         self.body: list[str] = []
+        self.used: set[int] = set()
         self.pending = self.pind = 0
         self.wide = self.reads = False
 
@@ -176,8 +177,8 @@ class _Gen:
         a block one indentation past the chain's guards, which runs while
         the chain is undecided (t true for And, false for Or).  A node
         nested deeper than CPython compiles is split off as a function of
-        its own, called with the slots in scope once the units counted so
-        far are spent, so that its room is right."""
+        its own, called with the slots in scope that it reads once the
+        units counted so far are spent, so that its room is right."""
         # a node carries the chain it continues: (connective, guards'
         # indentation), or None
         todo: list = [(f, scope, ind, loops, free, None)]
@@ -187,10 +188,13 @@ class _Gen:
                 self.line(0, item)
                 continue
             if item[0] is None:  # the end of a split-off function
-                _, ind, params, outer = item
+                _, ind, outside, outer = item
+                slots = sorted(self.used & outside)
+                params = ", ".join(f"v{i}" for i in slots)
                 name = f"_f{len(self.defs) + 1}"
                 self.function(name, params, "t", True)
-                self.body, self.wide, self.reads = outer
+                self.body, self.wide, self.reads, self.used = outer
+                self.used.update(slots)
                 self.line(ind, f"t = {name}({params})")
                 self.line(ind, "R = B.limit - B.spent")
                 self.line(ind, "c = 0")
@@ -201,12 +205,10 @@ class _Gen:
                 if ind >= _MAX_INDENT or quantifier and loops >= _MAX_LOOPS:
                     self.line(ind, _ABORT)
                     self.line(ind, "M[0](c, X)")
-                    slots = sorted(set(scope.values()))
-                    self.used.update(slots)
-                    params = ", ".join(f"v{i}" for i in slots)
-                    todo += ((None, ind, params, (self.body, self.wide, self.reads)),
+                    outer = self.body, self.wide, self.reads, self.used
+                    todo += ((None, ind, set(scope.values()), outer),
                              (f, scope, 1, 0, free, None))
-                    self.body, self.wide, self.reads = [], False, False
+                    self.body, self.wide, self.reads, self.used = [], False, False, set()
                     continue
                 chain = ((And if isinstance(f, And) else Or, ind)
                          if isinstance(f, (And, Or)) else None)
@@ -244,27 +246,13 @@ class _Gen:
     def term(self, t: Term, scope: dict[str, int], ind: int) -> str:
         """Write the temporaries that compute t, each argument list left to
         right before its application; the expression of t's value."""
-        out: list[str] = []
-        todo: list = [(t, False)]
-        while todo:
-            u, ready = todo.pop()
-            if isinstance(u, Var):
-                i = scope[u.name]
-                self.used.add(i)
-                out.append(f"v{i}")
-            elif isinstance(u, Const):
-                out.append(f"V[{self.syms.slot('constants', u.name)}]")
-            elif not isinstance(u, App):
-                raise ShapeError(f"not a term: {u!r}")
-            elif not ready:
-                todo.append((u, True))
-                todo += [(a, False) for a in reversed(u.args)]
-            else:
-                cut = len(out) - len(u.args)
-                args = out[cut:]
-                del out[cut:]
-                out.append(self.app(u.fn, args, ind))
-        return out[0]
+        def leaf(u: Term) -> str:
+            if isinstance(u, Const):
+                return f"V[{self.syms.slot('constants', u.name)}]"
+            i = scope[u.name]
+            self.used.add(i)
+            return f"v{i}"
+        return _fold_term(t, leaf, lambda u, args: self.app(u.fn, args, ind))
 
     def app(self, fn: str, args: list[str], ind: int) -> str:
         """Read fn's table at the flat lexicographic index of ``args``, the

@@ -29,19 +29,19 @@ names that are declared constants become constants. Without one, the
 signature is inferred and each name keeps one role and one arity;
 constants only come from explicit signatures.
 
-Walks: two iterative walks serve the queries and rewrites here:
-iter_subformulas in pre-order and _rebuild bottom-up.  Every formula walk
-runs on an explicit stack, so none recurses on formula depth, nor does
-render_term on term depth, and the parser reads the formula grammar in
-one loop: only its function applications recurse, and it reports a
-ParseError past about 490 levels.
+Walks: iterative walks serve the queries and rewrites here: for formulas
+iter_subformulas in pre-order and _rebuild bottom-up, for terms
+_iter_term_nodes in pre-order and _fold_term bottom-up.  Every walk, and
+render_term, runs on an explicit stack, a term's equality compares on
+one, and the parser reads the formula grammar and each argument list in
+a loop, so nothing recurses on nesting depth.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import Iterator, NamedTuple, Union
 
 from .errors import ParseError, ShapeError
@@ -77,11 +77,39 @@ class Const:
 
 @dataclass(frozen=True)
 class App:
+    """A function application; its hash is made once, from its arguments'."""
+
     fn: str
     args: tuple["Term", ...]
 
     def __post_init__(self):
         object.__setattr__(self, "args", _as_tuple(self.args, "function arguments"))
+        try:
+            object.__setattr__(self, "_hash", hash((self.fn, self.args)))
+        except TypeError as e:
+            raise ShapeError(f"not a term: {self.fn!r} applied to an {e}") from None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, App):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if (isinstance(a, App) and isinstance(b, App) and a.fn == b.fn
+                    and len(a.args) == len(b.args)):
+                todo += zip(a.args, b.args)
+            elif isinstance(a, App) or a != b:
+                return False
+        return True
+
+    def __reduce__(self):
+        # rebuilt, not restored: a name's hash differs between processes
+        return App, (self.fn, self.args)
 
 
 Term = Union[Var, Const, App]
@@ -388,10 +416,10 @@ def _tokenize(text: str) -> list[_Tok]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    """Syntax only: one loop reads the formula grammar, and only function
-    applications recurse.  Records symbol use for _resolve: relation and
-    function arities in order of first use, bare names, quantified names
-    and whether a dependence atom occurs."""
+    """Syntax only: one loop reads the formula grammar and one loop each
+    argument list, so no nesting recurses.  Records symbol use for
+    _resolve: relation and function arities in order of first use, bare
+    names, quantified names and whether a dependence atom occurs."""
 
     def __init__(self, text: str):
         self.text = text
@@ -524,16 +552,30 @@ class _Parser:
         raise ParseError(f"unexpected token {t.text!r} in atom", t.pos)
 
     def args(self) -> tuple[Term, ...]:
-        """A parenthesized, possibly empty, list of terms."""
+        """A parenthesized, possibly empty, list of terms, read in one loop.
+        Each application still open keeps its name token and the list it
+        goes in; ``out`` holds the arguments read so far of the innermost."""
         self.expect("(")
-        out: list[Term] = []
-        if not self.at(")"):
-            out.append(self.term())
-            while self.at(","):
-                self.take()
-                out.append(self.term())
-        self.expect(")")
-        return tuple(out)
+        stack, out = [], []
+        while True:
+            if out or not self.at(")"):  # a term, unless "()" ends a list
+                t = self._take_name("term")
+                if self.at("("):
+                    self.take()
+                    stack.append((t, out))
+                    out = []
+                    continue
+                self.bare.add(t.text)
+                out.append(Var(t.text))
+            while not self.at(","):
+                self.expect(")")
+                if not stack:
+                    return tuple(out)
+                t, outer = stack.pop()
+                self._applied(self.fns, t, len(out))
+                outer.append(App(t.text, tuple(out)))
+                out = outer
+            self.take()
 
     def term(self) -> Term:
         t = self._take_name("term")
@@ -590,9 +632,8 @@ def _resolve(p: _Parser, f: Formula, sig: Signature | None,
 
 def _read_text(text: str, eso: bool) -> tuple[_Parser, Formula, dict[str, int] | None]:
     """The parser with its usage tables, the formula, and an ESO text's
-    "exists fn" functions (name -> arity; None for a formula text).  Only
-    function applications recurse; nesting them deeper than the recursion
-    limit allows (about 490 levels) is a ParseError."""
+    "exists fn" functions (name -> arity; None for a formula text), read
+    without recursion at any nesting depth."""
     if not isinstance(text, str):
         raise ShapeError(f"formula text must be a string, got {text!r}")
     p = _Parser(text)
@@ -614,12 +655,7 @@ def _read_text(text: str, eso: bool) -> tuple[_Parser, Formula, dict[str, int] |
             fns[name_tok.text] = int(ar_tok.text)
         except ValueError:  # past the interpreter's digit limit
             raise ParseError("arity has too many digits", ar_tok.pos) from None
-    try:
-        f = p.formula()
-    except RecursionError:
-        t = p.peek()
-        raise ParseError("formula nested too deeply",
-                         t.pos if t else len(p.text)) from None
+    f = p.formula()
     t = p.peek()
     if t is not None:
         raise ParseError(f"unexpected trailing input {t.text!r}", t.pos)
@@ -798,6 +834,27 @@ def _rebuild(f: Formula, fix) -> Formula:
             done.append(fix(g))
         else:
             raise ShapeError(f"not a formula: {g!r}")
+    return done[0]
+
+
+def _fold_term(t: Term, leaf, app):
+    """Fold ``t`` bottom-up on an explicit stack, the term counterpart of
+    _rebuild: ``leaf(u)`` for each variable and constant u, ``app(u,
+    values)`` for each application u once its arguments' values are made,
+    left to right.  ShapeError at a node that is not a term."""
+    done: list = []
+    todo: list = [(t, False)]
+    while todo:
+        u, ready = todo.pop()
+        if ready:
+            cut = len(done) - len(u.args)
+            done[cut:] = [app(u, done[cut:])]
+        elif isinstance(u, App):
+            todo += [(u, True)] + [(a, False) for a in reversed(u.args)]
+        elif isinstance(u, (Var, Const)):
+            done.append(leaf(u))
+        else:
+            raise ShapeError(f"not a term: {u!r}")
     return done[0]
 
 
@@ -992,14 +1049,10 @@ def check_symbols(f: Formula, sig: Signature,
 
 def replace_terms(f: Formula, mapping: dict[Term, Term]) -> Formula:
     """Replace every occurrence of each key of ``mapping`` (nested ones too)
-    by its value, in one pass over the atoms' argument terms; a replaced
-    occurrence is not searched further."""
-    def swap(t: Term) -> Term:
-        if t in mapping:
-            return mapping[t]
-        if isinstance(t, App):
-            return App(t.fn, tuple(swap(a) for a in t.args))
-        return t
+    by its value, in one pass over the atoms' argument terms; nothing
+    within a replaced occurrence is replaced."""
+    swap = partial(_fold_term, leaf=lambda u: mapping.get(u, u),
+                   app=lambda u, args: mapping.get(u) or App(u.fn, tuple(args)))
 
     def atom(g: Formula) -> Formula:
         if isinstance(g, RelAtom):

@@ -80,16 +80,16 @@ def test_non_utf8_input_exits_2(tmp_path, write, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# the parser recurses only on function applications, so these nest too deeply
+# 1,500 nested applications, which no layer reads by recursion; as a
+# malformed file below, its x is free and its f undeclared in the other files
 DEEP_APPS = "P(" + "f(" * 1500 + "x" + ")" * 1501
 
 
 def test_parse_deep_nesting_exits_2(write, capsys):
+    # the name is kept from when this nest exited 2, "nested too deeply"
     f = write("deep.dl", DEEP_APPS)
-    assert main(["parse", f]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "nested too deeply" in err
+    assert main(["parse", f]) == 0
+    assert capsys.readouterr() == (DEEP_APPS + "\n", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -169,6 +169,50 @@ def test_deep_dependence_chain_exits_2(write, capsys):
     m = write("m.json", {"domain": 1, "relations": {"P": [[0]]}})
     assert main(["check", "--formula", f, "--structure", m]) == 0
     assert capsys.readouterr() == ("true\n", "")
+
+
+def _apps(inner, n=1500):
+    """``inner`` under n applications of f."""
+    return "f(" * n + inner + ")" * n
+
+
+def test_deep_term_over_a_constant_is_checked(write, capsys):
+    # the resolver turns the bare c into a constant by a term rewrite; f
+    # swaps 0 and 1, so 1,500 applications of f give c back (verdicts by
+    # hand: the oracles recurse)
+    f = write("f.dl", f"forall x. P({_apps('c')})")
+    for c, code, out in ((0, 0, "true\n"), (1, 1, "false\n")):
+        m = write("m.json", {"domain": 2, "relations": {"P": [[0]]},
+                             "functions": {"f": [1, 0]}, "constants": {"c": c}})
+        assert main(["check", "--formula", f, "--structure", m]) == code
+        assert capsys.readouterr() == (out, "")
+
+
+DEEP_D = f"forall x. exists y. (=(x,y) & P({_apps('y')}))"
+DEEP_ESO = f"exists fn g/1. forall x. P(g({_apps('x')}))"
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["classify"], None),
+    (["translate", "--pass", "d2eso"],
+     f"exists fn f1/1. forall x. exists y. (f1(x) = y & P({_apps('y')}))"),
+    (["translate", "--pass", "star"],
+     f"exists fn g/1. forall x. forall z1. (~z1 = {_apps('x')} | P(g(z1)))"),
+    (["translate", "--pass", "eso2d"],
+     f"forall x. forall z1. exists y1. (=(z1,y1) & (~z1 = {_apps('x')} | P(y1)))"),
+], ids=["classify", "d2eso", "star", "eso2d"])
+def test_deep_terms_pass(write, capsys, argv, want):
+    # 1,500 nested applications under each pass (outputs by hand)
+    text = DEEP_ESO if argv[-1] in ("star", "eso2d") else DEEP_D
+    assert main([*argv, "--input", write("f.dl", text)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if want is None:
+        report = json.loads(out)
+        assert report["forall_count"] == 1
+        assert report["memberships"] == ["D(1-forall)", "D(1-dep)"]
+    else:
+        assert out == want + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,7 @@ MALFORMED_CALLS = [
     pytest.param(lambda: deplog.NormalFormD(5, (), deplog.TRUE), id="NormalFormD-int-prefix"),
     pytest.param(lambda: deplog.NormalFormD((), 5, deplog.TRUE), id="NormalFormD-int-bindings"),
     pytest.param(lambda: deplog.App("f", 5), id="App-int"),
+    pytest.param(lambda: deplog.App("f", ([1],)), id="App-list-argument"),
     pytest.param(lambda: deplog.RelAtom("P", 5), id="RelAtom-int"),
     pytest.param(lambda: deplog.DepAtom(5), id="DepAtom-int"),
 ]
@@ -119,7 +120,7 @@ def test_malformed_library_input_is_a_deplog_error(call):
 
 
 def test_malformed_library_input_cases():
-    assert len(MALFORMED_CALLS) == 8 * 4 + 11 * 2 + 3 + 6 + 4 + 18
+    assert len(MALFORMED_CALLS) == 8 * 4 + 11 * 2 + 3 + 6 + 4 + 19
 
 
 def test_budgeted_entries_default_to_none_and_are_pinned():
@@ -171,3 +172,50 @@ def test_evaluators_share_no_search_core():
     # table holds the symbols' values, their slots and the meter, no more
     assert not hasattr(fo_eval, "_Table")
     assert set(vars(fo_eval._Symbols())) == {"values", "slots", "meter"}
+
+
+def _call_graph(tree: ast.Module) -> dict[str, set[str]]:
+    """Each function or method of a module -> the names it calls: a bare
+    name, or the attribute of ``self``; calls on ``super()`` are skipped."""
+    graph: dict[str, set[str]] = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            calls = graph.setdefault(fn.name, set())
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                if isinstance(f, ast.Name):
+                    calls.add(f.id)
+                elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                      and f.value.id == "self"):
+                    calls.add(f.attr)
+    return graph
+
+
+def _on_cycles(graph: dict[str, set[str]]) -> set[str]:
+    """The functions of ``graph`` from which a chain of calls leads back."""
+    found = set()
+    for start in graph:
+        seen, todo = set(), list(graph[start] & graph.keys())
+        while todo:
+            name = todo.pop()
+            if name == start:
+                found.add(start)
+                break
+            if name not in seen:
+                seen.add(name)
+                todo += graph[name] & graph.keys()
+    return found
+
+
+def test_no_function_recurses():
+    # every walk runs on an explicit stack, so nesting depth costs no
+    # Python frames; the one recursion left, _partitions, goes at most one
+    # level per domain element
+    cycles = {}
+    for path in pathlib.Path(deplog.__file__).parent.glob("*.py"):
+        found = _on_cycles(_call_graph(ast.parse(path.read_text(encoding="utf-8"))))
+        if found:
+            cycles[path.stem] = found
+    assert cycles == {"structures": {"_partitions"}}

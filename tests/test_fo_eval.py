@@ -111,14 +111,27 @@ def _alternation(levels, right):
 
 
 # one name rebound at every level: each level still loops over a slot of
-# its own, but a split-off function takes one slot, where 5,000 names
-# would pass all of them to each (11 MB of text)
+# its own
 DEEP_NEST = "forall x. " * 5000 + "P(x)"
 
 
 @pytest.mark.parametrize("holds", [True, False])
 def test_deep_universal_nest_decided(holds):
     assert sentence_truth(_point(holds), parse_formula(DEEP_NEST, _SIG_P)) is holds
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_split_off_functions_take_the_slots_they_read(holds, sources):
+    # a function split off a nest of distinct names is called with the
+    # slots its body reads, its own split-offs' included, not with every
+    # slot in scope, so the text grows linearly with the nest
+    sizes = []
+    for n in (400, 800):
+        f = parse_formula("".join(f"forall x{i}. " for i in range(n))
+                          + f"(P(x0) | P(x{n - 1}))", _SIG_P)
+        assert sentence_truth(_point(holds), f) is holds
+        sizes.append(len(sources[-1]))
+    assert sizes[1] < 2.2 * sizes[0], sizes
 
 
 @pytest.mark.parametrize("right", [True, False], ids=["right", "left"])

@@ -1,5 +1,6 @@
-"""Generated formulas against the independent oracles in helpers.py, and
-generated sentences against the translations' guarantees.
+"""Generated formulas against the independent oracles in helpers.py,
+generated sentences against the translations' guarantees, and generated
+terms' equality against their rendering.
 
 Each test draws formulas and structures with hypothesis, derandomized so a
 run is repeatable, and compares the package's evaluator with its oracle,
@@ -9,11 +10,16 @@ budget is discarded and counted; it never counts as a pass, and each test
 asserts how many were compared.
 """
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import oracle_eso, oracle_fo, oracle_satisfies
+import deplog
 from deplog.budget import Budget
 from deplog.errors import BudgetExceededError
 from deplog.eso_eval import eso_satisfies
@@ -22,7 +28,7 @@ from deplog.harness import equiv_check
 from deplog.structures import Structure, Team
 from deplog.syntax import (
     And, App, Bool, Const, DepAtom, Equal, EsoSentence, Exists, Forall, Or,
-    RelAtom, Signature, Var, free_vars,
+    RelAtom, Signature, Var, free_vars, render_term,
 )
 from deplog.team_eval import satisfies
 from deplog.transforms import d_to_eso, snf_to_star
@@ -106,6 +112,45 @@ def test_generated_fo_agrees_with_oracle():
 
     tally = _run(check)
     assert tally["checked"] >= 250, tally
+
+
+def test_generated_term_equality_is_rendering_equality():
+    # App compares and hashes on an explicit stack and a stored hash; two
+    # terms are equal exactly when they render alike, and then hash alike.
+    # The second term is drawn afresh or rebuilt from the first by a pickle
+    # round trip, so that equal pairs of distinct objects are common
+    equal = []
+
+    def check(data):
+        t = data.draw(_FO_TERMS)
+        u = data.draw(st.one_of(_FO_TERMS, st.just(pickle.loads(pickle.dumps(t)))))
+        assert (t == u) == (u == t) == (render_term(t) == render_term(u))
+        if t == u:
+            assert hash(t) == hash(u)
+            equal.append(t is not u)
+        return "checked"
+
+    tally = _run(check)
+    assert tally["checked"] >= 250 and sum(equal) >= 80, (tally, len(equal))
+
+
+def test_pickled_term_hashes_in_another_process():
+    # a name's hash differs between processes, so an App is rebuilt, not
+    # restored with its stored hash, when it is unpickled
+    t = App("h", (App("g", (Var("x"),)), Const("c")))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = ("import pickle, sys\n"
+            "from deplog.syntax import App, Const, Var\n"
+            "t = pickle.loads(sys.stdin.buffer.read())\n"
+            "keys = {App('h', (App('g', (Var('x'),)), Const('c'))): 'found'}\n"
+            "print(keys.get(t), hash('h'))\n")
+    src = os.path.dirname(os.path.dirname(deplog.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(t),
+                          capture_output=True, timeout=60,
+                          env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+    found, name_hash = proc.stdout.decode().split()
+    assert (found, proc.returncode) == ("found", 0), proc.stderr
+    assert int(name_hash) != hash("h")
 
 
 _TEAM_TERMS = st.sampled_from([Var(v) for v in VARS])

@@ -112,15 +112,16 @@ def test_lexer_stops_at_the_first_unexpected_character(head, parse):
 
 
 def test_parse_nesting_overflow_is_parse_error():
-    # the parser recurses once per function application, not per parenthesis
+    # the name is kept from when a ParseError stopped function applications
+    # past about 490 levels: each argument list is now read in a loop, so
+    # every parse entry reads 1,500 levels, and the text renders back
     deep = "Q(" + "g(" * 1500 + "x" + ")" * 1501
-    for parse in (lambda: parse_formula(deep, SIG),
-                  lambda: parse_formula_infer(deep),
-                  lambda: parse_eso("exists fn f/1. forall x. " + deep, SIG),
-                  lambda: parse_eso_infer("exists fn f/1. forall x. " + deep)):
-        with pytest.raises(ParseError, match=r"nested too deeply \(at position \d+\)"):
-            parse()
-    # nesting within the limit still parses
+    eso = "exists fn f/1. forall x. " + deep
+    for parse, render, text in ((lambda: parse_formula(deep, SIG), render_formula, deep),
+                                (lambda: parse_formula_infer(deep)[0], render_formula, deep),
+                                (lambda: parse_eso(eso, SIG), render_eso, eso),
+                                (lambda: parse_eso_infer(eso)[0], render_eso, eso)):
+        assert render(parse()) == text
     assert parse_formula("(" * 100 + "Q(x)" + ")" * 100, SIG) == RelAtom("Q", (x(),))
 
 
@@ -325,9 +326,8 @@ def test_render_refuses_a_node_that_is_no_formula(f):
 
 
 def test_render_deep_application(tmp_path, capsys):
-    # 400 nested applications are within the parser's depth, and rendering
-    # them takes no recursion: the text comes back unchanged (compared as
-    # text, since term equality recurses per level), and the CLI succeeds
+    # rendering 400 nested applications takes no recursion: the text comes
+    # back unchanged, and the CLI succeeds
     text = "forall x. P(" + "f(" * 400 + "x" + ")" * 401
     rendered = render_formula(parse_formula(text))
     assert rendered == text
@@ -424,6 +424,37 @@ def test_replace_terms_one_pass():
     gx = App("g", (x(),))
     assert render_formula(replace_terms(f, {gx: App("g", (gx,))})) == \
         "P(x,y) & Q(g(g(x)))"
+
+
+def _nest(inner, n=5000, fn="g"):
+    for _ in range(n):
+        inner = App(fn, (inner,))
+    return inner
+
+
+def test_replace_terms_deep():
+    # the rewrite folds a term on an explicit stack, whatever its depth
+    f = RelAtom("Q", (_nest(x()),))
+    assert replace_terms(f, {x(): Const("c")}) == RelAtom("Q", (_nest(Const("c")),))
+    inner = _nest(x(), 10)
+    assert replace_terms(f, {inner: Var("y")}) == RelAtom("Q", (_nest(Var("y"), 4990),))
+    assert render_formula(replace_terms(f, {f.args[0]: x()})) == "Q(x)"
+
+
+def test_deep_terms_compare_and_hash():
+    # two separate parses of 5,000 nested applications compare and hash
+    # without recursion; differing only at the innermost leaf or only at
+    # the outermost name, they are unequal
+    def term(text):
+        return parse_formula_infer(f"Q({text})")[0].args[0]
+    deep = "g(" * 5000 + "x" + ")" * 5000
+    a, b = term(deep), term(deep)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == _nest(x()) and {a: 1}[b] == 1
+    assert a != term("g(" * 5000 + "y" + ")" * 5000)
+    assert a != term("h(" + "g(" * 4999 + "x" + ")" * 5000)
+    assert a != _nest(x(), 4999) and a != x()
+    assert _nest(App("h", (x(), x()))) != _nest(App("h", (x(), Var("y"))))
 
 
 # ---------------------------------------------------------------------------
